@@ -47,9 +47,9 @@ struct JsonResult {
     double speedup_vs_scalar = 0.0;
     // Optional replicated-serving metrics (bench_replicated_serving),
     // written only when has_net is set: the replica count behind the
-    // router, how many lookups needed the failover retry (rerouted), the
-    // failed attempts that triggered them, and how many replicas were
-    // healthy when the run ended.
+    // sharded router's single shard (K=1), the per-shard failovers it
+    // made, the failed attempts that triggered them, and how many
+    // replicas were healthy when the run ended.
     bool has_net = false;
     double replicas = 0.0;
     double failovers = 0.0;

@@ -5,8 +5,9 @@
 //                                        [--connect=host:port,host:port,...]
 //
 // Local mode stands up loopback PirServerNode replicas (each over its own
-// identically-configured PrivateEmbeddingService) behind a ReplicaRouter
-// and drives them from client_threads concurrent clients:
+// identically-configured PrivateEmbeddingService) behind a ShardedRouter
+// with one shard (K=1: every replica owns the whole row space) and drives
+// them from client_threads concurrent clients:
 //
 //   replicated_rN   steady-state QPS at 1, 2, and 4 replicas — the
 //                   throughput column is the scaling story: every replica
@@ -14,8 +15,10 @@
 //   killone_r3      3 replicas; one is Abort()ed (connections die
 //                   mid-stream, listener closes) once ~30% of the load has
 //                   completed. Every surviving request must still
-//                   complete — the rerouted-request and failover counters
-//                   land in the JSON next to the QPS.
+//                   complete, at least one must have been rerouted, and
+//                   2 replicas must be healthy at the end — the
+//                   rerouted-request and failover counters land in the
+//                   JSON next to the QPS.
 //
 // --connect mode drives externally-started pir_node processes instead
 // (scripts/run_replicated_smoke.sh starts three, then SIGKILLs one
@@ -40,8 +43,8 @@
 #include "bench/replicated_world.h"
 #include "src/common/timer.h"
 #include "src/core/service.h"
-#include "src/net/replica_router.h"
 #include "src/net/server_node.h"
+#include "src/net/sharded_router.h"
 
 using namespace gpudpf;
 
@@ -64,14 +67,17 @@ struct RoutedRun {
     std::size_t failures = 0;   // requests that completed with an error
     std::size_t mismatches = 0; // results that differed from the reference
     std::uint64_t rerouted = 0; // lookups that needed the failover retry
-    net::ReplicaRouter::Stats router_stats;
+    net::ShardedRouter::Stats router_stats;
     std::size_t healthy_at_end = 0;
+    std::size_t replicas = 0;
+    // Lookups each local replica node completed (empty in --connect mode,
+    // where the nodes live in other processes).
     std::vector<std::uint64_t> per_replica;
 };
 
 RoutedRun RunRouted(
     const bench::ReplicatedWorld& world,
-    const std::vector<net::ReplicaRouter::Endpoint>& endpoints,
+    const std::vector<net::ShardedRouter::Endpoint>& endpoints,
     std::size_t client_threads, std::size_t lookups_per_client,
     const std::vector<std::vector<LookupResult>>& ref,
     net::PirServerNode* abort_node, double abort_after_frac,
@@ -83,9 +89,10 @@ RoutedRun RunRouted(
     for (std::size_t c = 0; c < client_threads; ++c) {
         clients.push_back(planning->MakeClient());
     }
-    net::ReplicaRouter::Options options;
+    net::ShardedRouter::Options options;
     options.health_period_ms = 50;
-    net::ReplicaRouter router(planning.get(), endpoints, options);
+    // One shard of every endpoint: the replicated deployment is K=1.
+    net::ShardedRouter router(planning.get(), {endpoints}, options);
 
     if (ready_file != nullptr) {
         // Signal an external driver (the smoke script's kill-one scenario)
@@ -112,13 +119,12 @@ RoutedRun RunRouted(
                         const auto outcome = router.Lookup(
                             clients[c].get(), bench::ReplicatedWantedFor(c, l));
                         latency_ms[c].push_back(request_timer.ElapsedMillis());
-                        if (outcome.rerouted) ++rerouted;
+                        if (outcome.shards_failed_over > 0) ++rerouted;
                         if (!SameResults(outcome.result, ref[c][l])) {
                             ++mismatches;
                             std::fprintf(stderr,
-                                         "MISMATCH: client %zu lookup %zu "
-                                         "(replica %zu)\n",
-                                         c, l, outcome.replica);
+                                         "MISMATCH: client %zu lookup %zu\n",
+                                         c, l);
                         }
                     } catch (const std::exception& e) {
                         ++failures;
@@ -154,8 +160,8 @@ RoutedRun RunRouted(
     run.mismatches = mismatches.load();
     run.rerouted = rerouted.load();
     run.router_stats = router.stats();
-    run.healthy_at_end = router.healthy_count();
-    run.per_replica = router.per_replica_answered();
+    run.healthy_at_end = router.healthy_count(0);
+    run.replicas = endpoints.size();
     return run;
 }
 
@@ -178,11 +184,15 @@ bench::JsonResult NetRow(const std::string& name, const RoutedRun& run,
 
 void PrintRun(const char* name, const RoutedRun& run) {
     std::printf("%-14s %10.1f q/s   p50 %6.2f ms   p99 %6.2f ms   "
-                "rerouted %llu   healthy %zu/",
+                "rerouted %llu   healthy %zu/%zu",
                 name, run.qps, run.p50_ms, run.p99_ms,
                 static_cast<unsigned long long>(run.rerouted),
-                run.healthy_at_end);
-    std::printf("%zu   answered [", run.per_replica.size());
+                run.healthy_at_end, run.replicas);
+    if (run.per_replica.empty()) {
+        std::printf("\n");
+        return;
+    }
+    std::printf("   node completed [");
     for (std::size_t i = 0; i < run.per_replica.size(); ++i) {
         std::printf("%s%llu", i == 0 ? "" : " ",
                     static_cast<unsigned long long>(run.per_replica[i]));
@@ -190,8 +200,17 @@ void PrintRun(const char* name, const RoutedRun& run) {
     std::printf("]\n");
 }
 
-std::vector<net::ReplicaRouter::Endpoint> ParseConnect(const char* arg) {
-    std::vector<net::ReplicaRouter::Endpoint> endpoints;
+// Lookups each local replica node completed, read from the nodes' own
+// counters.
+std::vector<std::uint64_t> NodeCompleted(
+    const std::vector<std::unique_ptr<net::PirServerNode>>& nodes) {
+    std::vector<std::uint64_t> completed;
+    for (const auto& node : nodes) completed.push_back(node->stats().completed);
+    return completed;
+}
+
+std::vector<net::ShardedRouter::Endpoint> ParseConnect(const char* arg) {
+    std::vector<net::ShardedRouter::Endpoint> endpoints;
     std::string list = arg;
     std::size_t start = 0;
     while (start <= list.size()) {
@@ -276,6 +295,7 @@ int main(int argc, char** argv) {
     std::size_t failures = 0;
     std::size_t mismatches = 0;
     bool killone_rerouted_ok = true;
+    bool killone_healthy_ok = true;
     bool scaling_ok = true;
 
     if (connect != nullptr) {
@@ -299,16 +319,17 @@ int main(int argc, char** argv) {
         for (const std::size_t replicas : {1u, 2u, 4u}) {
             std::vector<std::unique_ptr<PrivateEmbeddingService>> services;
             std::vector<std::unique_ptr<net::PirServerNode>> nodes;
-            std::vector<net::ReplicaRouter::Endpoint> endpoints;
+            std::vector<net::ShardedRouter::Endpoint> endpoints;
             for (std::size_t i = 0; i < replicas; ++i) {
                 services.push_back(world.MakeService());
                 nodes.push_back(std::make_unique<net::PirServerNode>(
                     services.back().get(), net::PirServerNode::Options{}));
                 endpoints.push_back({"127.0.0.1", nodes.back()->port()});
             }
-            const RoutedRun run =
+            RoutedRun run =
                 RunRouted(world, endpoints, client_threads,
                           lookups_per_client, ref, nullptr, 0.0);
+            run.per_replica = NodeCompleted(nodes);
             const std::string name = "replicated_r" + std::to_string(replicas);
             PrintRun(name.c_str(), run);
             failures += run.failures;
@@ -343,16 +364,17 @@ int main(int argc, char** argv) {
         {
             std::vector<std::unique_ptr<PrivateEmbeddingService>> services;
             std::vector<std::unique_ptr<net::PirServerNode>> nodes;
-            std::vector<net::ReplicaRouter::Endpoint> endpoints;
+            std::vector<net::ShardedRouter::Endpoint> endpoints;
             for (std::size_t i = 0; i < 3; ++i) {
                 services.push_back(world.MakeService());
                 nodes.push_back(std::make_unique<net::PirServerNode>(
                     services.back().get(), net::PirServerNode::Options{}));
                 endpoints.push_back({"127.0.0.1", nodes.back()->port()});
             }
-            const RoutedRun run =
+            RoutedRun run =
                 RunRouted(world, endpoints, client_threads,
                           lookups_per_client, ref, nodes[1].get(), 0.3);
+            run.per_replica = NodeCompleted(nodes);
             PrintRun("killone_r3", run);
             failures += run.failures;
             mismatches += run.mismatches;
@@ -363,6 +385,7 @@ int main(int argc, char** argv) {
                              "landed after the load finished?\n");
             }
             if (run.healthy_at_end != 2) {
+                killone_healthy_ok = false;
                 std::fprintf(stderr,
                              "killone: expected 2 healthy replicas at end, "
                              "got %zu\n",
@@ -381,7 +404,7 @@ int main(int argc, char** argv) {
         return 2;
     }
     return mismatches == 0 && failures == 0 && killone_rerouted_ok &&
-                   scaling_ok
+                   killone_healthy_ok && scaling_ok
                ? 0
                : 1;
 }

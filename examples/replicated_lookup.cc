@@ -1,5 +1,7 @@
 // Replicated networked serving: private lookups through a health-checked
-// router over two loopback PIR server nodes, with a live failover.
+// router over two loopback PIR server nodes, with a live failover. A
+// replicated deployment is the sharded router with one shard (K=1) whose
+// replicas each own the whole row space.
 //
 //   build/examples/replicated_lookup
 //
@@ -18,8 +20,8 @@
 #include "src/common/rng.h"
 #include "src/core/service.h"
 #include "src/ml/embedding.h"
-#include "src/net/replica_router.h"
 #include "src/net/server_node.h"
+#include "src/net/sharded_router.h"
 #include "src/workloads/dataset.h"
 
 using namespace gpudpf;
@@ -68,9 +70,10 @@ int main() {
 
     auto planning = MakeService(emb, stats);
     auto reference = MakeService(emb, stats);
-    net::ReplicaRouter router(
+    // One shard, two replicas.
+    net::ShardedRouter router(
         planning.get(),
-        {{"127.0.0.1", node0.port()}, {"127.0.0.1", node1.port()}}, {});
+        {{{"127.0.0.1", node0.port()}, {"127.0.0.1", node1.port()}}}, {});
 
     // Same-seed clients: the planning client's RNG stream matches the
     // reference client's, so networked results must be bit-identical.
@@ -86,8 +89,8 @@ int main() {
         const bool match = got.result.embeddings == want.embeddings &&
                            got.result.retrieved == want.retrieved;
         all_match = all_match && match;
-        std::printf("lookup of %zu ids via replica %zu: %s\n", wanted.size(),
-                    got.replica, match ? "bit-identical to in-process" : "MISMATCH");
+        std::printf("lookup of %zu ids: %s\n", wanted.size(),
+                    match ? "bit-identical to in-process" : "MISMATCH");
     }
 
     // Failover: kill node 0 hard (connections die mid-stream). The next
@@ -101,17 +104,18 @@ int main() {
         const auto want = ref_client->Lookup({11, 500, 900});
         failover_match = failover_match &&
                          got.result.embeddings == want.embeddings;
-        std::printf("lookup via replica %zu%s: %s\n", got.replica,
-                    got.rerouted ? " (rerouted)" : "",
+        std::printf("lookup%s: %s\n",
+                    got.shards_failed_over > 0 ? " (rerouted)" : "",
                     failover_match ? "ok" : "MISMATCH");
     }
     router.CheckNow();
     const auto router_stats = router.stats();
     std::printf("\n%zu/%u replicas healthy, %llu lookups, %llu failovers\n",
-                router.healthy_count(), 2u,
+                router.healthy_count(0), 2u,
                 static_cast<unsigned long long>(router_stats.requests),
                 static_cast<unsigned long long>(router_stats.failovers));
     std::printf("all results bit-identical to in-process: %s\n",
                 all_match && failover_match ? "YES" : "NO");
-    return all_match && failover_match && router.healthy_count() == 1 ? 0 : 1;
+    return all_match && failover_match && router.healthy_count(0) == 1 ? 0
+                                                                       : 1;
 }

@@ -264,17 +264,11 @@ ServingFrontEnd::RequestHandle ServingFrontEnd::SubmitRaw(
     // re-check shape here so a malformed (but individually-parseable)
     // upload is rejected before it can poison a pooled batch. Both logical
     // servers must cover the same bins of each submitted table, and a
-    // ranged (sharded) request's eval windows must sit inside every bin
-    // (begin <= end <= bin rows) — an out-of-range window would throw in
-    // the engine's batch validation, failing co-batched requests.
-    auto range_ok = [](const PbrSession::BinJobs& jobs, std::uint64_t begin,
-                       std::uint64_t end) {
-        if (begin > end) return false;
-        for (const AnswerEngine::Job& job : jobs.jobs) {
-            if (end > job.num_rows) return false;
-        }
-        return true;
-    };
+    // ranged (sharded) request's eval windows must sit inside the table's
+    // bin (begin <= end <= bin_size). The window is checked against the
+    // bin size, not each job's rows: a ragged last bin holds fewer rows,
+    // and the batch clips every window to its job's rows (an empty
+    // intersection answers a zero share).
     const bool shape_ok =
         !service_->planning_only() && !raw.full_server0.jobs.empty() &&
         raw.full_server0.jobs.size() == raw.full_server1.jobs.size() &&
@@ -282,12 +276,12 @@ ServingFrontEnd::RequestHandle ServingFrontEnd::SubmitRaw(
          (!raw.hot_server0.jobs.empty() &&
           raw.hot_server0.jobs.size() == raw.hot_server1.jobs.size())) &&
         (!raw.has_range ||
-         (range_ok(raw.full_server0, raw.full_row_begin, raw.full_row_end) &&
-          range_ok(raw.full_server1, raw.full_row_begin, raw.full_row_end) &&
+         (raw.full_row_begin <= raw.full_row_end &&
+          raw.full_row_end <= service_->full_pbr().bin_size() &&
           (!raw.has_hot ||
-           (range_ok(raw.hot_server0, raw.hot_row_begin, raw.hot_row_end) &&
-            range_ok(raw.hot_server1, raw.hot_row_begin,
-                     raw.hot_row_end)))));
+           (service_->hot_pbr() != nullptr &&
+            raw.hot_row_begin <= raw.hot_row_end &&
+            raw.hot_row_end <= service_->hot_pbr()->bin_size()))));
     if (!shape_ok) {
         MutexLock lock(mu_);
         ++counters_.rejected_invalid;
@@ -628,7 +622,8 @@ void ServingFrontEnd::ProcessBatch(
             auto clip_jobs = [&](std::vector<AnswerEngine::TableJob>& bound) {
                 if (!clip) return;
                 for (AnswerEngine::TableJob& tj : bound) {
-                    tj.job.eval_begin = win_begin;
+                    // A window past a ragged bin's last row is empty.
+                    tj.job.eval_begin = std::min(win_begin, tj.job.num_rows);
                     tj.job.eval_end = win_end;
                 }
             };

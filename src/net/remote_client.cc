@@ -86,68 +86,6 @@ std::unique_ptr<NodeConnection> NodeConnection::Dial(const std::string& host,
 
 NodeConnection::~NodeConnection() { ::close(fd_); }
 
-NodeConnection::LookupReply NodeConnection::Lookup(
-    const LookupRequestFrame& request, int timeout_ms) {
-    LookupReply reply;
-    if (!SendLookup(request)) return reply;
-    // Collect this request's streamed frames until its terminal frame.
-    for (;;) {
-        Frame in;
-        if (ReadFrame(fd_, &in, timeout_ms) != IoStatus::kOk) break;
-        if (in.type == FrameType::kRejected) {
-            RejectedFrame rej;
-            if (!DecodeRejected(in.payload.data(), in.payload.size(), &rej) ||
-                rej.request_id != request.request_id) {
-                break;
-            }
-            reply.status = LookupStatus::kRejected;
-            reply.rejection = rej.status;
-            return reply;
-        }
-        if (in.type == FrameType::kTablePartial) {
-            TablePartialFrame part;
-            if (!DecodeTablePartial(in.payload.data(), in.payload.size(),
-                                    &part) ||
-                part.request_id != request.request_id) {
-                break;
-            }
-            if (part.hot) {
-                reply.hot = std::move(part);
-                reply.has_hot = true;
-            } else {
-                reply.full = std::move(part);
-            }
-            continue;
-        }
-        if (in.type == FrameType::kLookupComplete) {
-            LookupCompleteFrame done;
-            if (!DecodeLookupComplete(in.payload.data(), in.payload.size(),
-                                      &done) ||
-                done.request_id != request.request_id) {
-                break;
-            }
-            if (done.status == RequestStatus::kComplete) {
-                // The node streams every table's partial before the
-                // terminal frame; a kComplete without them is a protocol
-                // violation.
-                if (reply.full.server0.empty() ||
-                    (request.has_hot && !reply.has_hot)) {
-                    break;
-                }
-                reply.status = LookupStatus::kComplete;
-            } else {
-                reply.status = LookupStatus::kFailed;
-                reply.final_status = done.status;
-            }
-            return reply;
-        }
-        break;  // unexpected frame type mid-lookup
-    }
-    usable_ = false;
-    reply.status = LookupStatus::kTransport;
-    return reply;
-}
-
 bool NodeConnection::ShardHello(const ShardHelloFrame& assign,
                                 int timeout_ms) {
     if (!usable_) return false;

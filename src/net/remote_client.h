@@ -1,8 +1,9 @@
 // Client side of one connection to a PirServerNode: dial + hello
-// handshake, then synchronous lookup exchanges (upload keys, collect the
-// streamed kTablePartial frames and the terminal kLookupComplete) and
-// health pings. One NodeConnection is driven by one thread at a time; the
-// ReplicaRouter pools them per replica.
+// handshake, an optional shard-assignment handshake, then lookup
+// exchanges (upload keys with SendLookup, collect the streamed
+// kShardPartial frames and the terminal kLookupComplete with
+// CollectShard) and health pings. One NodeConnection is driven by one
+// thread at a time; the ShardedRouter pools them per (shard, replica).
 #pragma once
 
 #include <cstdint>
@@ -37,33 +38,18 @@ class NodeConnection {
         kFailed,     // terminal status other than kComplete; see `final_status`
         kTransport,  // timeout, EOF, socket error, or protocol violation —
                      // the connection is dead and the request's fate is
-                     // unknown (the router's retry-once case)
+                     // unknown (the router's failover case)
     };
-
-    struct LookupReply {
-        LookupStatus status = LookupStatus::kTransport;
-        AdmissionStatus rejection = AdmissionStatus::kQueueFull;
-        RequestStatus final_status = RequestStatus::kFailed;
-        TablePartialFrame full;
-        TablePartialFrame hot;
-        bool has_hot = false;
-    };
-
-    // Sends one kLookupRequest and reads frames until the request's
-    // terminal frame (or `timeout_ms` without progress). Frames for other
-    // request ids are a protocol violation (this connection runs one
-    // lookup at a time).
-    LookupReply Lookup(const LookupRequestFrame& request, int timeout_ms);
 
     // Shard-assignment handshake: sends kShardHello and requires the node
     // to echo the identical assignment. False on rejection or transport
     // failure (either way the connection is unusable for sharded serving).
     bool ShardHello(const ShardHelloFrame& assign, int timeout_ms);
 
-    // Scatter half of a sharded lookup: uploads one ranged kLookupRequest
-    // and returns without reading any reply frames, so one thread can fan
-    // a request out to all K shard connections before blocking. False on
-    // write failure (connection unusable).
+    // Scatter half of a lookup: uploads one kLookupRequest and returns
+    // without reading any reply frames, so one thread can fan a request
+    // out to all K shard connections before blocking. False on write
+    // failure (connection unusable).
     bool SendLookup(const LookupRequestFrame& request);
 
     struct ShardReply {
@@ -75,15 +61,17 @@ class NodeConnection {
         bool has_hot = false;
     };
 
-    // Gather half: reads frames until the terminal frame of `request_id`,
-    // collecting the kShardPartial frames a ranged request streams back.
+    // Gather half: reads frames until the terminal frame of `request_id`
+    // (or `timeout_ms` without progress), collecting the kShardPartial
+    // frames the request streams back. Frames for other request ids are a
+    // protocol violation (this connection runs one lookup at a time).
     ShardReply CollectShard(std::uint64_t request_id, bool expect_hot,
                             int timeout_ms);
 
     // One kPing/kPong round trip; false leaves the connection unusable.
     bool Ping(std::uint64_t nonce, int timeout_ms);
 
-    // True until a Lookup/Ping hit a transport or protocol failure.
+    // True until an exchange hit a transport or protocol failure.
     bool usable() const { return usable_; }
 
   private:
@@ -93,7 +81,7 @@ class NodeConnection {
     bool usable_ = true;
     // Per-connection encode scratch: request payloads and framed bytes are
     // built in place (capacity kept across lookups) instead of allocating
-    // per call — the sharded scatter path sends K frames per request.
+    // per call — the scatter path sends K frames per request.
     Frame out_frame_;
     std::vector<std::uint8_t> frame_scratch_;
 };

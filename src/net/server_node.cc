@@ -234,11 +234,15 @@ void PirServerNode::ServeConnection(int fd) {
     }
 
     // Shard assignment, negotiated by an optional kShardHello after the
-    // geometry handshake. Only a connection that completed the shard
-    // handshake may submit ranged (scatter-gather) requests; its partials
-    // then go back as kShardPartial tagged with the assigned shard index.
+    // geometry handshake; until then the connection is shard 0 of 1 and
+    // its window is the whole bin. Every partial goes back as kShardPartial
+    // tagged with the assigned shard index. Only a connection that
+    // completed the shard handshake may submit explicitly ranged requests.
     bool sharded = false;
     ShardHelloFrame shard_assign{};
+    shard_assign.shard_count = 1;
+    shard_assign.full_row_end = hello_.full_bin_size;
+    shard_assign.hot_row_end = hello_.hot_bin_size;
 
     while (handshake_ok) {
         {
@@ -323,7 +327,6 @@ void PirServerNode::ServeConnection(int fd) {
         {
             MutexLock lock(mu_);
             ++stats_.requests;
-            if (req.has_range) ++stats_.shard_requests;
         }
 
         // A ranged request only makes sense on a connection that completed
@@ -363,13 +366,6 @@ void PirServerNode::ServeConnection(int fd) {
         } catch (const std::exception&) {
             parse_ok = false;
         }
-        if (parse_ok && req.has_range) {
-            raw.has_range = true;
-            raw.full_row_begin = req.full_row_begin;
-            raw.full_row_end = req.full_row_end;
-            raw.hot_row_begin = req.hot_row_begin;
-            raw.hot_row_end = req.hot_row_end;
-        }
         if (!parse_ok) {
             RejectedFrame rej;
             rej.request_id = req.request_id;
@@ -381,6 +377,19 @@ void PirServerNode::ServeConnection(int fd) {
             shared->Send(FrameType::kRejected, EncodeRejected(rej));
             continue;
         }
+        // Every lookup is scoped to a row window: the request's own, or
+        // the connection's shard window.
+        if (!req.has_range) {
+            req.full_row_begin = shard_assign.full_row_begin;
+            req.full_row_end = shard_assign.full_row_end;
+            req.hot_row_begin = shard_assign.hot_row_begin;
+            req.hot_row_end = shard_assign.hot_row_end;
+        }
+        raw.has_range = true;
+        raw.full_row_begin = req.full_row_begin;
+        raw.full_row_end = req.full_row_end;
+        raw.hot_row_begin = req.hot_row_begin;
+        raw.hot_row_end = req.hot_row_end;
 
         // Count the request as pending BEFORE submitting: on_complete may
         // fire on another thread before SubmitRaw even returns.
@@ -392,34 +401,20 @@ void PirServerNode::ServeConnection(int fd) {
         ServingFrontEnd::RawSubmitOptions opts;
         opts.priority = req.priority;
         opts.deadline_us = req.deadline_us;
-        if (req.has_range) {
-            const std::uint32_t shard_index = shard_assign.shard_index;
-            opts.on_raw_partial = [shared, id,
-                                   shard_index](RawTablePartial&& part) {
-                ShardPartialFrame out;
-                out.request_id = id;
-                out.shard_index = shard_index;
-                out.hot = part.hot;
-                out.server0 = std::move(part.server0);
-                out.server1 = std::move(part.server1);
-                shared->SendEncoded(FrameType::kShardPartial,
-                                    [&out](std::vector<std::uint8_t>& buf) {
-                                        EncodeShardPartialInto(out, buf);
-                                    });
-            };
-        } else {
-            opts.on_raw_partial = [shared, id](RawTablePartial&& part) {
-                TablePartialFrame out;
-                out.request_id = id;
-                out.hot = part.hot;
-                out.server0 = std::move(part.server0);
-                out.server1 = std::move(part.server1);
-                shared->SendEncoded(FrameType::kTablePartial,
-                                    [&out](std::vector<std::uint8_t>& buf) {
-                                        EncodeTablePartialInto(out, buf);
-                                    });
-            };
-        }
+        const std::uint32_t shard_index = shard_assign.shard_index;
+        opts.on_raw_partial = [shared, id,
+                               shard_index](RawTablePartial&& part) {
+            ShardPartialFrame out;
+            out.request_id = id;
+            out.shard_index = shard_index;
+            out.hot = part.hot;
+            out.server0 = std::move(part.server0);
+            out.server1 = std::move(part.server1);
+            shared->SendEncoded(FrameType::kShardPartial,
+                                [&out](std::vector<std::uint8_t>& buf) {
+                                    EncodeShardPartialInto(out, buf);
+                                });
+        };
         opts.on_complete = [this, shared, id](RequestStatus status) {
             LookupCompleteFrame done;
             done.request_id = id;
@@ -460,17 +455,12 @@ void PirServerNode::ServeConnection(int fd) {
             // Account the rows this request scans on this node (per key,
             // over the request's eval window). The sharded bench divides
             // this by completed requests to verify per-node work ∝ 1/K.
-            const std::uint64_t full_w =
-                req.has_range ? req.full_row_end - req.full_row_begin
-                              : hello_.full_bin_size;
-            std::uint64_t rows =
-                full_w * (req.full_keys0.size() + req.full_keys1.size());
+            std::uint64_t rows = (req.full_row_end - req.full_row_begin) *
+                                 (req.full_keys0.size() +
+                                  req.full_keys1.size());
             if (req.has_hot) {
-                const std::uint64_t hot_w =
-                    req.has_range ? req.hot_row_end - req.hot_row_begin
-                                  : hello_.hot_bin_size;
-                rows +=
-                    hot_w * (req.hot_keys0.size() + req.hot_keys1.size());
+                rows += (req.hot_row_end - req.hot_row_begin) *
+                        (req.hot_keys0.size() + req.hot_keys1.size());
             }
             MutexLock lock(mu_);
             stats_.rows_scanned += rows;

@@ -7,26 +7,29 @@
 // would reconstruct garbage, so it is turned away at hello time), then
 // served by a per-connection thread:
 //
+//   kShardHello     -> optional shard-assignment handshake: the
+//                      announced windows must be exactly the canonical
+//                      ShardRangeOf partition of this node's bin-relative
+//                      row space, else the connection is closed
+//                      (hello_rejected). A connection that sends none is
+//                      shard 0 of 1: its window is the whole bin.
 //   kLookupRequest  -> keys are parsed/validated (PbrSession::ParseJobs; a
 //                      corrupt key is an explicit kRejected
 //                      kInvalidRequest, never a crash) and submitted to the
-//                      front-end as a RawLookup, so networked requests
-//                      share the SAME admission slots, priority classes,
-//                      batching window, and deadline machinery as
-//                      in-process ones. Admission backpressure
-//                      (max_inflight_requests -> kQueueFull) travels back
-//                      as an explicit kRejected frame.
-//   streamed back   <- one kTablePartial per table as its job group
-//                      completes (raw shares; the client reconstructs),
+//                      front-end as a RawLookup scoped to the request's row
+//                      window (or, without one, the connection's shard
+//                      window), so networked requests share the SAME
+//                      admission slots, priority classes, batching window,
+//                      and deadline machinery as in-process ones.
+//                      Admission backpressure (max_inflight_requests ->
+//                      kQueueFull) travels back as an explicit kRejected
+//                      frame. A ranged request on a connection without a
+//                      kShardHello is rejected kInvalidRequest.
+//   streamed back   <- one kShardPartial per table, tagged with the
+//                      connection's shard index, as its job group completes
+//                      (raw shares; the client merges and reconstructs),
 //                      then kLookupComplete with the terminal status.
 //   kPing           -> kPong (router health checks).
-//   kShardHello     -> shard-assignment handshake: the announced windows
-//                      must be exactly the canonical ShardRangeOf partition
-//                      of this node's bin-relative row space, else the
-//                      connection is closed (hello_rejected). Ranged
-//                      lookups on a shard-handshaken connection are scoped
-//                      to their row windows and answered with kShardPartial
-//                      frames tagged with the shard index.
 //
 // Response frames are written by answer-pool workers and the batcher
 // thread concurrently, serialized by a per-connection write mutex.
@@ -85,7 +88,6 @@ class PirServerNode {
         std::uint64_t connections = 0;      // accepted (incl. later closed)
         std::uint64_t hello_rejected = 0;   // geometry/shard-plan rejections
         std::uint64_t requests = 0;         // lookup requests received
-        std::uint64_t shard_requests = 0;   // ... of which ranged (sharded)
         std::uint64_t completed = 0;        // kLookupComplete sent
         std::uint64_t rejected = 0;         // kRejected sent
         std::uint64_t bad_frames = 0;       // protocol violations (closed)

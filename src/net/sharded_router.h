@@ -1,44 +1,56 @@
-// Client-side sharded fleet router: one logical serving endpoint over
-// K shards x R replicas of PirServerNode, where each shard owns a window
-// of the bin-relative row space and per-request compute per node scales
-// with 1/K.
+// Client-side fleet router: one logical serving endpoint over K shards x
+// R replicas of PirServerNode, where each shard owns a window of the
+// bin-relative row space and per-request compute per node scales with
+// 1/K. A replicated deployment is the K=1 case: one shard, owning the
+// whole row space, backed by R interchangeable replicas.
 //
 // Sharding works because DPF answer shares are additive over disjoint row
 // ranges: a full-table answer share is the wrapping mod-2^128 sum of the
 // per-range shares, so K nodes can each scan only rows
 // [ShardRangeOf(bin_size, K, k)) of every bin and the client recovers the
 // exact full-scan share by summing the K partials in shard order
-// (MergeShardShares). The merged bytes are bit-identical to a single-node
-// or in-process lookup with the same client state — sharding changes who
-// does the scanning, never the answer.
+// (MergeShardShares). Replication works because lookups are deterministic
+// in the client's state and every identically-configured node builds
+// bit-identical tables, so any replica of a shard may answer that shard's
+// part of any request. The merged bytes are bit-identical to an
+// in-process lookup with the same client state — sharding and replication
+// change who does the scanning, never the answer.
 //
 // Per request, the router:
 //   1. runs the client-side phase locally (Client::Prepare with wire
 //      keys) — ONE key set, identical for every shard; only the row
 //      window differs per shard,
 //   2. SCATTERS: uploads the ranged request to one replica of every shard
-//      (send-only, so all K nodes scan concurrently). Connections are
-//      pooled per (shard, replica) and shard-handshaken at dial time
-//      (kShardHello, validated and echoed by the node),
+//      (send-only, so all K nodes scan concurrently), picked round-robin
+//      over the shard's healthy replicas (the full set as a recovery
+//      fallback when none is healthy). Connections are pooled per
+//      (shard, replica) and shard-handshaken at dial time (kShardHello,
+//      validated and echoed by the node),
 //   3. GATHERS: collects each shard's kShardPartial stream in shard-index
-//      order. A transport failure on a shard retries THAT shard on its
-//      other replicas (a per-shard failover, counted per shard); a shard
-//      with no replica left throws — a missing shard share would corrupt
-//      the merge, so it fails loud, never silently,
+//      order. A transport failure (dial/timeout/EOF/protocol violation)
+//      marks the replica unhealthy and retries THAT shard on its other
+//      replicas (a per-shard failover, counted per shard); a shard with no
+//      replica left throws — a missing shard share would corrupt the
+//      merge, so it fails loud, never silently,
 //   4. merges the K partial shares (MergeShardShares) and reconstructs
 //      locally, exactly like the in-process path.
 //
 // Rejections and server-side terminal failures propagate as
-// ReplicaRequestError without retry (the node answered; resubmitting
-// would double-submit), matching ReplicaRouter semantics.
+// ReplicaRequestError without retry: the node answered, and resubmitting
+// would double-submit.
 //
-// K=1 degenerates to a replica router whose single "shard" owns the whole
-// row space.
+// A health thread pings every replica each health_period_ms
+// (GPUDPF_NET_HEALTH_PERIOD_MS) with a request_timeout_ms
+// (GPUDPF_NET_REQUEST_TIMEOUT_MS) deadline, flipping replicas
+// healthy/unhealthy; CheckNow() runs one sweep synchronously for
+// deterministic tests. Lookup() may be called from many threads
+// concurrently (each thread with its own Client).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,15 +59,34 @@
 #include "src/common/thread_annotations.h"
 #include "src/core/service.h"
 #include "src/net/remote_client.h"
-#include "src/net/replica_router.h"
 #include "src/net/wire.h"
 
 namespace gpudpf {
 namespace net {
 
+// An admission rejection or server-side terminal failure from a node
+// that DID answer — deliberately not retried (see file comment).
+class ReplicaRequestError : public std::runtime_error {
+  public:
+    ReplicaRequestError(const std::string& what, AdmissionStatus admission,
+                        RequestStatus status)
+        : std::runtime_error(what), admission_(admission), status_(status) {}
+
+    // kAccepted when the failure was a terminal status, not admission.
+    AdmissionStatus admission() const { return admission_; }
+    RequestStatus status() const { return status_; }
+
+  private:
+    AdmissionStatus admission_;
+    RequestStatus status_;
+};
+
 class ShardedRouter {
   public:
-    using Endpoint = ReplicaRouter::Endpoint;
+    struct Endpoint {
+        std::string host = "127.0.0.1";
+        std::uint16_t port = 0;
+    };
 
     struct Options {
         // Per-request and per-probe I/O deadline; 0 = the

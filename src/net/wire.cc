@@ -150,8 +150,6 @@ const char* FrameTypeName(FrameType type) {
             return "lookup-request";
         case FrameType::kRejected:
             return "rejected";
-        case FrameType::kTablePartial:
-            return "table-partial";
         case FrameType::kLookupComplete:
             return "lookup-complete";
         case FrameType::kPing:
@@ -209,8 +207,10 @@ DecodeStatus DecodeFrameHeader(const std::uint8_t* data, std::size_t len,
     r.ReadU32(&payload_len);
     if (magic != kMagic) return DecodeStatus::kBadMagic;
     if (version != kProtocolVersion) return DecodeStatus::kBadVersion;
+    // Type 5 is v2's retired table-partial frame; the enum skips it.
     if (type < static_cast<std::uint16_t>(FrameType::kClientHello) ||
-        type > static_cast<std::uint16_t>(FrameType::kShardPartial)) {
+        type > static_cast<std::uint16_t>(FrameType::kShardPartial) ||
+        type == 5) {
         return DecodeStatus::kBadType;
     }
     if (payload_len > max_payload) return DecodeStatus::kOversized;
@@ -372,39 +372,6 @@ bool DecodeRejected(const std::uint8_t* data, std::size_t len,
     if (!r.ReadU64(&out->request_id)) return false;
     if (!r.ReadU8(&status)) return false;
     if (!DecodeAdmissionStatus(status, &out->status)) return false;
-    return r.done();
-}
-
-std::vector<std::uint8_t> EncodeTablePartial(const TablePartialFrame& part) {
-    std::vector<std::uint8_t> out;
-    EncodeTablePartialInto(part, out);
-    return out;
-}
-
-void EncodeTablePartialInto(const TablePartialFrame& part,
-                            std::vector<std::uint8_t>& out) {
-    out.clear();
-    PutU64(out, part.request_id);
-    PutU8(out, part.hot ? 1 : 0);
-    PutU32(out, static_cast<std::uint32_t>(part.server0.size()));
-    PutResponseList(out, part.server0);
-    PutResponseList(out, part.server1);
-}
-
-bool DecodeTablePartial(const std::uint8_t* data, std::size_t len,
-                        TablePartialFrame* out) {
-    Reader r{data, len};
-    std::uint8_t hot = 0;
-    std::uint32_t nbins = 0;
-    if (!r.ReadU64(&out->request_id)) return false;
-    if (!r.ReadU8(&hot)) return false;
-    if (hot > 1) return false;
-    out->hot = hot == 1;
-    if (!r.ReadU32(&nbins)) return false;
-    // Each response needs at least its 4-byte word count, per server.
-    if (nbins > r.remaining() / 8) return false;
-    if (!ReadResponseList(r, nbins, &out->server0)) return false;
-    if (!ReadResponseList(r, nbins, &out->server1)) return false;
     return r.done();
 }
 

@@ -19,28 +19,29 @@
 //     guaranteed against an identically-configured node.
 //   kLookupRequest — one lookup's client-side output: request id, priority,
 //     deadline, and both logical servers' serialized per-bin DPF keys for
-//     the full (and optionally hot) table. A sharded client additionally
-//     sets has_range and per-table [row_begin, row_end) eval windows: the
-//     node then evaluates the same keys over only that row slice and
-//     answers with kShardPartial frames instead of kTablePartial.
+//     the full (and optionally hot) table, plus optional per-table
+//     [row_begin, row_end) eval windows (has_range). The node evaluates
+//     the keys over only that row slice; a request without a range is
+//     evaluated over its connection's shard window (the whole bin on a
+//     connection that sent no kShardHello).
 //   kShardHello — connection-scoped shard assignment (client -> server,
 //     echoed back): shard index/count plus the per-table row ranges this
-//     connection's ranged requests will ask for. The server validates the
-//     assignment against its own geometry (and ShardRowBoundary partition)
-//     and closes on mismatch, so a misconfigured fleet fails at connect
-//     time, not with silently-wrong shares.
-//   kShardPartial — kTablePartial plus the shard index that produced it:
-//     one table's RANGE-RESTRICTED raw answer shares. Partial shares from
-//     all K shards sum (mod 2^128, shard-index order) to exactly the
-//     full-scan share — see src/pir/shard_merge.h.
+//     connection's requests cover. The server validates the assignment
+//     against its own geometry (and ShardRowBoundary partition) and closes
+//     on mismatch, so a misconfigured fleet fails at connect time, not with
+//     silently-wrong shares. Without one, a connection is shard 0 of 1.
 //   kRejected — admission rejection (AdmissionStatus) for a request id;
 //     carries the front-end's max_inflight_requests backpressure
 //     (kQueueFull) and drain-time kShutdown to the remote client.
-//   kTablePartial — one table's raw answer shares for a request id, both
-//     logical servers, streamed as soon as that table's job group finishes
-//     (the in-process streaming contract, over the wire).
+//   kShardPartial — one table's raw answer shares for a request id over
+//     the request's row window, both logical servers, tagged with the
+//     shard index that produced it and streamed as soon as that table's
+//     job group finishes. Partial shares from all K shards sum (mod 2^128,
+//     shard-index order) to exactly the full-scan share — see
+//     src/pir/shard_merge.h. Every lookup is answered this way; a
+//     replicated deployment is simply K=1.
 //   kLookupComplete — terminal RequestStatus for a request id; after the
-//     last kTablePartial on success.
+//     last kShardPartial on success.
 //   kPing / kPong — router health checks; echo the 8-byte nonce.
 //
 // Deserialization is strictly bounds-checked: decoders never read past the
@@ -69,7 +70,9 @@ namespace net {
 inline constexpr std::uint32_t kMagic = 0x47445046u;
 // v2: sharded fleet — kShardHello/kShardPartial frames and the optional
 // per-request row-range block on kLookupRequest.
-inline constexpr std::uint16_t kProtocolVersion = 2;
+// v3: kShardPartial answers every lookup; type 5 (v2's untagged
+// table-partial frame) is retired and decodes as kBadType.
+inline constexpr std::uint16_t kProtocolVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 12;
 
 enum class FrameType : std::uint16_t {
@@ -77,7 +80,6 @@ enum class FrameType : std::uint16_t {
     kServerHello = 2,
     kLookupRequest = 3,
     kRejected = 4,
-    kTablePartial = 5,
     kLookupComplete = 6,
     kPing = 7,
     kPong = 8,
@@ -165,11 +167,12 @@ bool DecodeHello(const std::uint8_t* data, std::size_t len, Hello* out);
 // Key lists are index-aligned (keys0[b] and keys1[b] are bin b's pair) and
 // the decoder enforces equal counts per table.
 //
-// has_range marks a SHARDED request: the node evaluates the keys over only
-// the bin-relative row window [full_row_begin, full_row_end) (and, when
-// has_hot, [hot_row_begin, hot_row_end)) and answers with kShardPartial.
-// The decoder rejects inverted windows; window-vs-geometry validation is
-// the server node's job (it knows the bin sizes).
+// has_range marks an explicitly RANGED request: the node evaluates the
+// keys over only the bin-relative row window [full_row_begin,
+// full_row_end) (and, when has_hot, [hot_row_begin, hot_row_end)).
+// Without it the node uses the connection's shard window. The decoder
+// rejects inverted windows; window-vs-geometry validation is the server
+// node's job (it knows the bin sizes).
 struct LookupRequestFrame {
     std::uint64_t request_id = 0;
     RequestPriority priority = RequestPriority::kInteractive;
@@ -201,23 +204,6 @@ std::vector<std::uint8_t> EncodeRejected(const RejectedFrame& rej);
 bool DecodeRejected(const std::uint8_t* data, std::size_t len,
                     RejectedFrame* out);
 
-// One table's raw shares: server0[b]/server1[b] are the two logical
-// servers' per-bin responses, index-aligned with the uploaded keys. The
-// u128 share words travel little-endian; re-encoding a decoded frame
-// reproduces the exact bytes.
-struct TablePartialFrame {
-    std::uint64_t request_id = 0;
-    bool hot = false;
-    std::vector<PirResponse> server0;
-    std::vector<PirResponse> server1;
-};
-
-std::vector<std::uint8_t> EncodeTablePartial(const TablePartialFrame& part);
-void EncodeTablePartialInto(const TablePartialFrame& part,
-                            std::vector<std::uint8_t>& out);
-bool DecodeTablePartial(const std::uint8_t* data, std::size_t len,
-                        TablePartialFrame* out);
-
 /// Connection-scoped shard assignment: which slice of the fleet's row space
 // this connection's ranged requests will cover. Sent by a sharded client
 // right after the geometry hello; the server validates it against its own
@@ -248,8 +234,11 @@ std::vector<std::uint8_t> EncodeShardHello(const ShardHelloFrame& hello);
 bool DecodeShardHello(const std::uint8_t* data, std::size_t len,
                       ShardHelloFrame* out);
 
-// A TablePartial restricted to one shard's row window, tagged with the
-// shard index that produced it. The shares of all K shards sum (mod 2^128,
+// One table's raw shares over one shard's row window, tagged with the
+// shard index that produced it: server0[b]/server1[b] are the two logical
+// servers' per-bin responses, index-aligned with the uploaded keys. The
+// u128 share words travel little-endian; re-encoding a decoded frame
+// reproduces the exact bytes. The shares of all K shards sum (mod 2^128,
 // shard-index order — MergeShardShares) to the full-table shares.
 struct ShardPartialFrame {
     std::uint64_t request_id = 0;

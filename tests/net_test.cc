@@ -7,11 +7,13 @@
 // decode) without crashing; the CI asan/ubsan jobs make "without
 // crashing" a real check. Socket framing is covered over a socketpair.
 //
-// Serving tier: a ReplicaRouter over 1/2/4 loopback PirServerNodes must
-// produce results BIT-IDENTICAL to in-process serving for every batch
-// size, admission backpressure on a node must propagate to the remote
-// caller as an explicit rejection, and killing a replica mid-run must
-// reroute to the survivors with every request still completing.
+// Serving tier: a ShardedRouter over loopback PirServerNodes — K=1 shard
+// of 1/2/4 replicas (a replicated deployment) and K=1/2/4/8 shards, on
+// even and ragged-last-bin geometries — must produce results
+// BIT-IDENTICAL to in-process serving for every batch size, admission
+// backpressure on a node must propagate to the remote caller as an
+// explicit rejection, and killing a replica mid-run must fail over to
+// the survivors with every request still completing.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -28,7 +30,6 @@
 #include "src/core/serving.h"
 #include "src/ml/embedding.h"
 #include "src/net/remote_client.h"
-#include "src/net/replica_router.h"
 #include "src/net/server_node.h"
 #include "src/net/sharded_router.h"
 #include "src/net/wire.h"
@@ -56,15 +57,6 @@ net::LookupRequestFrame SampleLookupRequest() {
     req.hot_keys0 = {{11, 12}};
     req.hot_keys1 = {{13}};
     return req;
-}
-
-net::TablePartialFrame SampleTablePartial() {
-    net::TablePartialFrame part;
-    part.request_id = 42;
-    part.hot = false;
-    part.server0 = {{MakeU128(1, 2), MakeU128(3, 4)}, {MakeU128(5, 6)}};
-    part.server1 = {{MakeU128(7, 8), MakeU128(9, 10)}, {}};
-    return part;
 }
 
 net::LookupRequestFrame SampleRangedLookupRequest() {
@@ -124,9 +116,25 @@ TEST(WireTest, FrameHeaderValidation) {
                                &out),
               DecodeStatus::kBadVersion);
 
+    // A v2 peer: version skew, not a misparse.
+    bad = bytes;
+    bad[4] = 2;
+    bad[5] = 0;
+    EXPECT_EQ(net::DecodeFrame(bad.data(), bad.size(), net::MaxFramePayload(),
+                               &out),
+              DecodeStatus::kBadVersion);
+
     // Unknown frame type.
     bad = bytes;
     bad[6] = 0x7f;
+    EXPECT_EQ(net::DecodeFrame(bad.data(), bad.size(), net::MaxFramePayload(),
+                               &out),
+              DecodeStatus::kBadType);
+
+    // Type 5, v2's retired table-partial frame, is no longer a frame type.
+    bad = bytes;
+    bad[6] = 5;
+    bad[7] = 0;
     EXPECT_EQ(net::DecodeFrame(bad.data(), bad.size(), net::MaxFramePayload(),
                                &out),
               DecodeStatus::kBadType);
@@ -172,18 +180,6 @@ TEST(WireTest, PayloadRoundtrips) {
     EXPECT_EQ(req2.full_keys1, req.full_keys1);
     EXPECT_EQ(req2.hot_keys0, req.hot_keys0);
     EXPECT_EQ(req2.hot_keys1, req.hot_keys1);
-
-    const auto part = SampleTablePartial();
-    bytes = net::EncodeTablePartial(part);
-    net::TablePartialFrame part2;
-    ASSERT_TRUE(net::DecodeTablePartial(bytes.data(), bytes.size(), &part2));
-    EXPECT_EQ(part2.request_id, part.request_id);
-    EXPECT_EQ(part2.hot, part.hot);
-    EXPECT_EQ(part2.server0, part.server0);
-    EXPECT_EQ(part2.server1, part.server1);
-    // Re-encoding reproduces the exact bytes (the bit-identity contract at
-    // the frame level).
-    EXPECT_EQ(net::EncodeTablePartial(part2), bytes);
 
     net::RejectedFrame rej{7, AdmissionStatus::kQueueFull};
     bytes = net::EncodeRejected(rej);
@@ -322,13 +318,7 @@ TEST(WireTest, TruncationCorpusNeverCrashes) {
                 << "payload truncated to " << (len - net::kHeaderBytes);
         }
     }
-    // Same corpus against the table-partial decoder.
-    const auto part_bytes = net::EncodeTablePartial(SampleTablePartial());
-    for (std::size_t len = 0; len < part_bytes.size(); ++len) {
-        net::TablePartialFrame part;
-        EXPECT_FALSE(net::DecodeTablePartial(part_bytes.data(), len, &part));
-    }
-    // ... the ranged lookup-request decoder ...
+    // Same corpus against the ranged lookup-request decoder ...
     const auto ranged_bytes =
         net::EncodeLookupRequest(SampleRangedLookupRequest());
     for (std::size_t len = 0; len < ranged_bytes.size(); ++len) {
@@ -369,7 +359,6 @@ TEST(WireTest, BitFlipCorpusNeverCrashes) {
                                      net::MaxFramePayload(), &out);
                 if (status != DecodeStatus::kOk) continue;
                 net::LookupRequestFrame req;
-                net::TablePartialFrame part;
                 net::ShardHelloFrame sh;
                 net::ShardPartialFrame shard_part;
                 net::RejectedFrame rej;
@@ -380,10 +369,6 @@ TEST(WireTest, BitFlipCorpusNeverCrashes) {
                     case FrameType::kLookupRequest:
                         net::DecodeLookupRequest(out.payload.data(),
                                                  out.payload.size(), &req);
-                        break;
-                    case FrameType::kTablePartial:
-                        net::DecodeTablePartial(out.payload.data(),
-                                                out.payload.size(), &part);
                         break;
                     case FrameType::kShardHello:
                         net::DecodeShardHello(out.payload.data(),
@@ -437,24 +422,15 @@ TEST(WireTest, LengthLyingCountsRejected) {
     EXPECT_FALSE(
         net::DecodeLookupRequest(payload.data(), payload.size(), &req));
 
-    // TablePartial claiming a huge bin count.
-    std::vector<std::uint8_t> part_payload(8 + 1, 0);
+    // ShardPartial claiming a huge bin count (id 8 + shard_index 4 +
+    // hot 1, then the count). A lying response word count is covered in
+    // ShardStructuralRejections.
+    std::vector<std::uint8_t> part_payload(8 + 4 + 1, 0);
     part_payload.resize(part_payload.size() + 4);
     std::memcpy(part_payload.data() + part_payload.size() - 4, &lie, 4);
-    net::TablePartialFrame part;
-    EXPECT_FALSE(net::DecodeTablePartial(part_payload.data(),
+    net::ShardPartialFrame part;
+    EXPECT_FALSE(net::DecodeShardPartial(part_payload.data(),
                                          part_payload.size(), &part));
-
-    // TablePartial whose response word count exceeds the actual bytes.
-    net::TablePartialFrame honest;
-    honest.request_id = 1;
-    honest.server0 = {{MakeU128(1, 1)}};
-    honest.server1 = {{MakeU128(2, 2)}};
-    auto bytes = net::EncodeTablePartial(honest);
-    // The first response's word count lives right after id(8)+hot(1)+n(4).
-    const std::uint32_t lying_words = 1u << 30;
-    std::memcpy(bytes.data() + 13, &lying_words, 4);
-    EXPECT_FALSE(net::DecodeTablePartial(bytes.data(), bytes.size(), &part));
 }
 
 TEST(WireTest, SocketFraming) {
@@ -543,16 +519,9 @@ struct NetWorld {
         return std::make_unique<PrivateEmbeddingService>(*emb, stats, config);
     }
 
-    std::vector<net::ReplicaRouter::Endpoint> Endpoints() const {
-        std::vector<net::ReplicaRouter::Endpoint> endpoints;
-        for (const auto& node : nodes) {
-            endpoints.push_back({"127.0.0.1", node->port()});
-        }
-        return endpoints;
-    }
-
     // Groups the nodes into shard_count shards of equal replica count
-    // (consecutive nodes become replicas of the same shard).
+    // (consecutive nodes become replicas of the same shard). One shard of
+    // every node is a replicated deployment.
     std::vector<std::vector<net::ShardedRouter::Endpoint>> ShardEndpoints(
         std::size_t shard_count) const {
         const std::size_t per_shard = nodes.size() / shard_count;
@@ -582,8 +551,9 @@ void ExpectBitIdentical(const LookupResult& a, const LookupResult& b) {
     EXPECT_EQ(a.download_bytes, b.download_bytes);
 }
 
-// Networked results must be bit-identical to in-process serving for every
-// replica count and batch size.
+// Replicated serving is the sharded router at K=1: results must be
+// bit-identical to in-process serving for every replica count and batch
+// size.
 TEST(NetServingTest, LoopbackBitIdentityMatrix) {
     const std::vector<std::vector<std::uint64_t>> batches = {
         {3},
@@ -592,10 +562,10 @@ TEST(NetServingTest, LoopbackBitIdentityMatrix) {
     };
     for (const std::size_t num_replicas : {1u, 2u, 4u}) {
         NetWorld world(NetBaseConfig(), num_replicas);
-        net::ReplicaRouter::Options opts;
+        net::ShardedRouter::Options opts;
         opts.health_thread = false;  // deterministic replica choice
-        net::ReplicaRouter router(world.planning.get(), world.Endpoints(),
-                                  opts);
+        net::ShardedRouter router(world.planning.get(),
+                                  world.ShardEndpoints(1), opts);
         auto expected_client = world.expected->MakeClient();
         auto remote_client = world.planning->MakeClient();
         std::size_t lookups = 0;
@@ -604,20 +574,23 @@ TEST(NetServingTest, LoopbackBitIdentityMatrix) {
                 const LookupResult want = expected_client->Lookup(wanted);
                 const auto got = router.Lookup(remote_client.get(), wanted);
                 ExpectBitIdentical(want, got.result);
-                EXPECT_FALSE(got.rerouted);
+                EXPECT_EQ(got.shards_failed_over, 0u);
                 ++lookups;
             }
         }
         const auto stats = router.stats();
         EXPECT_EQ(stats.requests, lookups);
         EXPECT_EQ(stats.failovers, 0u);
-        // Round-robin spreads the work over every replica.
-        const auto answered = router.per_replica_answered();
-        ASSERT_EQ(answered.size(), num_replicas);
-        for (std::size_t i = 0; i < answered.size(); ++i) {
-            EXPECT_GT(answered[i], 0u) << "replica " << i << " never answered"
-                                       << " (replicas=" << num_replicas << ")";
+        // Round-robin spreads the work over every replica, and the
+        // replicas together answered each lookup exactly once.
+        std::uint64_t completed = 0;
+        for (std::size_t i = 0; i < num_replicas; ++i) {
+            const std::uint64_t answered = world.nodes[i]->stats().completed;
+            EXPECT_GT(answered, 0u) << "replica " << i << " never answered"
+                                    << " (replicas=" << num_replicas << ")";
+            completed += answered;
         }
+        EXPECT_EQ(completed, lookups);
     }
 }
 
@@ -644,9 +617,10 @@ TEST(NetServingTest, AdmissionRejectionPropagates) {
     ASSERT_TRUE(h2.ok());
     ASSERT_TRUE(h3.ok());
 
-    net::ReplicaRouter::Options opts;
+    net::ShardedRouter::Options opts;
     opts.health_thread = false;
-    net::ReplicaRouter router(world.planning.get(), world.Endpoints(), opts);
+    net::ShardedRouter router(world.planning.get(), world.ShardEndpoints(1),
+                              opts);
     auto client = world.planning->MakeClient();
     try {
         router.Lookup(client.get(), {7, 8}, RequestPriority::kBatch);
@@ -663,15 +637,16 @@ TEST(NetServingTest, AdmissionRejectionPropagates) {
     h3.Wait();
 }
 
-// Killing a replica mid-run: the router marks it unhealthy, reroutes the
-// failed request to a survivor, and every request still completes with
-// bit-identical results.
+// Killing a replica mid-run: the router marks it unhealthy, fails the
+// broken request over to the survivor, and every request still completes
+// with bit-identical results.
 TEST(NetServingTest, FailoverReroutesAndCompletes) {
     NetWorld world(NetBaseConfig(), /*num_replicas=*/2);
-    net::ReplicaRouter::Options opts;
+    net::ShardedRouter::Options opts;
     opts.health_thread = false;
     opts.request_timeout_ms = 2'000;
-    net::ReplicaRouter router(world.planning.get(), world.Endpoints(), opts);
+    net::ShardedRouter router(world.planning.get(), world.ShardEndpoints(1),
+                              opts);
     auto expected_client = world.expected->MakeClient();
     auto remote_client = world.planning->MakeClient();
 
@@ -680,21 +655,22 @@ TEST(NetServingTest, FailoverReroutesAndCompletes) {
         ExpectBitIdentical(expected_client->Lookup(wanted),
                            router.Lookup(remote_client.get(), wanted).result);
     }
-    EXPECT_EQ(router.healthy_count(), 2u);
+    EXPECT_EQ(router.healthy_count(0), 2u);
 
     // Kill replica 0 hard (connections die mid-stream, listener closes).
     world.nodes[0]->Abort();
+    const std::uint64_t survivor_before = world.nodes[1]->stats().completed;
 
-    // Every subsequent request completes; the ones that pick the dead
-    // replica first are transparently rerouted.
+    // Every subsequent request completes on the survivor; the ones that
+    // pick the dead replica first are transparently rerouted.
     std::uint64_t rerouted = 0;
     for (int i = 0; i < 6; ++i) {
         const LookupResult want = expected_client->Lookup(wanted);
         const auto got = router.Lookup(remote_client.get(), wanted);
         ExpectBitIdentical(want, got.result);
-        EXPECT_EQ(got.replica, 1u);
-        if (got.rerouted) ++rerouted;
+        rerouted += got.shards_failed_over;
     }
+    EXPECT_EQ(world.nodes[1]->stats().completed, survivor_before + 6);
     EXPECT_GE(rerouted, 1u);
     EXPECT_EQ(router.stats().failovers, rerouted);
     EXPECT_GE(router.stats().transport_errors, rerouted);
@@ -702,25 +678,26 @@ TEST(NetServingTest, FailoverReroutesAndCompletes) {
     // A health sweep confirms the death; later picks skip the replica
     // without burning a retry.
     router.CheckNow();
-    EXPECT_EQ(router.healthy_count(), 1u);
+    EXPECT_EQ(router.healthy_count(0), 1u);
     const auto got = router.Lookup(remote_client.get(), wanted);
-    EXPECT_EQ(got.replica, 1u);
-    EXPECT_FALSE(got.rerouted);
+    EXPECT_EQ(got.shards_failed_over, 0u);
+    EXPECT_EQ(world.nodes[1]->stats().completed, survivor_before + 7);
 }
 
 // The background health thread flips a dead replica unhealthy on its own.
 TEST(NetServingTest, HealthThreadMarksDeadReplica) {
     NetWorld world(NetBaseConfig(), /*num_replicas=*/2);
-    net::ReplicaRouter::Options opts;
+    net::ShardedRouter::Options opts;
     opts.health_period_ms = 20;
     opts.request_timeout_ms = 500;
-    net::ReplicaRouter router(world.planning.get(), world.Endpoints(), opts);
+    net::ShardedRouter router(world.planning.get(), world.ShardEndpoints(1),
+                              opts);
     world.nodes[1]->Abort();
     // Wait for a sweep to notice (bounded).
-    for (int i = 0; i < 200 && router.healthy_count() != 1; ++i) {
+    for (int i = 0; i < 200 && router.healthy_count(0) != 1; ++i) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    EXPECT_EQ(router.healthy_count(), 1u);
+    EXPECT_EQ(router.healthy_count(0), 1u);
     EXPECT_GT(router.stats().health_probes, 0u);
 }
 
@@ -791,41 +768,59 @@ TEST(ShardMergeTest, MergeShardShares) {
 // Sharded scatter-gather must be bit-identical to in-process serving for
 // every shard count and batch size — including K=8, where the hot table's
 // 4-row bins leave shards 4..7 with EMPTY eval windows (their zero shares
-// must merge away cleanly).
+// must merge away cleanly). The ragged geometry (27,000 rows in 16 bins
+// of 1,688: the last bin holds 1,680; a 62-row hot table in 4-row bins:
+// the last holds 2) puts every shard's window end past the last bin's
+// rows, and at K >= 4 whole hot windows start past it.
 TEST(NetServingTest, ShardedBitIdentityMatrix) {
-    const std::vector<std::vector<std::uint64_t>> batches = {
-        {3},
-        {1, 65, 200, 511},
-        {0, 7, 64, 65, 128, 300, 400, 500},
+    struct Geometry {
+        const char* name;
+        ServiceConfig config;
+        std::uint64_t vocab;
+        std::vector<std::vector<std::uint64_t>> batches;
     };
-    for (const std::size_t shard_count : {1u, 2u, 4u, 8u}) {
-        NetWorld world(NetBaseConfig(), shard_count);
-        net::ShardedRouter::Options opts;
-        opts.health_thread = false;  // deterministic replica choice
-        net::ShardedRouter router(world.planning.get(),
-                                  world.ShardEndpoints(shard_count), opts);
-        auto expected_client = world.expected->MakeClient();
-        auto remote_client = world.planning->MakeClient();
-        std::size_t lookups = 0;
-        for (int round = 0; round < 2; ++round) {
-            for (const auto& wanted : batches) {
-                const LookupResult want = expected_client->Lookup(wanted);
-                const auto got = router.Lookup(remote_client.get(), wanted);
-                ExpectBitIdentical(want, got.result);
-                EXPECT_EQ(got.shards_failed_over, 0u);
-                ++lookups;
+    ServiceConfig ragged = NetBaseConfig();
+    ragged.codesign.hot_size = 62;
+    ragged.codesign.q_full = 16;
+    const std::vector<Geometry> geometries = {
+        {"even", NetBaseConfig(), 512,
+         {{3}, {1, 65, 200, 511}, {0, 7, 64, 65, 128, 300, 400, 500}}},
+        {"ragged", ragged, 27'000,
+         {{26'999}, {1, 65, 25'320, 26'990}, {0, 7, 61, 62, 1'688, 26'999}}},
+    };
+    for (const Geometry& geometry : geometries) {
+        for (const std::size_t shard_count : {1u, 2u, 4u, 8u}) {
+            SCOPED_TRACE(std::string(geometry.name) + " K=" +
+                         std::to_string(shard_count));
+            NetWorld world(geometry.config, shard_count, geometry.vocab);
+            net::ShardedRouter::Options opts;
+            opts.health_thread = false;  // deterministic replica choice
+            net::ShardedRouter router(world.planning.get(),
+                                      world.ShardEndpoints(shard_count), opts);
+            auto expected_client = world.expected->MakeClient();
+            auto remote_client = world.planning->MakeClient();
+            std::size_t lookups = 0;
+            for (int round = 0; round < 2; ++round) {
+                for (const auto& wanted : geometry.batches) {
+                    const LookupResult want = expected_client->Lookup(wanted);
+                    const auto got =
+                        router.Lookup(remote_client.get(), wanted);
+                    ExpectBitIdentical(want, got.result);
+                    EXPECT_EQ(got.shards_failed_over, 0u);
+                    ++lookups;
+                }
             }
-        }
-        const auto stats = router.stats();
-        EXPECT_EQ(stats.requests, lookups);
-        EXPECT_EQ(stats.failovers, 0u);
-        // Every node answered every lookup (its shard of it). Counters
-        // are incremented before the terminal frame is sent, so a client
-        // that has collected every reply reads exact stats.
-        for (std::size_t k = 0; k < shard_count; ++k) {
-            const auto node_stats = world.nodes[k]->stats();
-            EXPECT_EQ(node_stats.completed, lookups) << "shard " << k;
-            EXPECT_EQ(node_stats.shard_requests, lookups) << "shard " << k;
+            const auto stats = router.stats();
+            EXPECT_EQ(stats.requests, lookups);
+            EXPECT_EQ(stats.failovers, 0u);
+            // Every node answered every lookup (its shard of it). Counters
+            // are incremented before the terminal frame is sent, so a
+            // client that has collected every reply reads exact stats.
+            for (std::size_t k = 0; k < shard_count; ++k) {
+                const auto node_stats = world.nodes[k]->stats();
+                EXPECT_EQ(node_stats.completed, lookups) << "shard " << k;
+                EXPECT_EQ(node_stats.requests, lookups) << "shard " << k;
+            }
         }
     }
 }
@@ -914,9 +909,57 @@ TEST(NetServingTest, RangedRequestWithoutShardHelloRejected) {
     // A well-formed ranged request (the fixture decodes cleanly); the
     // rejection must come from the missing handshake, not a decode error.
     const net::LookupRequestFrame req = SampleRangedLookupRequest();
-    const auto reply = conn->Lookup(req, /*timeout_ms=*/2'000);
+    ASSERT_TRUE(conn->SendLookup(req));
+    const auto reply = conn->CollectShard(req.request_id, req.has_hot,
+                                          /*timeout_ms=*/2'000);
     EXPECT_EQ(reply.status, net::NodeConnection::LookupStatus::kRejected);
     EXPECT_EQ(reply.rejection, AdmissionStatus::kInvalidRequest);
+}
+
+// A request without a range on a connection that sent no kShardHello is
+// evaluated over shard 0 of 1 — the whole bin — and answered with
+// shard-0 kShardPartial frames equal to the full-bin answer.
+TEST(NetServingTest, UnrangedRequestWithoutShardHelloIsWholeBin) {
+    NetWorld world(NetBaseConfig(), /*num_replicas=*/1);
+    const net::Hello hello = net::ServiceHello(*world.planning);
+    auto conn = net::NodeConnection::Dial("127.0.0.1", world.nodes[0]->port(),
+                                          hello, /*timeout_ms=*/2'000);
+    ASSERT_NE(conn, nullptr);
+
+    // Same-seed clients: the planning client prepares exactly the keys the
+    // reference client's in-process lookup answers.
+    auto remote_client = world.planning->MakeClient();
+    auto expected_client = world.expected->MakeClient();
+    const std::vector<std::uint64_t> wanted = {1, 65, 200, 511};
+    auto prep = remote_client->Prepare(wanted, /*keep_wire_keys=*/true);
+    net::LookupRequestFrame req;
+    req.request_id = 7;
+    req.has_hot = !prep.wire_hot_keys0.empty();
+    req.full_keys0 = std::move(prep.wire_full_keys0);
+    req.full_keys1 = std::move(prep.wire_full_keys1);
+    req.hot_keys0 = std::move(prep.wire_hot_keys0);
+    req.hot_keys1 = std::move(prep.wire_hot_keys1);
+    ASSERT_FALSE(req.has_range);
+    ASSERT_TRUE(req.has_hot);
+    ASSERT_TRUE(conn->SendLookup(req));
+    const auto reply = conn->CollectShard(req.request_id, req.has_hot,
+                                          /*timeout_ms=*/2'000);
+    ASSERT_EQ(reply.status, net::NodeConnection::LookupStatus::kComplete);
+    EXPECT_EQ(reply.full.shard_index, 0u);
+    EXPECT_EQ(reply.hot.shard_index, 0u);
+
+    const auto full = remote_client->ReconstructTablePartial(
+        prep, /*hot=*/false, reply.full.server0, reply.full.server1);
+    const auto hot = remote_client->ReconstructTablePartial(
+        prep, /*hot=*/true, reply.hot.server0, reply.hot.server1);
+    ExpectBitIdentical(expected_client->Lookup(wanted),
+                       world.planning->FinalizeLookupResult(prep, full, &hot));
+    const auto node_stats = world.nodes[0]->stats();
+    EXPECT_EQ(node_stats.completed, 1u);
+    // The whole bin was scanned for every key of both tables.
+    EXPECT_EQ(node_stats.rows_scanned,
+              hello.full_bin_size * 2 * hello.full_num_bins +
+                  hello.hot_bin_size * 2 * hello.hot_num_bins);
 }
 
 // A shard hello whose windows disagree with the node's canonical
@@ -956,9 +999,10 @@ TEST(NetServingTest, ShardHelloMismatchedPlanRefused) {
 // the connection dies; later requests are rejected at dial time.
 TEST(NetServingTest, StopDrainsBeforeClosing) {
     NetWorld world(NetBaseConfig(), /*num_replicas=*/1);
-    net::ReplicaRouter::Options opts;
+    net::ShardedRouter::Options opts;
     opts.health_thread = false;
-    net::ReplicaRouter router(world.planning.get(), world.Endpoints(), opts);
+    net::ShardedRouter router(world.planning.get(), world.ShardEndpoints(1),
+                              opts);
     auto client = world.planning->MakeClient();
     ASSERT_NO_THROW(router.Lookup(client.get(), {1, 2, 3}));
 

@@ -914,6 +914,23 @@ TEST(ServingFrontEndTest, SubmitRawRejectsMalformedShapeAndShutdown) {
     auto handle = fe.SubmitRaw(std::move(empty), {});
     EXPECT_EQ(handle.admission(), AdmissionStatus::kInvalidRequest);
 
+    // Ranged uploads whose full-table window ends past the bin size, or
+    // is inverted, are rejected before any job is read. (A window may end
+    // past a ragged last bin's rows: net_test's ragged matrix.)
+    const std::uint64_t bin_size = world.service->full_pbr().bin_size();
+    const std::uint64_t windows[][2] = {{0, bin_size + 1}, {2, 1}};
+    for (const auto& window : windows) {
+        RawLookup ranged;
+        ranged.full_server0.jobs.resize(1);
+        ranged.full_server1.jobs.resize(1);
+        ranged.has_range = true;
+        ranged.full_row_begin = window[0];
+        ranged.full_row_end = window[1];
+        handle = fe.SubmitRaw(std::move(ranged), {});
+        EXPECT_EQ(handle.admission(), AdmissionStatus::kInvalidRequest)
+            << "[" << window[0] << ", " << window[1] << ")";
+    }
+
     fe.Stop();
     RawLookup late;
     late.full_server0.jobs.resize(1);
