@@ -45,25 +45,21 @@ struct JsonResult {
     std::string kernel;
     std::string layout;
     double speedup_vs_scalar = 0.0;
-    // Optional replicated-serving metrics (bench_replicated_serving),
-    // written only when has_net is set: the replica count behind the
-    // sharded router's single shard (K=1), the per-shard failovers it
-    // made, the failed attempts that triggered them, and how many
-    // replicas were healthy when the run ended.
-    bool has_net = false;
+    // Optional fleet metrics (bench_sharded_fleet), written only when
+    // has_shard is set: the K x R topology behind the sharded router, the
+    // mean rows scanned per node per request (the 1/K per-node-work
+    // evidence), the failover count of each shard (the smoke test's proof
+    // that a killed replica was covered by a sibling), the failovers
+    // summed over shards, the failed attempts that triggered them, and
+    // how many replicas (summed over shards) were healthy at the end.
+    bool has_shard = false;
+    double shards = 0.0;
     double replicas = 0.0;
+    double rows_per_request = 0.0;
+    std::vector<double> shard_failovers;
     double failovers = 0.0;
     double transport_errors = 0.0;
     double healthy_replicas = 0.0;
-    // Optional sharded-fleet metrics (bench_sharded_fleet), written only
-    // when has_shard is set: the shard count behind the sharded router,
-    // the mean rows scanned per node per request (the 1/K per-node-work
-    // evidence), and the failover count of each shard (the smoke test's
-    // proof that a killed shard owner was covered by a sibling replica).
-    bool has_shard = false;
-    double shards = 0.0;
-    double rows_per_request = 0.0;
-    std::vector<double> shard_failovers;
     // Optional construction-cost metrics, written only when has_build is
     // set: wall time to build a full service (physical tables included)
     // vs its planning-only twin (what a router process builds).
@@ -149,26 +145,22 @@ inline bool WriteBenchJson(const char* path, const std::string& bench,
                          results[i].layout.c_str(),
                          results[i].speedup_vs_scalar);
         }
-        if (results[i].has_net) {
-            std::fprintf(f,
-                         ",\"replicas\":%.6g,\"failovers\":%.6g"
-                         ",\"transport_errors\":%.6g"
-                         ",\"healthy_replicas\":%.6g",
-                         results[i].replicas, results[i].failovers,
-                         results[i].transport_errors,
-                         results[i].healthy_replicas);
-        }
         if (results[i].has_shard) {
             std::fprintf(f,
-                         ",\"shards\":%.6g,\"rows_per_request\":%.6g"
-                         ",\"shard_failovers\":[",
-                         results[i].shards, results[i].rows_per_request);
+                         ",\"shards\":%.6g,\"replicas\":%.6g"
+                         ",\"rows_per_request\":%.6g,\"shard_failovers\":[",
+                         results[i].shards, results[i].replicas,
+                         results[i].rows_per_request);
             for (std::size_t j = 0; j < results[i].shard_failovers.size();
                  ++j) {
                 std::fprintf(f, "%s%.6g", j == 0 ? "" : ",",
                              results[i].shard_failovers[j]);
             }
-            std::fprintf(f, "]");
+            std::fprintf(f,
+                         "],\"failovers\":%.6g,\"transport_errors\":%.6g"
+                         ",\"healthy_replicas\":%.6g",
+                         results[i].failovers, results[i].transport_errors,
+                         results[i].healthy_replicas);
         }
         if (results[i].has_build) {
             std::fprintf(f,

@@ -10,7 +10,7 @@
 // tiled-layout copy with pinned shard placement — at several thread
 // counts, and reports queries/sec plus speedup over the sequential
 // baseline. A second section pits the CPU kernel strategies (scalar,
-// simd_prg, multiquery_tile) against each other on one thread with the
+// multiquery_tile) against each other on one thread with the
 // AES-128 MMO PRG, per layout, reporting each kernel's speedup over the
 // scalar reference. A third section isolates the u128 mat-vec accumulator
 // (src/kernels/accumulate.h): each supported ISA walks the tiled table

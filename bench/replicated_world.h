@@ -1,5 +1,6 @@
-// Shared deterministic world for the replicated serving bench and the
-// standalone pir_node binary (tools/pir_node_main.cc).
+// Shared deterministic world for the fleet serving bench
+// (bench/bench_sharded_fleet.cc) and the standalone pir_node binary
+// (tools/pir_node_main.cc).
 //
 // Every process that includes this builds the SAME service: same dataset
 // spec and seed, same embedding init, same ServiceConfig. That is the
@@ -71,6 +72,22 @@ struct ReplicatedWorld {
     AccessStats stats;
     std::unique_ptr<EmbeddingTable> emb;
 };
+
+// Parses a TCP port for the command lines of both binaries: decimal digits
+// only, 1..65535, or 0 when `allow_zero` (an ephemeral listen port). False
+// on anything else, leaving *out untouched.
+inline bool ParsePort(const char* text, bool allow_zero, std::uint16_t* out) {
+    unsigned long value = 0;
+    if (*text == '\0') return false;
+    for (const char* p = text; *p != '\0'; ++p) {
+        if (*p < '0' || *p > '9') return false;
+        value = value * 10 + static_cast<unsigned long>(*p - '0');
+        if (value > 65535) return false;
+    }
+    if (value == 0 && !allow_zero) return false;
+    *out = static_cast<std::uint16_t>(value);
+    return true;
+}
 
 // The deterministic per-(client, lookup) key batch every process agrees
 // on; mixed sizes so batching sees varied shapes.

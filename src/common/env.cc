@@ -15,7 +15,7 @@ const std::vector<GpudpfEnvVar>& GpudpfEnvTable() {
         {"GPUDPF_TABLE_LAYOUT",
          "process-default physical table layout: row_major | tiled"},
         {"GPUDPF_CPU_KERNEL",
-         "process-default CPU kernel: scalar | simd_prg | multiquery_tile"},
+         "process-default CPU kernel: scalar | multiquery_tile"},
         {"GPUDPF_FORCE_SCALAR",
          "1 = mask the CPU-feature probe (software AES, scalar accumulate)"},
         {"GPUDPF_ACCUMULATE",

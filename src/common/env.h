@@ -9,7 +9,7 @@
 // the classic "typo'd knob looked applied" failure.
 //
 //   GPUDPF_TABLE_LAYOUT            row_major | tiled
-//   GPUDPF_CPU_KERNEL              scalar | simd_prg | multiquery_tile
+//   GPUDPF_CPU_KERNEL              scalar | multiquery_tile
 //   GPUDPF_FORCE_SCALAR            1 = mask the CPU-feature probe
 //   GPUDPF_ACCUMULATE              scalar | avx2 | avx512
 //   GPUDPF_NUMA                    auto | on | off

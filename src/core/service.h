@@ -85,8 +85,8 @@ struct ServiceConfig {
     // caches. kDynamic is the seed's work-sharing behavior.
     ShardPlacement shard_placement = ShardPlacement::kDynamic;
     // CPU kernel strategy of the answer engines (src/kernels/cpu_kernel.h):
-    // scalar reference, AES-NI-batched simd_prg, or the multi-query tile
-    // kernel. Defaults to the process default, which honors
+    // scalar reference or the AES-NI-batched multi-query tile kernel.
+    // Defaults to the process default, which honors
     // GPUDPF_CPU_KERNEL and GPUDPF_FORCE_SCALAR (mirroring
     // GPUDPF_TABLE_LAYOUT for layouts); the selected kernel and the
     // detected CPU features are logged once at service start.

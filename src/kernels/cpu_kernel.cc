@@ -15,11 +15,6 @@ namespace {
 // AccumulateSegment, so the ISA choice (scalar/avx2/avx512) applies
 // uniformly and stays bit-identical to the scalar reference.
 
-// Frontier cap of the level-order kernels: bounds EvalRangeBatched's
-// O(segment) scratch on untiled tables (tiled segments are already tile-
-// sized). Power of two near the tiled layouts' tile heights.
-constexpr std::uint64_t kFrontierChunkRows = 1u << 12;
-
 // Total share-buffer words the multi-query kernel keeps live per segment
 // (split across the group's queries), and the floor that keeps segments
 // from degenerating for very large groups. 2^15 words = 512 KiB.
@@ -80,44 +75,6 @@ class ScalarKernel final : public CpuKernel {
                 AccumulateSegment(table.Entry(row_begin + cur), w,
                                   scratch->shares.data(), seg_end - cur,
                                   task.resp);
-                cur = seg_end;
-            }
-        }
-    }
-};
-
-// Level-order expansion: each segment's whole node frontier goes through
-// Prg::ExpandBatch, so AES-MMO seeds pipeline through AES-NI.
-class SimdPrgKernel final : public CpuKernel {
-  public:
-    CpuKernelKind kind() const override { return CpuKernelKind::kSimdPrg; }
-
-    void AnswerRange(const PirTable& table, std::uint64_t row_begin,
-                     std::uint64_t lo, std::uint64_t hi, CpuKernelTask* tasks,
-                     std::size_t num_tasks,
-                     CpuKernelScratch* scratch) const override {
-        const std::size_t w = table.words_per_entry();
-        for (std::size_t t = 0; t < num_tasks; ++t) {
-            CpuKernelTask& task = tasks[t];
-            std::uint64_t cur = lo;
-            bool first = true;
-            while (cur < hi) {
-                if (!first && task.context != nullptr &&
-                    task.context->ShouldSkip()) {
-                    task.aborted = true;
-                    break;
-                }
-                first = false;
-                const std::uint64_t seg_end =
-                    SegmentEnd(table, row_begin, cur, hi, kFrontierChunkRows,
-                               task.context != nullptr);
-                const std::uint64_t seg = seg_end - cur;
-                if (scratch->shares.size() < seg) scratch->shares.resize(seg);
-                task.dpf->EvalRangeBatched(*task.key, cur, seg_end,
-                                           scratch->shares.data(),
-                                           &scratch->range);
-                AccumulateSegment(table.Entry(row_begin + cur), w,
-                                  scratch->shares.data(), seg, task.resp);
                 cur = seg_end;
             }
         }
@@ -203,8 +160,6 @@ const char* CpuKernelKindName(CpuKernelKind kind) {
     switch (kind) {
         case CpuKernelKind::kScalar:
             return "scalar";
-        case CpuKernelKind::kSimdPrg:
-            return "simd_prg";
         case CpuKernelKind::kMultiqueryTile:
             return "multiquery_tile";
     }
@@ -216,10 +171,6 @@ bool ParseCpuKernelKind(const std::string& name, CpuKernelKind* out) {
         *out = CpuKernelKind::kScalar;
         return true;
     }
-    if (name == "simd_prg") {
-        *out = CpuKernelKind::kSimdPrg;
-        return true;
-    }
     if (name == "multiquery_tile") {
         *out = CpuKernelKind::kMultiqueryTile;
         return true;
@@ -229,8 +180,7 @@ bool ParseCpuKernelKind(const std::string& name, CpuKernelKind* out) {
 
 const std::vector<CpuKernelKind>& AllCpuKernelKinds() {
     static const std::vector<CpuKernelKind> kinds = {
-        CpuKernelKind::kScalar, CpuKernelKind::kSimdPrg,
-        CpuKernelKind::kMultiqueryTile};
+        CpuKernelKind::kScalar, CpuKernelKind::kMultiqueryTile};
     return kinds;
 }
 
@@ -253,13 +203,10 @@ CpuKernelKind DefaultCpuKernelKind() {
 
 const CpuKernel& GetCpuKernel(CpuKernelKind kind) {
     static const ScalarKernel scalar;
-    static const SimdPrgKernel simd_prg;
     static const MultiqueryTileKernel multiquery_tile;
     switch (kind) {
         case CpuKernelKind::kScalar:
             return scalar;
-        case CpuKernelKind::kSimdPrg:
-            return simd_prg;
         case CpuKernelKind::kMultiqueryTile:
             return multiquery_tile;
     }

@@ -3,34 +3,30 @@
 // The gpusim strategies (src/kernels/strategy.h) explore the paper's GPU
 // batching space on a simulated device; these kernels apply the same
 // batching insights to the real serving hot path that AnswerEngine runs on
-// host CPUs. All three answer the same question — evaluate each query's
-// DPF leaf range against a row range of the table and accumulate
-// shares^T * rows into the query's response — and all are bit-identical
+// host CPUs. Both answer the same question — evaluate each query's DPF
+// leaf range against a row range of the table and accumulate
+// shares^T * rows into the query's response — and both are bit-identical
 // (addition in Z_2^128 commutes, and the per-node DPF math is shared):
 //
 //   kScalar          per-query pruned-DFS EvalRange + fused mat-vec, one
 //                    node expansion at a time — the seed's reference hot
-//                    loop, and the fallback every other kernel is measured
+//                    loop, and the fallback the other kernel is measured
 //                    against.
-//   kSimdPrg         per-query level-order EvalRangeBatched: each tree
-//                    level's whole node frontier goes through one batched
-//                    PRG call, so the fixed-key AES MMO runs hardware-
-//                    pipelined on AES-NI hosts (paper Section 3.2.6's CPU
-//                    baseline, 8 blocks in flight).
 //   kMultiqueryTile  the paper's fig06/fig08 memory-bound insight: all
 //                    queries of a batch group sharing one row range are
 //                    evaluated per storage-tile segment, then the tile's
 //                    rows stream through the cache ONCE while every
 //                    query's response accumulates — table traffic is paid
-//                    per tile, not per query. DPF expansion uses the same
-//                    batched PRG as kSimdPrg.
+//                    per tile, not per query. DPF expansion is level-order
+//                    EvalRangeBatched: each tree level's node frontier goes
+//                    through one batched PRG call, so the fixed-key AES MMO
+//                    runs hardware-pipelined on AES-NI hosts (paper
+//                    Section 3.2.6's CPU baseline, 8 blocks in flight).
 //
 // Kernels are stateless singletons selected per AnswerEngine via
 // ShardingOptions::kernel / ServiceConfig::cpu_kernel, defaulting to the
 // GPUDPF_CPU_KERNEL environment variable (mirroring GPUDPF_TABLE_LAYOUT)
-// and otherwise to the best kernel the host supports. They register in the
-// same kernel registry as the gpusim strategies (KernelRegistry() in
-// src/kernels/strategy.h).
+// and otherwise to the best kernel the host supports.
 #pragma once
 
 #include <cstddef>
@@ -44,11 +40,11 @@
 
 namespace gpudpf {
 
-enum class CpuKernelKind { kScalar, kSimdPrg, kMultiqueryTile };
+enum class CpuKernelKind { kScalar, kMultiqueryTile };
 
 const char* CpuKernelKindName(CpuKernelKind kind);
 
-// Parses "scalar", "simd_prg" or "multiquery_tile"; false on anything else.
+// Parses "scalar" or "multiquery_tile"; false on anything else.
 bool ParseCpuKernelKind(const std::string& name, CpuKernelKind* out);
 
 // Every kernel kind, for test/bench matrices.

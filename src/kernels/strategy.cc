@@ -39,55 +39,6 @@ std::unique_ptr<EvalStrategy> MakeStrategy(const StrategyConfig& config) {
     throw std::invalid_argument("unknown strategy kind");
 }
 
-const std::vector<KernelEntry>& KernelRegistry() {
-    static const std::vector<KernelEntry> registry = [] {
-        std::vector<KernelEntry> r;
-        auto cpu = [&r](CpuKernelKind k, const char* desc) {
-            KernelEntry e;
-            e.name = CpuKernelKindName(k);
-            e.description = desc;
-            e.is_cpu = true;
-            e.cpu_kernel = k;
-            r.push_back(e);
-        };
-        cpu(CpuKernelKind::kScalar,
-            "per-query pruned-DFS EvalRange + fused mat-vec (reference)");
-        cpu(CpuKernelKind::kSimdPrg,
-            "level-order frontier expansion, AES-NI-batched PRG");
-        cpu(CpuKernelKind::kMultiqueryTile,
-            "batched PRG + one table walk per same-range query group");
-        auto sim = [&r](StrategyKind k, const char* desc) {
-            KernelEntry e;
-            e.name = StrategyKindName(k);
-            e.description = desc;
-            e.is_cpu = false;
-            e.strategy = k;
-            r.push_back(e);
-        };
-        sim(StrategyKind::kBranchParallel,
-            "gpusim: each thread re-walks root->leaf");
-        sim(StrategyKind::kLevelByLevel,
-            "gpusim: frontier in global memory");
-        sim(StrategyKind::kMemBoundTree,
-            "gpusim: K-chunked DFS with optional fusion");
-        sim(StrategyKind::kCoopGroups,
-            "gpusim: all blocks cooperate on one query");
-        sim(StrategyKind::kCpuSequential,
-            "modeled CPU baseline, one thread");
-        sim(StrategyKind::kCpuMultiThread,
-            "modeled CPU baseline, multithreaded");
-        return r;
-    }();
-    return registry;
-}
-
-const KernelEntry* FindKernelEntry(const std::string& name) {
-    for (const KernelEntry& e : KernelRegistry()) {
-        if (name == e.name) return &e;
-    }
-    return nullptr;
-}
-
 namespace strategy_detail {
 
 std::uint64_t NeededNodes(std::uint64_t num_entries, int n, int d) {

@@ -25,7 +25,6 @@
 #include "src/dpf/dpf.h"
 #include "src/gpusim/cost_model.h"
 #include "src/gpusim/device.h"
-#include "src/kernels/cpu_kernel.h"
 #include "src/pir/protocol.h"
 #include "src/pir/table.h"
 
@@ -91,31 +90,6 @@ class EvalStrategy {
 };
 
 std::unique_ptr<EvalStrategy> MakeStrategy(const StrategyConfig& config);
-
-// --- unified kernel registry ----------------------------------------------
-//
-// Every execution kernel in the repo — the simulated-GPU strategies above
-// AND the real CPU serving kernels (src/kernels/cpu_kernel.h) — is listed
-// in one name-keyed registry, so tools, benches, and the selection env
-// vars address them uniformly. Entries with is_cpu set resolve through
-// GetCpuKernel(cpu_kernel) and run on the real serving hot path
-// (AnswerEngine); the rest resolve through MakeStrategy(strategy) on the
-// simulated device.
-
-struct KernelEntry {
-    const char* name = "";
-    const char* description = "";
-    bool is_cpu = false;
-    StrategyKind strategy = StrategyKind::kMemBoundTree;  // !is_cpu entries
-    CpuKernelKind cpu_kernel = CpuKernelKind::kScalar;    // is_cpu entries
-};
-
-// Every registered kernel, CPU serving kernels first.
-const std::vector<KernelEntry>& KernelRegistry();
-
-// Looks a kernel up by its registered name ("multiquery_tile",
-// "membound_tree", ...); nullptr when unknown.
-const KernelEntry* FindKernelEntry(const std::string& name);
 
 // --- shared accounting helpers (used by strategies and tests) -------------
 

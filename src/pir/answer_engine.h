@@ -10,8 +10,8 @@
 // The shard work itself is delegated to a CpuKernel strategy
 // (src/kernels/cpu_kernel.h), selected per engine through
 // ShardingOptions::kernel (default: GPUDPF_CPU_KERNEL env, else the best
-// kernel for the host): the scalar reference loop, the AES-NI-batched
-// simd_prg kernel, or the multi-query tile kernel that walks each storage
+// kernel for the host): the scalar reference loop, or the multi-query tile
+// kernel that expands with the AES-NI-batched PRG and walks each storage
 // tile once for every batched query sharing its row range. Kernels walk
 // the rows one storage tile at a time (src/pir/table_layout.h), fusing the
 // leaf-range expansion with the mat-vec so the shares buffer and the tile

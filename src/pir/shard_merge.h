@@ -7,9 +7,10 @@
 // associative, so summing the K partial shares — in any order, though we
 // fix shard-index order to mirror the in-process engine's reduction —
 // reproduces the full-scan share bit for bit. These helpers are the single
-// definition of that partition and merge, used by the ShardedRouter, the
-// sharded net tests, and bench_sharded_fleet so all three agree by
-// construction.
+// definition of that partition and merge: the ShardedRouter plans and
+// merges with them (so every fleet bench_sharded_fleet drives does too),
+// PirServerNode validates shard assignments against them, and the sharded
+// net tests check against them, so all agree by construction.
 //
 // The partition is ShardRowBoundary with tile_rows = 0 (plain ceiling
 // chunks): routers do not know a node's tile geometry, and the choice

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "src/common/rng.h"
+#include "src/kernels/cpu_kernel.h"
 #include "src/kernels/scheduler.h"
 #include "src/kernels/strategy.h"
 
@@ -272,48 +273,24 @@ TEST(SchedulerTest, AlwaysReturnsAPlan) {
     EXPECT_GT(decision.estimate.latency_sec, 0.0);
 }
 
-TEST(KernelRegistryTest, ListsEveryCpuKernelAndSimStrategy) {
-    // The unified registry fronts both backends: all CPU kernels first,
-    // then every gpusim strategy, each with a non-empty description.
-    const std::vector<KernelEntry>& registry = KernelRegistry();
-    std::size_t cpu = 0;
-    for (const KernelEntry& e : registry) {
-        ASSERT_NE(e.name, nullptr);
-        ASSERT_NE(e.description, nullptr);
-        EXPECT_GT(std::string(e.description).size(), 0u) << e.name;
-        if (e.is_cpu) ++cpu;
-    }
-    EXPECT_EQ(cpu, AllCpuKernelKinds().size());
-    EXPECT_EQ(registry.size(), AllCpuKernelKinds().size() + 6);
-}
-
-TEST(KernelRegistryTest, FindRoundTripsAndDispatches) {
-    // Every CPU kernel name resolves to an entry whose kind round-trips
-    // back through GetCpuKernel; sim strategy names resolve to non-CPU
-    // entries; unknown names resolve to nothing.
+TEST(CpuKernelTest, NamesParseAndDispatchRoundTrip) {
+    // Every CPU kernel's name parses back to its kind, and the singleton
+    // GetCpuKernel returns reports that kind under that name.
     for (const CpuKernelKind kind : AllCpuKernelKinds()) {
-        const KernelEntry* e = FindKernelEntry(CpuKernelKindName(kind));
-        ASSERT_NE(e, nullptr) << CpuKernelKindName(kind);
-        EXPECT_TRUE(e->is_cpu);
-        EXPECT_EQ(e->cpu_kernel, kind);
-        EXPECT_EQ(GetCpuKernel(e->cpu_kernel).kind(), kind);
-        EXPECT_STREQ(GetCpuKernel(e->cpu_kernel).name(), e->name);
+        const char* name = CpuKernelKindName(kind);
         CpuKernelKind parsed;
-        EXPECT_TRUE(ParseCpuKernelKind(e->name, &parsed));
+        EXPECT_TRUE(ParseCpuKernelKind(name, &parsed)) << name;
         EXPECT_EQ(parsed, kind);
+        EXPECT_EQ(GetCpuKernel(kind).kind(), kind);
+        EXPECT_STREQ(GetCpuKernel(kind).name(), name);
     }
-    const KernelEntry* sim = FindKernelEntry("membound-tree");
-    ASSERT_NE(sim, nullptr);
-    EXPECT_FALSE(sim->is_cpu);
-    EXPECT_EQ(sim->strategy, StrategyKind::kMemBoundTree);
-    EXPECT_EQ(FindKernelEntry("no-such-kernel"), nullptr);
+    // A gpusim strategy name is not a CPU kernel, and neither is the
+    // removed one-query level-order kernel (now multiquery_tile's
+    // single-task case).
     CpuKernelKind ignored;
     EXPECT_FALSE(ParseCpuKernelKind("membound-tree", &ignored));
-}
-
-TEST(KernelRegistryTest, MultiQueryFlagMatchesKernelContract) {
+    EXPECT_FALSE(ParseCpuKernelKind("simd_" "prg", &ignored));
     EXPECT_FALSE(GetCpuKernel(CpuKernelKind::kScalar).multi_query());
-    EXPECT_FALSE(GetCpuKernel(CpuKernelKind::kSimdPrg).multi_query());
     EXPECT_TRUE(GetCpuKernel(CpuKernelKind::kMultiqueryTile).multi_query());
 }
 

@@ -1,17 +1,18 @@
-// Standalone PIR server node for multi-process replicated serving.
+// Standalone PIR server node for multi-process fleet serving.
 //
 //   build/tools/pir_node [--port=N] [--port-file=PATH]
 //
 // Builds the deterministic bench world (bench/replicated_world.h — the
-// same tables and geometry as bench_replicated_serving and the smoke
-// script's reference), listens on 127.0.0.1:N (0 = ephemeral), prints the
-// bound port, and serves until SIGTERM/SIGINT (clean drain) or SIGKILL
-// (the smoke script's failover scenario). --port-file writes the bound
-// port to PATH so scripts can collect ephemeral ports without parsing
-// stdout.
+// same tables and geometry as bench_sharded_fleet's in-process
+// reference), listens on 127.0.0.1:N (N in 0..65535, 0 = ephemeral; any
+// other value exits 2), prints the bound port, and serves until
+// SIGTERM/SIGINT (clean drain) or SIGKILL (the smoke script's failover
+// scenario). Nodes are shard-agnostic: the router assigns each
+// connection's shard at kShardHello time, so the same binary serves
+// replicated (K=1) and sharded fleets. --port-file writes the bound port
+// to PATH so scripts can collect ephemeral ports without parsing stdout.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -30,13 +31,19 @@ int main(int argc, char** argv) {
     std::uint16_t port = 0;
     const char* port_file = nullptr;
     for (int i = 1; i < argc; ++i) {
+        bool ok = true;
         if (std::strncmp(argv[i], "--port=", 7) == 0) {
-            port = static_cast<std::uint16_t>(std::atoi(argv[i] + 7));
+            ok = gpudpf::bench::ParsePort(argv[i] + 7, /*allow_zero=*/true,
+                                          &port);
         } else if (std::strncmp(argv[i], "--port-file=", 12) == 0) {
             port_file = argv[i] + 12;
         } else {
+            ok = false;
+        }
+        if (!ok) {
             std::fprintf(stderr,
-                         "usage: %s [--port=N] [--port-file=PATH]\n", argv[0]);
+                         "usage: %s [--port=0..65535] [--port-file=PATH]\n",
+                         argv[0]);
             return 2;
         }
     }
