@@ -51,7 +51,8 @@ int main() {
                 eval_ms);
 
     // Same answer through the sharded engine (bit-identical, scales with
-    // the host's cores; see bench/bench_sharded_throughput.cc).
+    // the host's cores; perfbench's pir.rows_per_s row times it under
+    // serving load).
     PirServer sharded_a(&table, ShardingOptions{/*num_shards=*/8});
     PirServer sharded_b(&table, ShardingOptions{/*num_shards=*/8});
     Timer sharded_timer;

@@ -22,33 +22,57 @@ const std::vector<GpudpfEnvVar>& GpudpfEnvTable() {
          "process-default mat-vec accumulator ISA: scalar | avx2 | avx512"},
         {"GPUDPF_NUMA",
          "NUMA first-touch tile placement: auto | on | off"},
+        // The frame header's payload length is a u32, so 4095 MiB is the
+        // largest cap that can bind.
         {"GPUDPF_NET_MAX_FRAME_MB",
-         "wire-protocol frame payload cap in MiB (default 64)"},
+         "wire-protocol frame payload cap in MiB (default 64)", 1, 4095},
         {"GPUDPF_NET_REQUEST_TIMEOUT_MS",
-         "replica-router per-request timeout in ms (default 10000)"},
+         "replica-router per-request timeout in ms (default 10000)", 1,
+         3'600'000},
         {"GPUDPF_NET_HEALTH_PERIOD_MS",
-         "replica-router health-check period in ms (default 100)"},
+         "replica-router health-check period in ms (default 100)", 1,
+         3'600'000},
         {"GPUDPF_NET_SHARD_ATTEMPTS",
-         "sharded-router attempts per shard per lookup (default 2)"},
+         "sharded-router attempts per shard per lookup (default 2)", 1, 16},
     };
     return kTable;
 }
 
-const char* GpudpfEnv(const char* name) {
+namespace {
+
+const GpudpfEnvVar& FindGpudpfEnvVar(const char* name) {
     for (const GpudpfEnvVar& var : GpudpfEnvTable()) {
-        if (std::strcmp(var.name, name) == 0) return std::getenv(name);
+        if (std::strcmp(var.name, name) == 0) return var;
     }
     throw std::logic_error(std::string("GpudpfEnv: unregistered knob '") +
                            name + "' — add it to GpudpfEnvTable()");
 }
 
+}  // namespace
+
+const char* GpudpfEnv(const char* name) {
+    return std::getenv(FindGpudpfEnvVar(name).name);
+}
+
 std::uint64_t GpudpfEnvU64(const char* name, std::uint64_t fallback) {
-    const char* value = GpudpfEnv(name);
-    if (value == nullptr || *value == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0') return fallback;
-    return static_cast<std::uint64_t>(parsed);
+    const GpudpfEnvVar& var = FindGpudpfEnvVar(name);
+    const char* value = std::getenv(name);
+    if (value == nullptr) return fallback;
+    // Digits only: strtoull alone would take a sign ("-1" wraps to
+    // 2^64 - 1) and leading blanks. An overflow saturates past every max.
+    const std::size_t len = std::strlen(value);
+    const unsigned long long parsed = std::strtoull(value, nullptr, 10);
+    if (len == 0 || std::strspn(value, "0123456789") != len ||
+        parsed < var.min || parsed > var.max) {
+        std::fprintf(stderr,
+                     "gpudpf: warning: %s='%s' is not an integer in "
+                     "[%llu, %llu]; using the default %llu\n",
+                     name, value, static_cast<unsigned long long>(var.min),
+                     static_cast<unsigned long long>(var.max),
+                     static_cast<unsigned long long>(fallback));
+        return fallback;
+    }
+    return parsed;
 }
 
 std::vector<std::string> UnrecognizedGpudpfEnv() {

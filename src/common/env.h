@@ -13,10 +13,13 @@
 //   GPUDPF_FORCE_SCALAR            1 = mask the CPU-feature probe
 //   GPUDPF_ACCUMULATE              scalar | avx2 | avx512
 //   GPUDPF_NUMA                    auto | on | off
-//   GPUDPF_NET_MAX_FRAME_MB        wire-frame payload cap, MiB (default 64)
-//   GPUDPF_NET_REQUEST_TIMEOUT_MS  router per-request timeout (default 10000)
-//   GPUDPF_NET_HEALTH_PERIOD_MS    router health-check period (default 100)
-//   GPUDPF_NET_SHARD_ATTEMPTS      sharded-router attempts/shard (default 2)
+//   GPUDPF_NET_MAX_FRAME_MB        frame payload cap MiB, [1, 4095] = 64
+//   GPUDPF_NET_REQUEST_TIMEOUT_MS  router request timeout, [1, 3600000] = 10000
+//   GPUDPF_NET_HEALTH_PERIOD_MS    router health period, [1, 3600000] = 100
+//   GPUDPF_NET_SHARD_ATTEMPTS      router attempts/shard, [1, 16] = 2
+//
+// A numeric knob ([min, max] = default) that is out of range or not a
+// plain decimal falls back to its default with a one-line warning.
 //
 // Thread-safety: the table is immutable static data; GpudpfEnv is a thin
 // std::getenv wrapper (same caveats: don't setenv concurrently);
@@ -33,6 +36,10 @@ namespace gpudpf {
 struct GpudpfEnvVar {
     const char* name;
     const char* description;
+    // Accepted [min, max] of a numeric knob (read with GpudpfEnvU64);
+    // both 0 for a string knob.
+    std::uint64_t min = 0;
+    std::uint64_t max = 0;
 };
 
 // Every knob the process reads, with its one-line doc.
@@ -42,8 +49,9 @@ const std::vector<GpudpfEnvVar>& GpudpfEnvTable();
 // name missing from the table, so a new knob cannot bypass the registry.
 const char* GpudpfEnv(const char* name);
 
-// Registered-knob getenv with an integer parse: returns `fallback` when the
-// variable is unset or does not parse as a non-negative integer.
+// Registered numeric knob's value: `fallback` when the variable is unset,
+// and `fallback` plus a stderr warning when it is not a plain decimal
+// within the knob's [min, max].
 std::uint64_t GpudpfEnvU64(const char* name, std::uint64_t fallback);
 
 // GPUDPF_*-prefixed environment variables that are NOT in the table —

@@ -1,40 +1,9 @@
 #include "src/common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 namespace gpudpf {
-
-void RunningStat::Add(double x) {
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    sum_ += x;
-    sum_sq_ += x * x;
-}
-
-double RunningStat::variance() const {
-    if (n_ == 0) return 0.0;
-    const double m = mean();
-    return sum_sq_ / static_cast<double>(n_) - m * m;
-}
-
-double RunningStat::stddev() const { return std::sqrt(std::max(0.0, variance())); }
-
-void ConcurrentStat::Add(double x) {
-    MutexLock lock(mu_);
-    stat_.Add(x);
-}
-
-RunningStat ConcurrentStat::Snapshot() const {
-    MutexLock lock(mu_);
-    return stat_;
-}
 
 double Percentile(std::vector<double> samples, double p) {
     if (samples.empty()) return 0.0;

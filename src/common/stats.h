@@ -5,50 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "src/common/mutex.h"
-#include "src/common/thread_annotations.h"
-
 namespace gpudpf {
-
-// Streaming summary of a scalar sample set.
-class RunningStat {
-  public:
-    void Add(double x);
-
-    std::size_t count() const { return n_; }
-    double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-    double min() const { return min_; }
-    double max() const { return max_; }
-    // Population variance / stddev.
-    double variance() const;
-    double stddev() const;
-
-  private:
-    std::size_t n_ = 0;
-    double sum_ = 0.0;
-    double sum_sq_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-// Thread-safe RunningStat: many producers Add() concurrently (e.g. pool
-// workers recording per-task latencies); Snapshot() returns a consistent
-// point-in-time copy. The locking contract is compiler-checked — the
-// wrapped stat is GPUDPF_GUARDED_BY(mu_), so an unlocked fast-path read
-// (the classic stats-counter race) cannot compile under Clang
-// -Wthread-safety.
-class ConcurrentStat {
-  public:
-    void Add(double x) GPUDPF_EXCLUDES(mu_);
-
-    // Consistent copy of the whole summary; prefer this over per-field
-    // getters, which would each be consistent alone but torn together.
-    RunningStat Snapshot() const GPUDPF_EXCLUDES(mu_);
-
-  private:
-    mutable Mutex mu_;
-    RunningStat stat_ GPUDPF_GUARDED_BY(mu_);
-};
 
 // Percentile of an (unsorted) sample vector; p in [0,100].
 double Percentile(std::vector<double> samples, double p);

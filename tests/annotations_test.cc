@@ -4,8 +4,8 @@
 // (and the annotations_compile_fail_test smoke test proves the warning
 // fires); these tests pin the runtime semantics the wrappers must preserve
 // over the std primitives they wrap: mutual exclusion, condition-variable
-// wake-ups, timed waits, and the ConcurrentStat snapshot contract — all
-// under real pool concurrency so the TSan CI leg exercises them too.
+// wake-ups and timed waits — all under real pool concurrency so the TSan
+// CI leg exercises them too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/common/mutex.h"
-#include "src/common/stats.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/thread_pool.h"
 
@@ -80,42 +79,6 @@ TEST(CondVarTest, WaitUntilTimesOut) {
         if (cv.WaitUntil(mu, deadline) == std::cv_status::timeout) break;
     }
     EXPECT_GE(std::chrono::steady_clock::now(), deadline);
-}
-
-TEST(ConcurrentStatTest, AddsFromPoolWorkersAreAllCounted) {
-    ThreadPool pool(4);
-    ConcurrentStat stat;
-    constexpr int kTasks = 64;
-    constexpr int kAddsPerTask = 250;
-    for (int t = 0; t < kTasks; ++t) {
-        pool.Submit([&stat] {
-            for (int i = 0; i < kAddsPerTask; ++i) stat.Add(1.0);
-        });
-    }
-    pool.Wait();
-    const RunningStat snap = stat.Snapshot();
-    EXPECT_EQ(snap.count(),
-              static_cast<std::size_t>(kTasks) * kAddsPerTask);
-    EXPECT_DOUBLE_EQ(snap.mean(), 1.0);
-    EXPECT_DOUBLE_EQ(snap.min(), 1.0);
-    EXPECT_DOUBLE_EQ(snap.max(), 1.0);
-}
-
-TEST(ConcurrentStatTest, SnapshotIsConsistentWhileWritersRun) {
-    // Snapshot() must return an internally consistent RunningStat even
-    // mid-stream: with every sample equal to 2.0, any torn combination of
-    // n/sum would show up as mean != 2.0.
-    ConcurrentStat stat;
-    std::atomic<bool> stop{false};
-    std::thread writer([&] {
-        while (!stop.load(std::memory_order_acquire)) stat.Add(2.0);
-    });
-    for (int i = 0; i < 5000; ++i) {
-        const RunningStat snap = stat.Snapshot();
-        if (snap.count() > 0) EXPECT_DOUBLE_EQ(snap.mean(), 2.0);
-    }
-    stop.store(true, std::memory_order_release);
-    writer.join();
 }
 
 }  // namespace

@@ -99,10 +99,16 @@ TEST(RngTest, UniformDoubleInUnitInterval) {
 
 TEST(RngTest, NormalMoments) {
     Rng rng(6);
-    RunningStat stat;
-    for (int i = 0; i < 50000; ++i) stat.Add(rng.Normal());
-    EXPECT_NEAR(stat.mean(), 0.0, 0.03);
-    EXPECT_NEAR(stat.stddev(), 1.0, 0.03);
+    constexpr int kSamples = 50000;
+    double sum = 0.0, sum_sq = 0.0;
+    for (int i = 0; i < kSamples; ++i) {
+        const double x = rng.Normal();
+        sum += x;
+        sum_sq += x * x;
+    }
+    const double mean = sum / kSamples;
+    EXPECT_NEAR(mean, 0.0, 0.03);
+    EXPECT_NEAR(std::sqrt(sum_sq / kSamples - mean * mean), 1.0, 0.03);
 }
 
 TEST(RngTest, FillBytesExactLength) {
@@ -323,16 +329,6 @@ TEST(ThreadPoolTest, BatchTasksDoNotStarveUnderInteractiveLoad) {
     EXPECT_EQ(batch.load(), 128);
 }
 
-TEST(StatsTest, RunningStatBasics) {
-    RunningStat s;
-    for (double x : {1.0, 2.0, 3.0, 4.0}) s.Add(x);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-    EXPECT_NEAR(s.variance(), 1.25, 1e-12);
-}
-
 TEST(StatsTest, PercentileInterpolates) {
     std::vector<double> v{10, 20, 30, 40, 50};
     EXPECT_DOUBLE_EQ(Percentile(v, 0), 10);
@@ -362,17 +358,17 @@ TEST(TablePrinterTest, RejectsArityMismatch) {
 TEST(EnvRegistryTest, TableDocumentsEveryKnob) {
     const auto& table = GpudpfEnvTable();
     ASSERT_FALSE(table.empty());
-    bool has_kernel = false, has_net = false;
+    bool kernel_listed = false, net_listed = false;
     for (const auto& var : table) {
         EXPECT_EQ(std::string(var.name).rfind("GPUDPF_", 0), 0u) << var.name;
         EXPECT_NE(var.description[0], '\0') << var.name;
-        if (std::string(var.name) == "GPUDPF_CPU_KERNEL") has_kernel = true;
+        if (std::string(var.name) == "GPUDPF_CPU_KERNEL") kernel_listed = true;
         if (std::string(var.name) == "GPUDPF_NET_REQUEST_TIMEOUT_MS") {
-            has_net = true;
+            net_listed = true;
         }
     }
-    EXPECT_TRUE(has_kernel);
-    EXPECT_TRUE(has_net);
+    EXPECT_TRUE(kernel_listed);
+    EXPECT_TRUE(net_listed);
 }
 
 TEST(EnvRegistryTest, RejectsUnregisteredName) {
@@ -392,6 +388,43 @@ TEST(EnvRegistryTest, U64ParseAndFallback) {
     ::setenv("GPUDPF_NET_HEALTH_PERIOD_MS", "not-a-number", 1);
     EXPECT_EQ(GpudpfEnvU64("GPUDPF_NET_HEALTH_PERIOD_MS", 250), 250u);
     ::unsetenv("GPUDPF_NET_HEALTH_PERIOD_MS");
+
+    // Values the net tier cannot use (a sign or a value past INT_MAX would
+    // be a negative poll timeout, zero a busy health loop, a cap whose
+    // << 20 overflows a zero frame cap), plus blanks, empties and trailing
+    // garbage. Each falls back to the default with a warning.
+    const struct {
+        const char* name;
+        const char* value;
+        std::uint64_t fallback;
+    } kRejected[] = {
+        {"GPUDPF_NET_REQUEST_TIMEOUT_MS", "-1", 10'000},
+        {"GPUDPF_NET_REQUEST_TIMEOUT_MS", "0", 10'000},
+        {"GPUDPF_NET_REQUEST_TIMEOUT_MS", "3000000000", 10'000},
+        {"GPUDPF_NET_REQUEST_TIMEOUT_MS", "+5", 10'000},
+        {"GPUDPF_NET_REQUEST_TIMEOUT_MS", " 5", 10'000},
+        {"GPUDPF_NET_REQUEST_TIMEOUT_MS", "5ms", 10'000},
+        {"GPUDPF_NET_REQUEST_TIMEOUT_MS", "", 10'000},
+        {"GPUDPF_NET_HEALTH_PERIOD_MS", "0", 100},
+        {"GPUDPF_NET_MAX_FRAME_MB", "17592186044416", 64},
+        {"GPUDPF_NET_MAX_FRAME_MB", "99999999999999999999999", 64},
+        {"GPUDPF_NET_SHARD_ATTEMPTS", "0", 2},
+    };
+    for (const auto& c : kRejected) {
+        ::setenv(c.name, c.value, 1);
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(GpudpfEnvU64(c.name, c.fallback), c.fallback)
+            << c.name << "='" << c.value << "'";
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(c.name),
+                  std::string::npos)
+            << "no warning for " << c.name << "='" << c.value << "'";
+        ::unsetenv(c.name);
+    }
+    // The range's upper end is accepted.
+    ::setenv("GPUDPF_NET_REQUEST_TIMEOUT_MS", "3600000", 1);
+    EXPECT_EQ(GpudpfEnvU64("GPUDPF_NET_REQUEST_TIMEOUT_MS", 10'000),
+              3'600'000u);
+    ::unsetenv("GPUDPF_NET_REQUEST_TIMEOUT_MS");
 }
 
 TEST(EnvRegistryTest, FlagsUnrecognizedGpudpfVariables) {

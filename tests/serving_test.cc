@@ -12,6 +12,7 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -561,12 +562,13 @@ TEST(RequestHandleTest, MidBatchExpirySkipsRemainingShardWork) {
     }
 }
 
-// Cancel-heavy concurrent load across both shard placements: half the
-// requests are cancelled right after their first partial while the rest
-// must remain bit-identical to the serialized sequential reference. This
-// is the racy companion of the deterministic skip tests above — statuses
-// must be exact (a true Cancel() means kCancelled), nothing may hang, and
-// no cancellation may leak into a survivor's bytes.
+// Cancel-heavy concurrent load across both shard placements, with the
+// engine-level skip of abandoned work on and off: half the requests are
+// cancelled right after their first partial while the rest must remain
+// bit-identical to the serialized sequential reference. This is the racy
+// companion of the deterministic skip tests above — statuses must be exact
+// (a true Cancel() means kCancelled), nothing may hang, and no
+// cancellation may leak into a survivor's bytes.
 TEST(RequestHandleTest, CancelHeavyLoadKeepsSurvivorsBitIdentical) {
     constexpr std::size_t kClients = 4;
     constexpr std::size_t kLookups = 4;
@@ -596,48 +598,53 @@ TEST(RequestHandleTest, CancelHeavyLoadKeepsSurvivorsBitIdentical) {
         }
     }
 
-    for (const ShardPlacement placement :
-         {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-        SCOPED_TRACE(ShardPlacementName(placement));
-        ServiceConfig config = BaseConfig();
-        config.server_shards = 3;
-        config.server_threads = 4;
-        config.shard_placement = placement;
-        config.batcher_linger_us = 300;
-        ServingWorld world(config);
-        std::vector<std::unique_ptr<PrivateEmbeddingService::Client>> clients;
-        for (std::size_t c = 0; c < kClients; ++c) {
-            clients.push_back(world.service->MakeClient());
-        }
-        std::vector<std::thread> threads;
-        for (std::size_t c = 0; c < kClients; ++c) {
-            threads.emplace_back([&, c] {
-                for (std::size_t l = 0; l < kLookups; ++l) {
-                    auto handle =
-                        world.service->front_end().SubmitRequestOrWait(
-                            {clients[c].get(), wanted[c][l]});
-                    ASSERT_TRUE(handle.ok());
-                    if (is_victim(c, l)) {
-                        TablePartial partial;
-                        handle.WaitPartial(&partial);
-                        const bool won = handle.Cancel();
-                        handle.Wait();
-                        if (won) {
-                            EXPECT_EQ(handle.status(),
-                                      RequestStatus::kCancelled);
+    for (const bool skip : {true, false}) {
+        for (const ShardPlacement placement :
+             {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
+            SCOPED_TRACE(std::string(ShardPlacementName(placement)) +
+                         (skip ? " skip" : " no-skip"));
+            ServiceConfig config = BaseConfig();
+            config.server_shards = 3;
+            config.server_threads = 4;
+            config.shard_placement = placement;
+            config.batcher_linger_us = 300;
+            config.skip_abandoned_work = skip;
+            ServingWorld world(config);
+            std::vector<std::unique_ptr<PrivateEmbeddingService::Client>>
+                clients;
+            for (std::size_t c = 0; c < kClients; ++c) {
+                clients.push_back(world.service->MakeClient());
+            }
+            std::vector<std::thread> threads;
+            for (std::size_t c = 0; c < kClients; ++c) {
+                threads.emplace_back([&, c] {
+                    for (std::size_t l = 0; l < kLookups; ++l) {
+                        auto handle =
+                            world.service->front_end().SubmitRequestOrWait(
+                                {clients[c].get(), wanted[c][l]});
+                        ASSERT_TRUE(handle.ok());
+                        if (is_victim(c, l)) {
+                            TablePartial partial;
+                            handle.WaitPartial(&partial);
+                            const bool won = handle.Cancel();
+                            handle.Wait();
+                            if (won) {
+                                EXPECT_EQ(handle.status(),
+                                          RequestStatus::kCancelled);
+                            } else {
+                                EXPECT_EQ(handle.status(),
+                                          RequestStatus::kComplete);
+                            }
                         } else {
-                            EXPECT_EQ(handle.status(),
-                                      RequestStatus::kComplete);
+                            ExpectSameResult(handle.Result(), ref[c][l], c, l);
                         }
-                    } else {
-                        ExpectSameResult(handle.Result(), ref[c][l], c, l);
                     }
-                }
-            });
+                });
+            }
+            for (auto& t : threads) t.join();
+            world.service->front_end().Shutdown();
+            EXPECT_EQ(world.service->front_end().inflight(), 0u);
         }
-        for (auto& t : threads) t.join();
-        world.service->front_end().Shutdown();
-        EXPECT_EQ(world.service->front_end().inflight(), 0u);
     }
 }
 

@@ -170,37 +170,52 @@ TEST(TiledLayoutTest, BitIdenticalToRowMajorAcrossShardsAndBatches) {
     // row-major for shards {1,3,8} x batch {1,4,32}, under both placement
     // policies. Both tables are filled from the same seed, so their
     // logical rows are identical; responses must match word for word.
-    Rng rng_a(48);
-    Rng rng_b(48);
-    const std::uint64_t n = 700;  // spans several tiles at 208 B/row
-    PirTable row_major(n, 208, TableLayout::kRowMajor);
-    PirTable tiled(n, 208, TableLayout::kTiled);
-    row_major.FillRandom(rng_a);
-    tiled.FillRandom(rng_b);
-    PirClient client(10, PrfKind::kChacha20, /*seed=*/15);
-    ThreadPool pool(4);
+    // Two shapes: 700 x 208 B spans a few tiles; 2^14 x 256 B (4 MiB) is
+    // large enough for the 2 MiB-aligned, MADV_HUGEPAGE allocation.
+    struct Shape {
+        int log_domain;
+        std::uint64_t n;
+        std::size_t entry_bytes;
+    };
+    for (const Shape shape : {Shape{10, 700, 208}, Shape{14, 1 << 14, 256}}) {
+        const std::uint64_t n = shape.n;
+        Rng rng_a(48);
+        Rng rng_b(48);
+        PirTable row_major(n, shape.entry_bytes, TableLayout::kRowMajor);
+        PirTable tiled(n, shape.entry_bytes, TableLayout::kTiled);
+        row_major.FillRandom(rng_a);
+        tiled.FillRandom(rng_b);
+        if (tiled.size_bytes() >= (std::size_t{2} << 20)) {
+            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(tiled.Entry(0)) %
+                          (std::uintptr_t{2} << 20),
+                      0u);
+        }
+        PirClient client(shape.log_domain, PrfKind::kChacha20, /*seed=*/15);
+        ThreadPool pool(4);
 
-    for (const std::size_t shards : kShardCounts) {
-        for (const std::size_t batch : kBatchSizes) {
-            std::vector<std::vector<std::uint8_t>> keys;
-            for (std::size_t i = 0; i < batch; ++i) {
-                keys.push_back(
-                    client.Query((i * 131) % n).key_for_server0);
-            }
-            PirServer reference(&row_major,
-                                ShardingOptions{shards, &pool});
-            const auto expected = reference.BatchAnswer(keys);
-            for (const ShardPlacement placement :
-                 {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-                PirServer server(
-                    &tiled, ShardingOptions{shards, &pool, placement});
-                const auto responses = server.BatchAnswer(keys);
-                ASSERT_EQ(responses.size(), batch);
+        for (const std::size_t shards : kShardCounts) {
+            for (const std::size_t batch : kBatchSizes) {
+                std::vector<std::vector<std::uint8_t>> keys;
                 for (std::size_t i = 0; i < batch; ++i) {
-                    EXPECT_EQ(responses[i], expected[i])
-                        << "shards=" << shards << " batch=" << batch
-                        << " placement="
-                        << ShardPlacementName(placement) << " query=" << i;
+                    keys.push_back(
+                        client.Query((i * 131) % n).key_for_server0);
+                }
+                PirServer reference(&row_major,
+                                    ShardingOptions{shards, &pool});
+                const auto expected = reference.BatchAnswer(keys);
+                for (const ShardPlacement placement :
+                     {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
+                    PirServer server(
+                        &tiled, ShardingOptions{shards, &pool, placement});
+                    const auto responses = server.BatchAnswer(keys);
+                    ASSERT_EQ(responses.size(), batch);
+                    for (std::size_t i = 0; i < batch; ++i) {
+                        EXPECT_EQ(responses[i], expected[i])
+                            << "n=" << n << " shards=" << shards
+                            << " batch=" << batch << " placement="
+                            << ShardPlacementName(placement)
+                            << " query=" << i;
+                    }
                 }
             }
         }
