@@ -3,6 +3,8 @@
 // numbers.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/crypto/aes128.h"
 #include "src/crypto/chacha20.h"
@@ -71,6 +73,29 @@ void BM_PrgExpand(benchmark::State& state) {
     state.SetLabel(PrfKindName(static_cast<PrfKind>(state.range(0))));
 }
 BENCHMARK(BM_PrgExpand)->DenseRange(0, 4, 1);
+
+// One DPF tree level of 1024 nodes through Prg::ExpandBatch on the widest
+// path the host allows: AES-NI for AES-128, the 16- or 8-lane kernel for
+// ChaCha20. Items are node expansions.
+void BM_PrgExpandBatch(benchmark::State& state) {
+    constexpr std::size_t kSeeds = 1024;
+    const auto kind = static_cast<PrfKind>(state.range(0));
+    const Prg prg(kind);
+    Rng rng(9);
+    std::vector<u128> seeds(kSeeds), lefts(kSeeds), rights(kSeeds);
+    for (auto& s : seeds) s = rng.Next128();
+    for (auto _ : state) {
+        prg.ExpandBatch(seeds.data(), kSeeds, lefts.data(), rights.data());
+        seeds.swap(lefts);
+        benchmark::DoNotOptimize(seeds.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kSeeds));
+    state.SetLabel(PrfKindName(kind));
+}
+BENCHMARK(BM_PrgExpandBatch)
+    ->Arg(static_cast<int>(PrfKind::kChacha20))
+    ->Arg(static_cast<int>(PrfKind::kAes128));
 
 }  // namespace
 }  // namespace gpudpf

@@ -99,9 +99,10 @@ run_scenario() { # $1 = name, $2 = shards, $3 = replicas per shard, $4 = victim 
 
     echo "-- kill-one: SIGKILL node $victim mid-run --"
     # The bench touches the ready file right before the routed load
-    # starts, so the SIGKILL deterministically lands mid-run; the victim's
+    # starts, and the load (6 x 1000 lookups, over a second at 5,000 q/s)
+    # outlasts the 0.3 s wait, so the SIGKILL lands mid-run; the victim's
     # shard fails over to a sibling replica and every request completes.
-    "$BENCH_BIN" 6 200 --connect="$endpoints" --json="$json" \
+    "$BENCH_BIN" 6 1000 --connect="$endpoints" --json="$json" \
         --ready-file="$WORK_DIR/ready" > "$WORK_DIR/killone.log" 2>&1 &
     local bench_pid=$!
     for _ in $(seq 1 300); do

@@ -22,11 +22,15 @@ PbrSession::Request PbrSession::BuildRequest(const Pbr::Plan& plan) {
     if (plan.queries.size() != pbr_->num_bins()) {
         throw std::invalid_argument("PbrSession: plan/bin count mismatch");
     }
+    // Every bin's keys in one level-synchronous pass: each tree level
+    // expands all bins' seeds through one batched PRG call.
+    std::vector<std::uint64_t> alphas;
+    alphas.reserve(plan.queries.size());
+    for (const auto& q : plan.queries) alphas.push_back(q.local_index);
     Request req;
-    req.keys_for_server0.reserve(plan.queries.size());
-    req.keys_for_server1.reserve(plan.queries.size());
-    for (const auto& q : plan.queries) {
-        auto [k0, k1] = bin_dpf_.GenIndicator(q.local_index, rng_);
+    req.keys_for_server0.reserve(alphas.size());
+    req.keys_for_server1.reserve(alphas.size());
+    for (const auto& [k0, k1] : bin_dpf_.GenIndicatorBatch(alphas, rng_)) {
         req.keys_for_server0.push_back(k0.Serialize());
         req.keys_for_server1.push_back(k1.Serialize());
     }

@@ -1,11 +1,12 @@
 // Runtime CPU feature detection for the SIMD kernel paths.
 //
-// The serving hot loop picks its PRG backend (AES-NI vs the table-based
-// software AES) and its default CPU kernel at process start from these
-// probes. GPUDPF_FORCE_SCALAR=1 masks every SIMD feature, so the scalar
-// fallback paths can be exercised on hardware that would otherwise never
-// take them (the CI forced-scalar leg); the raw probe results stay visible
-// through the `forced_scalar` flag for logging.
+// The serving hot loop picks its PRG backends (AES-NI vs the table-based
+// software AES; the 16-/8-lane ChaCha20 kernels vs the scalar block) and
+// its default accumulator ISA at process start from these probes.
+// GPUDPF_FORCE_SCALAR=1 masks every SIMD feature, so the scalar fallback
+// paths can be exercised on hardware that would otherwise never take them
+// (the CI forced-scalar leg); the raw probe results stay visible through
+// the `forced_scalar` flag for logging.
 #pragma once
 
 #include <string>

@@ -17,7 +17,8 @@ const std::vector<GpudpfEnvVar>& GpudpfEnvTable() {
         {"GPUDPF_CPU_KERNEL",
          "process-default CPU kernel: scalar | multiquery_tile"},
         {"GPUDPF_FORCE_SCALAR",
-         "1 = mask the CPU-feature probe (software AES, scalar accumulate)"},
+         "1 = mask the CPU-feature probe (software AES, scalar ChaCha20 and "
+         "accumulate)"},
         {"GPUDPF_ACCUMULATE",
          "process-default mat-vec accumulator ISA: scalar | avx2 | avx512"},
         {"GPUDPF_NUMA",

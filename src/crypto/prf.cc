@@ -19,6 +19,13 @@ const std::vector<PrfKind>& AllPrfKinds() {
     return kKinds;
 }
 
+bool IsPrfKind(int value) {
+    for (PrfKind kind : AllPrfKinds()) {
+        if (static_cast<int>(kind) == value) return true;
+    }
+    return false;
+}
+
 const char* PrfKindName(PrfKind kind) {
     switch (kind) {
         case PrfKind::kAes128: return "AES-128";

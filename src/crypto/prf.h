@@ -32,6 +32,10 @@ enum class PrfKind {
 // All supported kinds, in Table 5 order.
 const std::vector<PrfKind>& AllPrfKinds();
 
+// Whether `value` is the underlying value of a PrfKind — the check for a
+// kind read from an untrusted byte (a serialized key header).
+bool IsPrfKind(int value);
+
 // Human-readable name ("AES-128", "ChaCha20", ...).
 const char* PrfKindName(PrfKind kind);
 

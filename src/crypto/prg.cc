@@ -1,5 +1,8 @@
 #include "src/crypto/prg.h"
 
+#include <stdexcept>
+
+#include "src/common/cpuid.h"
 #include "src/crypto/chacha20.h"
 #include "src/crypto/highwayhash.h"
 #include "src/crypto/sha256.h"
@@ -33,12 +36,96 @@ u128 WordsToU128(const std::uint32_t w[4]) {
                     (static_cast<std::uint64_t>(w[1]) << 32) | w[0]);
 }
 
+// The ChaCha20 node expansion: both children from one block. The
+// multi-lane kernels compute exactly words 0-7 of this block per seed.
+void ChachaExpandOne(u128 seed, u128* left, u128* right) {
+    std::uint32_t key[8];
+    SeedToChachaKey(seed, key);
+    std::uint32_t out[16];
+    Chacha20Block(key, 0, kChachaDpfNonce, out);
+    *left = WordsToU128(out);
+    *right = WordsToU128(out + 4);
+}
+
+void ChachaExpandScalar(const u128* seeds, std::size_t n, u128* lefts,
+                        u128* rights) {
+    for (std::size_t i = 0; i < n; ++i) {
+        ChachaExpandOne(seeds[i], &lefts[i], &rights[i]);
+    }
+}
+
+// A multi-lane kernel over the batch, then the scalar path over its tail.
+template <std::size_t (*Kernel)(const u128*, std::size_t, u128*, u128*)>
+void ChachaExpandLanes(const u128* seeds, std::size_t n, u128* lefts,
+                       u128* rights) {
+    const std::size_t done = Kernel(seeds, n, lefts, rights);
+    ChachaExpandScalar(seeds + done, n - done, lefts + done, rights + done);
+}
+
 }  // namespace
 
-Prg::Prg(PrfKind kind) : kind_(kind) {
+const char* ChachaLanesName(ChachaLanes lanes) {
+    switch (lanes) {
+        case ChachaLanes::kScalar:
+            return "scalar";
+        case ChachaLanes::kAvx2:
+            return "avx2";
+        case ChachaLanes::kAvx512:
+            return "avx512";
+    }
+    return "unknown";
+}
+
+const std::vector<ChachaLanes>& AllChachaLanes() {
+    static const std::vector<ChachaLanes> lanes = {
+        ChachaLanes::kScalar, ChachaLanes::kAvx2, ChachaLanes::kAvx512};
+    return lanes;
+}
+
+bool ChachaLanesSupported(ChachaLanes lanes) {
+    switch (lanes) {
+        case ChachaLanes::kScalar:
+            return true;
+        case ChachaLanes::kAvx2:
+            return chacha_simd::Compiled() && GetCpuFeatures().avx2;
+        case ChachaLanes::kAvx512:
+            return chacha_simd::Compiled() && GetCpuFeatures().avx512f;
+    }
+    return false;
+}
+
+ChachaLanes WidestChachaLanes() {
+    if (ChachaLanesSupported(ChachaLanes::kAvx512)) return ChachaLanes::kAvx512;
+    if (ChachaLanesSupported(ChachaLanes::kAvx2)) return ChachaLanes::kAvx2;
+    return ChachaLanes::kScalar;
+}
+
+ChachaExpandFn GetChachaExpandFn(ChachaLanes lanes) {
+    if (!ChachaLanesSupported(lanes)) return nullptr;
+    switch (lanes) {
+        case ChachaLanes::kScalar:
+            return &ChachaExpandScalar;
+        case ChachaLanes::kAvx2:
+            return &ChachaExpandLanes<&chacha_simd::DpfExpandAvx2>;
+        case ChachaLanes::kAvx512:
+            return &ChachaExpandLanes<&chacha_simd::DpfExpandAvx512>;
+    }
+    return nullptr;
+}
+
+Prg::Prg(PrfKind kind, ChachaLanes lanes) : kind_(kind) {
+    if (!IsPrfKind(static_cast<int>(kind_))) {
+        throw std::invalid_argument("Prg: unknown PRF kind");
+    }
     if (kind_ == PrfKind::kAes128) {
         aes_left_ = std::make_unique<Aes128>(kLeftKey);
         aes_right_ = std::make_unique<Aes128>(kRightKey);
+    }
+    if (kind_ == PrfKind::kChacha20) {
+        chacha_expand_ = GetChachaExpandFn(lanes);
+        if (chacha_expand_ == nullptr) {
+            throw std::invalid_argument("Prg: ChaCha20 lane path unsupported");
+        }
     }
 }
 
@@ -48,16 +135,9 @@ void Prg::Expand(u128 seed, u128* left, u128* right) const {
             *left = aes_left_->Mmo(seed);
             *right = aes_right_->Mmo(seed);
             return;
-        case PrfKind::kChacha20: {
-            std::uint32_t key[8];
-            SeedToChachaKey(seed, key);
-            static const std::uint32_t kNonce[3] = {0x44504600u, 0, 0};  // "DPF"
-            std::uint32_t out[16];
-            Chacha20Block(key, 0, kNonce, out);
-            *left = WordsToU128(out);
-            *right = WordsToU128(out + 4);
+        case PrfKind::kChacha20:
+            ChachaExpandOne(seed, left, right);
             return;
-        }
         case PrfKind::kSipHash:
             *left = SipHashPrf(seed, kLeftKey);
             *right = SipHashPrf(seed, kRightKey);
@@ -87,6 +167,10 @@ void Prg::ExpandBatch(const u128* seeds, std::size_t n, u128* lefts,
                       u128* rights) const {
     if (kind_ == PrfKind::kAes128) {
         MmoExpandBatch(*aes_left_, *aes_right_, seeds, n, lefts, rights);
+        return;
+    }
+    if (kind_ == PrfKind::kChacha20) {
+        chacha_expand_(seeds, n, lefts, rights);
         return;
     }
     for (std::size_t i = 0; i < n; ++i) {

@@ -50,6 +50,10 @@ std::vector<std::uint8_t> DpfKey::Serialize() const {
 
 DpfKey DpfKey::Deserialize(const std::uint8_t* data, std::size_t len) {
     if (len < 20) throw std::invalid_argument("DpfKey: truncated buffer");
+    if (data[0] > 1) throw std::invalid_argument("DpfKey: party not 0 or 1");
+    if (!IsPrfKind(data[2])) {
+        throw std::invalid_argument("DpfKey: unknown PRF kind");
+    }
     DpfKey key;
     key.party = data[0];
     key.params.log_domain = data[1];
@@ -78,7 +82,8 @@ DpfKey DpfKey::Deserialize(const std::uint8_t* data, std::size_t len) {
     return key;
 }
 
-Dpf::Dpf(DpfParams params) : params_(params), prg_(params.prf) {
+Dpf::Dpf(DpfParams params, ChachaLanes lanes)
+    : params_(params), prg_(params.prf, lanes) {
     if (params_.log_domain < 1 || params_.log_domain > 40) {
         throw std::invalid_argument("Dpf: log_domain out of range");
     }
@@ -87,86 +92,112 @@ Dpf::Dpf(DpfParams params) : params_(params), prg_(params.prf) {
     }
 }
 
-std::pair<DpfKey, DpfKey> Dpf::Gen(std::uint64_t alpha,
-                                   const std::vector<u128>& beta,
-                                   Rng& rng) const {
-    if (alpha >= domain_size()) {
-        throw std::invalid_argument("Dpf::Gen: alpha outside domain");
+std::vector<std::pair<DpfKey, DpfKey>> Dpf::GenBatch(
+    const std::vector<std::uint64_t>& alphas, const std::vector<u128>& beta,
+    Rng& rng) const {
+    for (std::uint64_t alpha : alphas) {
+        if (alpha >= domain_size()) {
+            throw std::invalid_argument("Dpf::Gen: alpha outside domain");
+        }
     }
     if (beta.size() != static_cast<std::size_t>(params_.out_words)) {
         throw std::invalid_argument("Dpf::Gen: beta width mismatch");
     }
 
-    DpfKey k0;
-    DpfKey k1;
-    k0.party = 0;
-    k1.party = 1;
-    k0.params = k1.params = params_;
-    k0.root_seed = rng.Next128();
-    k1.root_seed = rng.Next128();
-    k0.cw.resize(params_.log_domain);
-    k1.cw.resize(params_.log_domain);
-
-    u128 s0 = k0.root_seed;
-    u128 s1 = k1.root_seed;
-    bool t0 = false;
-    bool t1 = true;
+    // Walk state of point i: party p's seed and control bit at [2i + p].
+    const std::size_t m = alphas.size();
+    std::vector<std::pair<DpfKey, DpfKey>> keys(m);
+    std::vector<u128> seeds(2 * m);
+    std::vector<u128> lefts(2 * m);
+    std::vector<u128> rights(2 * m);
+    std::vector<std::uint8_t> ts(2 * m);
+    for (std::size_t i = 0; i < m; ++i) {
+        auto& [k0, k1] = keys[i];
+        k0.party = 0;
+        k1.party = 1;
+        k0.params = k1.params = params_;
+        k0.root_seed = rng.Next128();
+        k1.root_seed = rng.Next128();
+        k0.cw.resize(params_.log_domain);
+        k1.cw.resize(params_.log_domain);
+        seeds[2 * i] = k0.root_seed;
+        seeds[2 * i + 1] = k1.root_seed;
+        ts[2 * i] = 0;
+        ts[2 * i + 1] = 1;
+    }
 
     const int n = params_.log_domain;
     for (int level = 0; level < n; ++level) {
-        const int bit = static_cast<int>((alpha >> (n - 1 - level)) & 1);
+        prg_.ExpandBatch(seeds.data(), 2 * m, lefts.data(), rights.data());
+        for (std::size_t i = 0; i < m; ++i) {
+            const int bit = static_cast<int>((alphas[i] >> (n - 1 - level)) & 1);
+            u128 s0l = lefts[2 * i], s0r = rights[2 * i];
+            u128 s1l = lefts[2 * i + 1], s1r = rights[2 * i + 1];
+            const bool t0l = Lsb(s0l), t0r = Lsb(s0r);
+            const bool t1l = Lsb(s1l), t1r = Lsb(s1r);
+            s0l = ClearLsb(s0l); s0r = ClearLsb(s0r);
+            s1l = ClearLsb(s1l); s1r = ClearLsb(s1r);
 
-        u128 s0l, s0r, s1l, s1r;
-        prg_.Expand(s0, &s0l, &s0r);
-        prg_.Expand(s1, &s1l, &s1r);
-        const bool t0l = Lsb(s0l), t0r = Lsb(s0r);
-        const bool t1l = Lsb(s1l), t1r = Lsb(s1r);
-        s0l = ClearLsb(s0l); s0r = ClearLsb(s0r);
-        s1l = ClearLsb(s1l); s1r = ClearLsb(s1r);
+            // The "lose" child (off the path to alpha) gets seeds that
+            // cancel; the "keep" child stays pseudorandom and diverging.
+            const u128 s_cw = (bit == 0) ? (s0r ^ s1r) : (s0l ^ s1l);
+            const bool t_cw_l = t0l ^ t1l ^ (bit == 1) ^ true;
+            const bool t_cw_r = t0r ^ t1r ^ (bit == 1);
 
-        // The "lose" child (off the path to alpha) gets seeds that cancel;
-        // the "keep" child stays pseudorandom and diverging.
-        const u128 s_cw = (bit == 0) ? (s0r ^ s1r) : (s0l ^ s1l);
-        const bool t_cw_l = t0l ^ t1l ^ (bit == 1) ^ true;
-        const bool t_cw_r = t0r ^ t1r ^ (bit == 1);
+            const CorrectionWord cw{s_cw, t_cw_l, t_cw_r};
+            keys[i].first.cw[level] = cw;
+            keys[i].second.cw[level] = cw;
 
-        CorrectionWord cw{s_cw, t_cw_l, t_cw_r};
-        k0.cw[level] = cw;
-        k1.cw[level] = cw;
+            const u128 s0_keep = (bit == 0) ? s0l : s0r;
+            const u128 s1_keep = (bit == 0) ? s1l : s1r;
+            const bool t0_keep = (bit == 0) ? t0l : t0r;
+            const bool t1_keep = (bit == 0) ? t1l : t1r;
+            const bool t_cw_keep = (bit == 0) ? t_cw_l : t_cw_r;
 
-        const u128 s0_keep = (bit == 0) ? s0l : s0r;
-        const u128 s1_keep = (bit == 0) ? s1l : s1r;
-        const bool t0_keep = (bit == 0) ? t0l : t0r;
-        const bool t1_keep = (bit == 0) ? t1l : t1r;
-        const bool t_cw_keep = (bit == 0) ? t_cw_l : t_cw_r;
-
-        s0 = t0 ? (s0_keep ^ s_cw) : s0_keep;
-        s1 = t1 ? (s1_keep ^ s_cw) : s1_keep;
-        t0 = t0_keep ^ (t0 && t_cw_keep);
-        t1 = t1_keep ^ (t1 && t_cw_keep);
+            const bool t0 = ts[2 * i] != 0;
+            const bool t1 = ts[2 * i + 1] != 0;
+            seeds[2 * i] = t0 ? (s0_keep ^ s_cw) : s0_keep;
+            seeds[2 * i + 1] = t1 ? (s1_keep ^ s_cw) : s1_keep;
+            ts[2 * i] = t0_keep ^ (t0 && t_cw_keep);
+            ts[2 * i + 1] = t1_keep ^ (t1 && t_cw_keep);
+        }
     }
 
     // Final output correction words: make the on-path leaf shares sum to
     // beta. Off-path leaves have identical (s, t) on both sides and cancel.
     std::vector<u128> conv0(params_.out_words);
     std::vector<u128> conv1(params_.out_words);
-    Convert(prg_, s0, conv0.data(), params_.out_words);
-    Convert(prg_, s1, conv1.data(), params_.out_words);
-    k0.final_cw.resize(params_.out_words);
-    for (int w = 0; w < params_.out_words; ++w) {
-        u128 cw = beta[w] - conv0[w] + conv1[w];
-        if (t1) cw = static_cast<u128>(0) - cw;  // (-1)^{t1}
-        k0.final_cw[w] = cw;
+    for (std::size_t i = 0; i < m; ++i) {
+        auto& [k0, k1] = keys[i];
+        Convert(prg_, seeds[2 * i], conv0.data(), params_.out_words);
+        Convert(prg_, seeds[2 * i + 1], conv1.data(), params_.out_words);
+        k0.final_cw.resize(params_.out_words);
+        for (int w = 0; w < params_.out_words; ++w) {
+            u128 cw = beta[w] - conv0[w] + conv1[w];
+            if (ts[2 * i + 1] != 0) cw = static_cast<u128>(0) - cw;  // (-1)^{t1}
+            k0.final_cw[w] = cw;
+        }
+        k1.final_cw = k0.final_cw;
     }
-    k1.final_cw = k0.final_cw;
-    return {std::move(k0), std::move(k1)};
+    return keys;
+}
+
+std::pair<DpfKey, DpfKey> Dpf::Gen(std::uint64_t alpha,
+                                   const std::vector<u128>& beta,
+                                   Rng& rng) const {
+    return std::move(GenBatch({alpha}, beta, rng)[0]);
 }
 
 std::pair<DpfKey, DpfKey> Dpf::GenIndicator(std::uint64_t alpha,
                                             Rng& rng) const {
+    return std::move(GenIndicatorBatch({alpha}, rng)[0]);
+}
+
+std::vector<std::pair<DpfKey, DpfKey>> Dpf::GenIndicatorBatch(
+    const std::vector<std::uint64_t>& alphas, Rng& rng) const {
     std::vector<u128> beta(params_.out_words, 0);
     beta[0] = 1;
-    return Gen(alpha, beta, rng);
+    return GenBatch(alphas, beta, rng);
 }
 
 Dpf::Node Dpf::Root(const DpfKey& key) const {

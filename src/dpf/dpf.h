@@ -53,12 +53,16 @@ struct DpfKey {
     // (Table 4 "Bytes" column).
     std::size_t SerializedSize() const;
     std::vector<std::uint8_t> Serialize() const;
+    // Parses untrusted bytes: throws std::invalid_argument on a bad length,
+    // a party byte other than 0/1, or a PRF byte outside PrfKind.
     static DpfKey Deserialize(const std::uint8_t* data, std::size_t len);
 };
 
 class Dpf {
   public:
-    explicit Dpf(DpfParams params);
+    // `lanes` pins the ChaCha20 ExpandBatch path (see Prg); the default is
+    // the widest the host allows. Every path yields the same bytes.
+    explicit Dpf(DpfParams params, ChachaLanes lanes = WidestChachaLanes());
 
     const DpfParams& params() const { return params_; }
     std::uint64_t domain_size() const {
@@ -66,14 +70,25 @@ class Dpf {
     }
     const Prg& prg() const { return prg_; }
 
-    // Generates the two keys for the point function alpha -> beta.
-    // beta.size() must equal params.out_words.
+    // Generates the two keys of each point function alphas[i] -> beta,
+    // level-synchronously: every tree level expands all 2n party seeds in
+    // one Prg::ExpandBatch call. Root seeds are drawn k0 then k1, point by
+    // point, so the keys and the Rng position afterwards equal n
+    // successive Gen calls. beta.size() must equal params.out_words; every
+    // alpha is checked before any seed is drawn.
+    std::vector<std::pair<DpfKey, DpfKey>> GenBatch(
+        const std::vector<std::uint64_t>& alphas,
+        const std::vector<u128>& beta, Rng& rng) const;
+
+    // GenBatch of one point.
     std::pair<DpfKey, DpfKey> Gen(std::uint64_t alpha,
                                   const std::vector<u128>& beta,
                                   Rng& rng) const;
 
     // Convenience: beta = (1, 0, ...) — the PIR indicator.
     std::pair<DpfKey, DpfKey> GenIndicator(std::uint64_t alpha, Rng& rng) const;
+    std::vector<std::pair<DpfKey, DpfKey>> GenIndicatorBatch(
+        const std::vector<std::uint64_t>& alphas, Rng& rng) const;
 
     // Evaluates the share at a single point x; out must hold out_words words.
     void EvalPoint(const DpfKey& key, std::uint64_t x, u128* out) const;

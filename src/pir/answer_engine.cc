@@ -26,8 +26,8 @@ void ValidateJob(const PirTable& table, const AnswerEngine::Job& job) {
     if (job.key == nullptr) {
         throw std::invalid_argument("AnswerEngine: null key in job");
     }
-    // Deserialize accepts any header bytes, so bound the declared params
-    // here: log_domain outside the Dpf's range would make the domain shift
+    // Deserialize checks only the party and PRF bytes, so bound the
+    // declared params here: log_domain outside the Dpf's range would make the domain shift
     // below undefined, and the mat-vec assumes one indicator share word per
     // leaf (wider outputs would mis-stride the point-major shares buffer).
     if (job.key->params.log_domain < 1 || job.key->params.log_domain > 40) {

@@ -365,13 +365,18 @@ TEST_P(PrgTest, ExpandWideDeterministicAndDistinct) {
     EXPECT_EQ(distinct.size(), 8u);
 }
 
+// Batch sizes around every lane width (8 AVX2, 16 AVX-512) and their
+// tails, plus the empty batch.
+const std::vector<size_t> kBatchSizes = {0, 1, 7, 8, 9, 15, 16, 17, 33, 1000};
+
 TEST_P(PrgTest, ExpandBatchMatchesScalarExpand) {
     // ExpandBatch is the SIMD-batched kernel entry point; whatever path it
-    // takes (AES-NI for kAes128, the scalar loop otherwise) it must equal
-    // per-seed Expand bit for bit, tails included.
+    // takes (AES-NI for kAes128, the widest ChaCha20 lane path, the scalar
+    // loop otherwise) it must equal per-seed Expand bit for bit, tails
+    // included.
     Prg prg(GetParam());
     Rng rng(19);
-    for (size_t n : {size_t{1}, size_t{5}, size_t{8}, size_t{37}}) {
+    for (size_t n : kBatchSizes) {
         std::vector<u128> seeds(n);
         for (auto& s : seeds) s = rng.Next128();
         std::vector<u128> lefts(n);
@@ -392,6 +397,57 @@ TEST_P(PrgTest, PrimitiveCallCount) {
         EXPECT_EQ(prg.PrimitiveCallsPerExpand(), 1);
     } else {
         EXPECT_EQ(prg.PrimitiveCallsPerExpand(), 2);
+    }
+}
+
+TEST(PrgKindTest, ConstructorRejectsUnknownKind) {
+    // A kind byte outside PrfKind (a corrupt key header) has no expansion;
+    // construction fails instead of leaving the children unwritten.
+    EXPECT_THROW(Prg(static_cast<PrfKind>(5)), std::invalid_argument);
+    EXPECT_THROW(Prg(static_cast<PrfKind>(255)), std::invalid_argument);
+    for (PrfKind kind : AllPrfKinds()) {
+        EXPECT_TRUE(IsPrfKind(static_cast<int>(kind)));
+        EXPECT_NO_THROW(Prg(kind, ChachaLanes::kScalar));
+    }
+    EXPECT_FALSE(IsPrfKind(-1));
+}
+
+// Every ChaCha20 lane width that is compiled in and supported (the vector
+// ones are skipped under GPUDPF_FORCE_SCALAR) equals scalar Expand bit for
+// bit, tails included, through the accessor and through a Prg pinned to it.
+TEST(ChachaLanesTest, EveryLaneWidthMatchesScalarExpand) {
+    const Prg scalar(PrfKind::kChacha20, ChachaLanes::kScalar);
+    EXPECT_NE(GetChachaExpandFn(ChachaLanes::kScalar), nullptr);
+    EXPECT_NE(GetChachaExpandFn(WidestChachaLanes()), nullptr);
+    for (ChachaLanes lanes : AllChachaLanes()) {
+        const ChachaExpandFn fn = GetChachaExpandFn(lanes);
+        if (!ChachaLanesSupported(lanes)) {
+            EXPECT_EQ(fn, nullptr) << ChachaLanesName(lanes);
+            EXPECT_THROW(Prg(PrfKind::kChacha20, lanes), std::invalid_argument);
+            continue;
+        }
+        ASSERT_NE(fn, nullptr) << ChachaLanesName(lanes);
+        const Prg pinned(PrfKind::kChacha20, lanes);
+        Rng rng(23);
+        for (size_t n : kBatchSizes) {
+            std::vector<u128> seeds(n);
+            for (auto& s : seeds) s = rng.Next128();
+            std::vector<u128> lefts(n, 0), rights(n, 0);
+            std::vector<u128> pinned_lefts(n, 0), pinned_rights(n, 0);
+            fn(seeds.data(), n, lefts.data(), rights.data());
+            pinned.ExpandBatch(seeds.data(), n, pinned_lefts.data(),
+                               pinned_rights.data());
+            for (size_t i = 0; i < n; ++i) {
+                u128 l, r;
+                scalar.Expand(seeds[i], &l, &r);
+                ASSERT_EQ(lefts[i], l) << ChachaLanesName(lanes) << " n "
+                                       << n << " seed " << i;
+                ASSERT_EQ(rights[i], r) << ChachaLanesName(lanes) << " n "
+                                        << n << " seed " << i;
+            }
+            EXPECT_EQ(pinned_lefts, lefts) << ChachaLanesName(lanes);
+            EXPECT_EQ(pinned_rights, rights) << ChachaLanesName(lanes);
+        }
     }
 }
 

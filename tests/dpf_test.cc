@@ -8,7 +8,10 @@
 #include <set>
 #include <tuple>
 
+#include "src/batchpir/pbr.h"
+#include "src/batchpir/pbr_session.h"
 #include "src/common/rng.h"
+#include "src/crypto/sha256.h"
 #include "src/dpf/dpf.h"
 
 namespace gpudpf {
@@ -59,6 +62,100 @@ TEST(DpfKeyTest, DeserializeRejectsGarbage) {
     wrong[1] = 12;  // log_domain = 12 requires a specific length
     EXPECT_THROW(DpfKey::Deserialize(wrong.data(), wrong.size()),
                  std::invalid_argument);
+
+    // A well-formed key with one corrupt header byte: a party other than
+    // 0/1, or a PRF byte outside PrfKind (which would otherwise reach
+    // Prg::Expand with no case for it).
+    Rng rng(3);
+    const Dpf dpf(DpfParams{6, PrfKind::kChacha20, 1});
+    const auto good = dpf.GenIndicator(9, rng).second.Serialize();
+    EXPECT_NO_THROW(DpfKey::Deserialize(good.data(), good.size()));
+    for (std::uint8_t party : {2, 3, 255}) {
+        auto bad = good;
+        bad[0] = party;
+        EXPECT_THROW(DpfKey::Deserialize(bad.data(), bad.size()),
+                     std::invalid_argument)
+            << "party " << int{party};
+    }
+    for (std::uint8_t prf : {5, 6, 127, 255}) {
+        auto bad = good;
+        bad[2] = prf;
+        EXPECT_THROW(DpfKey::Deserialize(bad.data(), bad.size()),
+                     std::invalid_argument)
+            << "prf " << int{prf};
+    }
+    for (PrfKind kind : AllPrfKinds()) {
+        auto ok = good;
+        ok[2] = static_cast<std::uint8_t>(kind);
+        EXPECT_EQ(DpfKey::Deserialize(ok.data(), ok.size()).params.prf, kind);
+    }
+}
+
+// --- Level-synchronous key generation ----------------------------------------
+
+TEST(DpfGenBatchTest, ByteIdenticalToPerKeyGen) {
+    // One GenBatch over n points equals n successive Gen calls from the
+    // same Rng seed: every key byte, and the Rng's next draw afterwards.
+    for (PrfKind prf : {PrfKind::kChacha20, PrfKind::kAes128}) {
+        for (int log_domain : {1, 6, 11, 20}) {
+            for (std::size_t n : {0u, 1u, 17u, 84u}) {
+                const Dpf dpf(DpfParams{log_domain, prf, 1});
+                Rng alpha_rng(500 + n);
+                std::vector<std::uint64_t> alphas(n);
+                for (auto& a : alphas) {
+                    a = alpha_rng.Next64() % dpf.domain_size();
+                }
+                Rng batch_rng(77);
+                Rng single_rng(77);
+                const auto batch = dpf.GenIndicatorBatch(alphas, batch_rng);
+                ASSERT_EQ(batch.size(), n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    const auto single =
+                        dpf.GenIndicator(alphas[i], single_rng);
+                    ASSERT_EQ(batch[i].first.Serialize(),
+                              single.first.Serialize())
+                        << PrfKindName(prf) << " n=" << log_domain
+                        << " key " << i << " of " << n;
+                    ASSERT_EQ(batch[i].second.Serialize(),
+                              single.second.Serialize())
+                        << PrfKindName(prf) << " n=" << log_domain
+                        << " key " << i << " of " << n;
+                }
+                EXPECT_EQ(batch_rng.Next128(), single_rng.Next128())
+                    << PrfKindName(prf) << " n=" << log_domain << " of " << n;
+            }
+        }
+    }
+}
+
+TEST(DpfGenBatchTest, WideBetaSharesSumToBetaAtEveryAlpha) {
+    const Dpf dpf(DpfParams{7, PrfKind::kChacha20, 3});
+    const std::vector<u128> beta = {MakeU128(1, 2), 0, ~static_cast<u128>(0)};
+    const std::vector<std::uint64_t> alphas = {0, 127, 64, 64, 5};
+    Rng rng(8);
+    const auto keys = dpf.GenBatch(alphas, beta, rng);
+    ASSERT_EQ(keys.size(), alphas.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        for (std::uint64_t x : {alphas[i], (alphas[i] + 1) % 128}) {
+            u128 a[3];
+            u128 b[3];
+            dpf.EvalPoint(keys[i].first, x, a);
+            dpf.EvalPoint(keys[i].second, x, b);
+            for (int w = 0; w < 3; ++w) {
+                EXPECT_EQ(a[w] + b[w], x == alphas[i] ? beta[w] : 0)
+                    << "key " << i << " x " << x << " word " << w;
+            }
+        }
+    }
+}
+
+TEST(DpfGenBatchTest, RejectsBadAlphaBeforeDrawingSeeds) {
+    const Dpf dpf(DpfParams{4, PrfKind::kChacha20, 1});
+    Rng rng(9);
+    Rng untouched(9);
+    EXPECT_THROW(dpf.GenIndicatorBatch({1, 2, 16}, rng), std::invalid_argument);
+    EXPECT_THROW(dpf.GenBatch({1}, {1, 2}, rng), std::invalid_argument);
+    EXPECT_EQ(rng.Next128(), untouched.Next128());
 }
 
 TEST(DpfTest, RejectsBadParams) {
@@ -283,16 +380,29 @@ TEST(DpfNodePrimitivesTest, RootEncodesParty) {
 
 TEST(DpfEvalRangeBatchedTest, MatchesDfsEvalRangeAcrossSeedsAndLevels) {
     // The frontier walk feeds the whole level through one Prg::ExpandBatch
-    // (the AES-NI pipeline for kAes128); the correction-word application is
-    // untouched, so the leaves must equal the pruned-DFS EvalRange bit for
-    // bit — every PRF, tree depth, output width, party, and subrange,
-    // including single-leaf ranges and ranges touching the domain edges.
-    for (PrfKind prf :
-         {PrfKind::kAes128, PrfKind::kChacha20, PrfKind::kSipHash}) {
+    // (the AES-NI pipeline for kAes128, each supported lane width for
+    // kChaCha20); the correction-word application is untouched, so the
+    // leaves must equal the pruned-DFS EvalRange bit for bit — every PRF,
+    // tree depth, output width, party, and subrange, including single-leaf
+    // ranges and ranges touching the domain edges.
+    struct Config {
+        PrfKind prf;
+        ChachaLanes lanes;
+    };
+    std::vector<Config> configs = {{PrfKind::kAes128, ChachaLanes::kScalar},
+                                   {PrfKind::kSipHash, ChachaLanes::kScalar}};
+    for (ChachaLanes lanes : AllChachaLanes()) {
+        if (ChachaLanesSupported(lanes)) {
+            configs.push_back({PrfKind::kChacha20, lanes});
+        }
+    }
+    for (const Config& config : configs) {
+        const PrfKind prf = config.prf;
         for (int log_domain : {1, 2, 5, 10, 13}) {
-            for (std::uint32_t out_words : {1u, 3u}) {
+            for (int out_words : {1, 3}) {
                 Rng rng(1000 + log_domain);
-                const Dpf dpf(DpfParams{log_domain, prf, out_words});
+                const Dpf dpf(DpfParams{log_domain, prf, out_words},
+                              config.lanes);
                 const std::uint64_t domain = std::uint64_t{1} << log_domain;
                 auto [k0, k1] =
                     dpf.GenIndicator(rng.Next64() % domain, rng);
@@ -310,7 +420,9 @@ TEST(DpfEvalRangeBatchedTest, MatchesDfsEvalRangeAcrossSeedsAndLevels) {
                         dpf.EvalRangeBatched(*key, begin, end, got.data(),
                                              &scratch);
                         ASSERT_EQ(got, ref)
-                            << PrfKindName(prf) << " n=" << log_domain
+                            << PrfKindName(prf) << "/"
+                            << ChachaLanesName(config.lanes)
+                            << " n=" << log_domain
                             << " w=" << out_words << " [" << begin << ","
                             << end << ") party " << key->party;
                     }
@@ -318,6 +430,46 @@ TEST(DpfEvalRangeBatchedTest, MatchesDfsEvalRangeAcrossSeedsAndLevels) {
             }
         }
     }
+}
+
+// --- Key bytes pinned across key-generation changes ---------------------------
+
+std::string HexDigest(const Sha256Digest& d) {
+    static const char kHex[] = "0123456789abcdef";
+    std::string out;
+    for (std::uint8_t b : d) {
+        out.push_back(kHex[b >> 4]);
+        out.push_back(kHex[b & 15]);
+    }
+    return out;
+}
+
+TEST(DpfGoldenKeysTest, MovielensShapedRequestBytesArePinned) {
+    // The movielens serving geometry: a 27,000-row full table in 24 bins
+    // (bin domain 2^11) and a 2,700-row hot table in 60 bins (2^6), keys
+    // under ChaCha20 from one fixed client seed, 84 bins x 2 servers. The
+    // digest was taken from the one-key-at-a-time generator; any change
+    // to the key bytes, their order, or the client Rng stream moves it.
+    Sha256Ctx ctx;
+    Rng plan_rng(101);
+    const Pbr full(27'000, 1'125);
+    const Pbr hot(2'700, 45);
+    std::vector<std::uint64_t> wanted;
+    for (std::uint64_t i = 0; i < 70; ++i) wanted.push_back(i * 383 % 27'000);
+    for (const Pbr* pbr : {&full, &hot}) {
+        PbrSession session(pbr, PrfKind::kChacha20, /*client_seed=*/101);
+        std::vector<std::uint64_t> local;
+        for (std::uint64_t w : wanted) local.push_back(w % pbr->num_entries());
+        for (int lookup = 0; lookup < 3; ++lookup) {
+            const auto req =
+                session.BuildRequest(pbr->PlanBatch(local, plan_rng));
+            for (const auto* keys :
+                 {&req.keys_for_server0, &req.keys_for_server1}) {
+                for (const auto& k : *keys) ctx.Update(k.data(), k.size());
+            }
+        }
+    }
+    EXPECT_EQ(HexDigest(ctx.Finish()), "ae4ae0e9fb24bc12b04cb3da87ecb5c3dbb0797a948eae694bc721b0da5d259f");
 }
 
 }  // namespace

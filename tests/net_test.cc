@@ -962,6 +962,59 @@ TEST(NetServingTest, UnrangedRequestWithoutShardHelloIsWholeBin) {
                   hello.hot_bin_size * 2 * hello.hot_num_bins);
 }
 
+// A key whose header names no PRF, or a party other than 0/1, is refused
+// with kInvalidRequest before any work: no silently wrong share is
+// answered, and the connection keeps serving well-formed requests.
+TEST(NetServingTest, MalformedKeyHeaderRejected) {
+    NetWorld world(NetBaseConfig(), /*num_replicas=*/1);
+    const net::Hello hello = net::ServiceHello(*world.planning);
+    auto conn = net::NodeConnection::Dial("127.0.0.1", world.nodes[0]->port(),
+                                          hello, /*timeout_ms=*/2'000);
+    ASSERT_NE(conn, nullptr);
+    auto remote_client = world.planning->MakeClient();
+    const std::vector<std::uint64_t> wanted = {1, 65, 200, 511};
+    auto request = [&](std::uint64_t id) {
+        auto prep = remote_client->Prepare(wanted, /*keep_wire_keys=*/true);
+        net::LookupRequestFrame req;
+        req.request_id = id;
+        req.has_hot = !prep.wire_hot_keys0.empty();
+        req.full_keys0 = std::move(prep.wire_full_keys0);
+        req.full_keys1 = std::move(prep.wire_full_keys1);
+        req.hot_keys0 = std::move(prep.wire_hot_keys0);
+        req.hot_keys1 = std::move(prep.wire_hot_keys1);
+        return req;
+    };
+    // Header bytes: party, log_domain, PRF, out_words.
+    const struct {
+        std::size_t offset;
+        std::uint8_t value;
+    } corruptions[] = {{2, 5}, {2, 0x7f}, {0, 2}};
+    std::uint64_t id = 1;
+    for (const auto& c : corruptions) {
+        net::LookupRequestFrame req = request(id++);
+        ASSERT_FALSE(req.full_keys1.empty());
+        req.full_keys1.back()[c.offset] = c.value;
+        ASSERT_TRUE(conn->SendLookup(req));
+        const auto reply = conn->CollectShard(req.request_id, req.has_hot,
+                                              /*timeout_ms=*/2'000);
+        EXPECT_EQ(reply.status, net::NodeConnection::LookupStatus::kRejected)
+            << "byte " << c.offset << " = " << int{c.value};
+        EXPECT_EQ(reply.rejection, AdmissionStatus::kInvalidRequest)
+            << "byte " << c.offset << " = " << int{c.value};
+    }
+    auto stats = world.nodes[0]->stats();
+    EXPECT_EQ(stats.rejected, 3u);
+    EXPECT_EQ(stats.completed, 0u);
+    EXPECT_EQ(stats.rows_scanned, 0u);
+
+    const net::LookupRequestFrame good = request(id++);
+    ASSERT_TRUE(conn->SendLookup(good));
+    const auto reply = conn->CollectShard(good.request_id, good.has_hot,
+                                          /*timeout_ms=*/2'000);
+    EXPECT_EQ(reply.status, net::NodeConnection::LookupStatus::kComplete);
+    EXPECT_EQ(world.nodes[0]->stats().completed, 1u);
+}
+
 // A shard hello whose windows disagree with the node's canonical
 // partition is refused (the connection closes) — a mismatched fleet plan
 // cannot silently mis-merge shares.
