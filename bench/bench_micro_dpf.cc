@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks: DPF Gen / point Eval / full-domain
-// Eval and the parallel kernel strategies on the host.
+// Eval / the serving range walk and the parallel kernel strategies on the
+// host.
 #include <benchmark/benchmark.h>
 
 #include "src/common/rng.h"
@@ -50,6 +51,35 @@ void BM_DpfEvalFullDomain(benchmark::State& state) {
                             << n);
 }
 BENCHMARK(BM_DpfEvalFullDomain)->Arg(10)->Arg(14)->Arg(18);
+
+// The serving kernel's DPF step: EvalRangeBatched over a 2^16 domain in
+// consecutive segments of state.range(1) rows (the kernel's per-tile
+// segments), for PRF state.range(0). Items are leaves.
+void BM_DpfEvalRangeBatched(benchmark::State& state) {
+    const auto prf = static_cast<PrfKind>(state.range(0));
+    const auto segment = static_cast<std::uint64_t>(state.range(1));
+    const Dpf dpf(DpfParams{16, prf, 1});
+    Rng rng(5);
+    auto keys = dpf.GenIndicator(12'345, rng);
+    std::vector<u128> out(segment);
+    Dpf::RangeScratch scratch;
+    std::uint64_t begin = 0;
+    for (auto _ : state) {
+        dpf.EvalRangeBatched(keys.first, begin, begin + segment, out.data(),
+                             &scratch);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+        begin = (begin + segment) % dpf.domain_size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(segment));
+    state.SetLabel(std::string(PrfKindName(prf)) +
+                   " segment=" + std::to_string(segment));
+}
+BENCHMARK(BM_DpfEvalRangeBatched)
+    ->ArgsProduct({{static_cast<int>(PrfKind::kAes128),
+                    static_cast<int>(PrfKind::kChacha20)},
+                   {2'048, 16'384}});
 
 void BM_StrategyHostRun(benchmark::State& state) {
     const auto kind = static_cast<StrategyKind>(state.range(0));

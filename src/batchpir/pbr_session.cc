@@ -47,8 +47,18 @@ PbrSession::BinJobs PbrSession::ParseJobs(
     parsed.jobs.resize(keys.size());
     for (std::uint64_t b = 0; b < keys.size(); ++b) {
         parsed.keys[b] = DpfKey::Deserialize(keys[b].data(), keys[b].size());
-        if (parsed.keys[b].params.log_domain != pbr_->bin_log_domain()) {
+        // A key must name exactly the session's DPF: a valid header for
+        // another PRF or output width would otherwise be scanned and
+        // answered as if it were this session's.
+        const DpfParams& params = parsed.keys[b].params;
+        if (params.log_domain != bin_dpf_.params().log_domain) {
             throw std::invalid_argument("PbrSession: bad key domain");
+        }
+        if (params.prf != bin_dpf_.params().prf) {
+            throw std::invalid_argument("PbrSession: key PRF mismatch");
+        }
+        if (params.out_words != bin_dpf_.params().out_words) {
+            throw std::invalid_argument("PbrSession: key out_words mismatch");
         }
         parsed.jobs[b] = {&parsed.keys[b], b * pbr_->bin_size(),
                           pbr_->BinEntries(b)};

@@ -47,9 +47,12 @@ class PbrSession {
     };
 
     // Server: deserializes and validates one key per bin, binding each to
-    // its bin's row range. Lets a serving front-end pool the jobs of many
-    // requests (and tables) into one AnswerEngine::AnswerBatch call instead
-    // of answering per session.
+    // its bin's row range. Throws std::invalid_argument on a key count
+    // other than num_bins, on bytes Deserialize rejects, and on a key
+    // whose log_domain, PRF or out_words differs from the session's bin
+    // DPF — before any job is formed, so no row is scanned for it. Lets a
+    // serving front-end pool the jobs of many requests (and tables) into
+    // one AnswerEngine::AnswerBatch call instead of answering per session.
     BinJobs ParseJobs(
         const std::vector<std::vector<std::uint8_t>>& keys) const;
 

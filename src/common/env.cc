@@ -14,8 +14,6 @@ const std::vector<GpudpfEnvVar>& GpudpfEnvTable() {
     static const std::vector<GpudpfEnvVar> kTable = {
         {"GPUDPF_TABLE_LAYOUT",
          "process-default physical table layout: row_major | tiled"},
-        {"GPUDPF_CPU_KERNEL",
-         "process-default CPU kernel: scalar | multiquery_tile"},
         {"GPUDPF_FORCE_SCALAR",
          "1 = mask the CPU-feature probe (software AES, scalar ChaCha20 and "
          "accumulate)"},

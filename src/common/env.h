@@ -1,15 +1,14 @@
 // Central registry of every GPUDPF_* environment knob.
 //
 // The process-default selections scattered across the tree (table layout,
-// CPU kernel, accumulator ISA, NUMA mode, feature-probe mask, networked
-// serving) all read their env overrides through GpudpfEnv(), which only
-// accepts names registered in the table below. That gives one documented
+// accumulator ISA, NUMA mode, feature-probe mask, networked serving) all
+// read their env overrides through GpudpfEnv(), which only accepts names
+// registered in the table below. That gives one documented
 // list (`GpudpfEnvTable()`, mirrored in the README), and lets service
 // startup warn about GPUDPF_* variables the process will silently ignore —
 // the classic "typo'd knob looked applied" failure.
 //
 //   GPUDPF_TABLE_LAYOUT            row_major | tiled
-//   GPUDPF_CPU_KERNEL              scalar | multiquery_tile
 //   GPUDPF_FORCE_SCALAR            1 = mask the CPU-feature probe
 //   GPUDPF_ACCUMULATE              scalar | avx2 | avx512
 //   GPUDPF_NUMA                    auto | on | off

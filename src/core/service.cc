@@ -14,23 +14,21 @@
 namespace gpudpf {
 namespace {
 
-// One line per process, on the first service construction: which CPU
-// kernel and accumulator ISA the answer engines will run, how many NUMA
-// nodes the probe saw, and what the CPU feature probe found — so a
-// deployment can tell from its log whether the AES-NI / AVX paths and
-// first-touch placement are live.
-std::once_flag g_kernel_log_once;
-void LogSelectedKernel(CpuKernelKind kind) {
-    std::call_once(g_kernel_log_once, [kind] {
+// One line per process, on the first service construction: which
+// accumulator ISA the answer engines will run, how many NUMA nodes the
+// probe saw, and what the CPU feature probe found — so a deployment can
+// tell from its log whether the AES-NI / AVX paths and first-touch
+// placement are live.
+std::once_flag g_cpu_paths_log_once;
+void LogSelectedCpuPaths() {
+    std::call_once(g_cpu_paths_log_once, [] {
         // Surface GPUDPF_* typos before logging what was selected: every
         // knob is read through the src/common/env.h registry, so anything
         // unrecognized here is a variable nothing will ever parse.
         WarnUnrecognizedGpudpfEnv();
         std::fprintf(
             stderr,
-            "gpudpf: cpu kernel '%s' accumulate '%s' numa nodes %d "
-            "(cpu features: %s)\n",
-            CpuKernelKindName(kind),
+            "gpudpf: accumulate '%s' numa nodes %d (cpu features: %s)\n",
             AccumulateIsaName(DefaultAccumulateIsa()),
             GetNumaTopology().num_nodes, CpuFeatureSummary().c_str());
     });
@@ -101,7 +99,7 @@ PrivateEmbeddingService::PrivateEmbeddingService(
                                 }
                                 return owners;
                             }()))) {
-    LogSelectedKernel(config_.cpu_kernel);
+    LogSelectedCpuPaths();
     if (hot_pbr_ != nullptr && !config_.planning_only) {
         std::vector<std::uint64_t> owners(layout_.hot_size());
         for (std::uint64_t s = 0; s < layout_.hot_size(); ++s) {

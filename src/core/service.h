@@ -84,13 +84,11 @@ struct ServiceConfig {
     // server pool, pins workers to cores), so repeated batches reuse warm
     // caches. kDynamic is the seed's work-sharing behavior.
     ShardPlacement shard_placement = ShardPlacement::kDynamic;
-    // CPU kernel strategy of the answer engines (src/kernels/cpu_kernel.h):
-    // scalar reference or the AES-NI-batched multi-query tile kernel.
-    // Defaults to the process default, which honors
-    // GPUDPF_CPU_KERNEL and GPUDPF_FORCE_SCALAR (mirroring
-    // GPUDPF_TABLE_LAYOUT for layouts); the selected kernel and the
-    // detected CPU features are logged once at service start.
-    CpuKernelKind cpu_kernel = DefaultCpuKernelKind();
+    // The answer engines' CPU kernel (src/kernels/cpu_kernel.h). There is
+    // one kernel, so this field selects nothing; it stays only because the
+    // serving benchmark (perfbench/src/workload.cc) assigns it, and goes
+    // when that benchmark next changes.
+    CpuKernelKind cpu_kernel = CpuKernelKind::kMultiqueryTile;
     // NUMA first-touch tile placement (src/common/numa.h): with tiled
     // layout, pinned shard placement and a dedicated multi-worker server
     // pool, each pinned worker zeroes (first-touches) its own shard's
@@ -260,7 +258,7 @@ class PrivateEmbeddingService {
     // Sharding configuration handed to the server-side answer engines.
     ShardingOptions server_sharding() const {
         return ShardingOptions{config_.server_shards, server_pool_.get(),
-                               config_.shard_placement, config_.cpu_kernel};
+                               config_.shard_placement};
     }
     const EmbeddingLayout& layout() const { return layout_; }
     const Pbr& full_pbr() const { return full_pbr_; }

@@ -227,8 +227,9 @@ void Dpf::ExpandNode(const DpfKey& key, const Node& parent, int level,
 
 void Dpf::Finalize(const DpfKey& key, const Node& leaf, u128* out) const {
     Convert(prg_, leaf.seed, out, params_.out_words);
+    const u128 t_mask = static_cast<u128>(0) - (leaf.t ? 1 : 0);
     for (int w = 0; w < params_.out_words; ++w) {
-        if (leaf.t) out[w] += key.final_cw[w];
+        out[w] += key.final_cw[w] & t_mask;
         if (key.party == 1) out[w] = static_cast<u128>(0) - out[w];
     }
 }
@@ -281,47 +282,6 @@ void Dpf::EvalFullDomain(const DpfKey& key, std::vector<u128>* out) const {
     }
 }
 
-void Dpf::EvalRange(const DpfKey& key, std::uint64_t begin, std::uint64_t end,
-                    std::vector<u128>* out) const {
-    if (begin > end || end > domain_size()) {
-        throw std::invalid_argument("Dpf::EvalRange: bad range");
-    }
-    const int n = params_.log_domain;
-    const int w = params_.out_words;
-    out->assign((end - begin) * static_cast<std::uint64_t>(w), 0);
-    if (begin == end) return;
-
-    // Same DFS as EvalFullDomain, but a node at (level, index) covers leaves
-    // [index << (n - level), (index + 1) << (n - level)) and is pruned when
-    // that span is disjoint from [begin, end).
-    struct Frame {
-        Node node;
-        int level;
-        std::uint64_t index;  // node index within its level
-    };
-    std::vector<Frame> stack;
-    stack.reserve(2 * n + 2);
-    stack.push_back({Root(key), 0, 0});
-    while (!stack.empty()) {
-        Frame f = stack.back();
-        stack.pop_back();
-        const int span_log = n - f.level;
-        const std::uint64_t lo = f.index << span_log;
-        const std::uint64_t hi = lo + (std::uint64_t{1} << span_log);
-        if (hi <= begin || lo >= end) continue;
-        if (f.level == n) {
-            Finalize(key, f.node, out->data() + (f.index - begin) * w);
-            continue;
-        }
-        Node left;
-        Node right;
-        ExpandNode(key, f.node, f.level, &left, &right);
-        // Push right first so leaves are produced left-to-right.
-        stack.push_back({right, f.level + 1, 2 * f.index + 1});
-        stack.push_back({left, f.level + 1, 2 * f.index});
-    }
-}
-
 void Dpf::EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
                            std::uint64_t end, u128* out,
                            RangeScratch* scratch) const {
@@ -330,14 +290,17 @@ void Dpf::EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
     }
     if (begin == end) return;
     const int n = params_.log_domain;
-    const int w = params_.out_words;
+    const std::size_t leaves = static_cast<std::size_t>(end - begin);
 
     // The frontier at level d is the contiguous node index range
     // [begin >> (n-d), (end-1) >> (n-d)] — the nodes whose leaf spans
-    // intersect [begin, end). Walk it down level by level, expanding the
-    // whole frontier through one batched PRG call, then applying the
-    // correction words per node (cheap scalar xors).
-    const std::size_t cap = static_cast<std::size_t>(end - begin) + 2;
+    // intersect [begin, end). Each level expands the whole frontier
+    // through one batched PRG call and writes both children of every
+    // frontier node, interleaved, into the other seed buffer; the next
+    // frontier is that buffer from offset next_lo - 2*lo (0 or 1). A
+    // frontier never holds more than leaves/2 + 1 parents, so leaves + 2
+    // children bound every buffer.
+    const std::size_t cap = leaves + 2;
     for (int side = 0; side < 2; ++side) {
         if (scratch->seeds[side].size() < cap) {
             scratch->seeds[side].resize(cap);
@@ -348,47 +311,92 @@ void Dpf::EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
         scratch->child_left.resize(cap);
         scratch->child_right.resize(cap);
     }
+    const u128* lefts = scratch->child_left.data();
+    const u128* rights = scratch->child_right.data();
 
     int cur = 0;
     scratch->seeds[cur][0] = key.root_seed;
     scratch->ts[cur][0] = key.party == 1 ? 1 : 0;
+    std::size_t off = 0;   // frontier's first node within seeds[cur]
     std::uint64_t lo = 0;  // frontier's first node index at this level
     std::size_t count = 1;
-    for (int level = 0; level < n; ++level) {
-        prg_.ExpandBatch(scratch->seeds[cur].data(), count,
+    // With one output word the last level is fused with Finalize below.
+    const int walk = params_.out_words == 1 ? n - 1 : n;
+    for (int level = 0; level < walk; ++level) {
+        prg_.ExpandBatch(scratch->seeds[cur].data() + off, count,
                          scratch->child_left.data(),
                          scratch->child_right.data());
         const int child_shift = n - level - 1;
         const std::uint64_t next_lo = begin >> child_shift;
         const std::uint64_t next_hi = (end - 1) >> child_shift;
+        const std::uint8_t* t_in = scratch->ts[cur].data() + off;
         const int next = 1 - cur;
+        u128* s_out = scratch->seeds[next].data();
+        std::uint8_t* t_out = scratch->ts[next].data();
+        // Branch-free correction: t selects the correction word through
+        // an all-ones/all-zeros mask instead of a branch.
         const CorrectionWord& cw = key.cw[level];
+        const std::uint8_t t_left = cw.t_left ? 1 : 0;
+        const std::uint8_t t_right = cw.t_right ? 1 : 0;
         for (std::size_t i = 0; i < count; ++i) {
-            const bool parent_t = scratch->ts[cur][i] != 0;
-            const std::uint64_t left_idx = 2 * (lo + i);
-            for (int side = 0; side < 2; ++side) {
-                const std::uint64_t idx = left_idx + side;
-                if (idx < next_lo || idx > next_hi) continue;  // edge prune
-                u128 s = side == 0 ? scratch->child_left[i]
-                                   : scratch->child_right[i];
-                bool t = Lsb(s);
-                s = ClearLsb(s);
-                if (parent_t) {
-                    s ^= cw.seed;
-                    t ^= side == 0 ? cw.t_left : cw.t_right;
-                }
-                scratch->seeds[next][idx - next_lo] = s;
-                scratch->ts[next][idx - next_lo] = t ? 1 : 0;
-            }
+            const std::uint8_t t = t_in[i];
+            const u128 seed_cw = cw.seed & (static_cast<u128>(0) - t);
+            s_out[2 * i] = ClearLsb(lefts[i]) ^ seed_cw;
+            s_out[2 * i + 1] = ClearLsb(rights[i]) ^ seed_cw;
+            t_out[2 * i] = static_cast<std::uint8_t>(Lsb(lefts[i]) ^
+                                                     (t_left & t));
+            t_out[2 * i + 1] = static_cast<std::uint8_t>(Lsb(rights[i]) ^
+                                                         (t_right & t));
         }
         cur = next;
+        off = static_cast<std::size_t>(next_lo - 2 * lo);
         lo = next_lo;
         count = static_cast<std::size_t>(next_hi - next_lo) + 1;
     }
-    for (std::size_t i = 0; i < count; ++i) {
-        Finalize(key,
-                 Node{scratch->seeds[cur][i], scratch->ts[cur][i] != 0},
-                 out + i * static_cast<std::size_t>(w));
+
+    if (params_.out_words != 1) {
+        for (std::size_t i = 0; i < count; ++i) {
+            Finalize(key,
+                     Node{scratch->seeds[cur][off + i],
+                          scratch->ts[cur][off + i] != 0},
+                     out + i * static_cast<std::size_t>(params_.out_words));
+        }
+        return;
+    }
+
+    // Last level fused with Finalize: leaf share v = s + (final_cw & -t),
+    // negated for party 1 through a mask fixed once per key. Child j of
+    // the parent frontier (j = 2i + side) is leaf 2*lo + j, stored at
+    // out[j - leaf_off]; only the frontier's first parent (left child
+    // when leaf_off is 1) and last parent (right child when the leaf span
+    // ends on a left child) have a child outside [begin, end).
+    prg_.ExpandBatch(scratch->seeds[cur].data() + off, count,
+                     scratch->child_left.data(), scratch->child_right.data());
+    const std::uint8_t* t_in = scratch->ts[cur].data() + off;
+    const CorrectionWord& cw = key.cw[n - 1];
+    const u128 neg = key.party == 1 ? ~static_cast<u128>(0) : 0;
+    const u128 final_cw = (key.final_cw[0] ^ neg) - neg;
+    auto leaf = [&](u128 child, bool t_side, std::uint8_t t) {
+        const u128 mask = static_cast<u128>(0) - t;
+        const u128 s = ClearLsb(child) ^ (cw.seed & mask);
+        const std::uint8_t t_leaf =
+            static_cast<std::uint8_t>(Lsb(child) ^ (t_side & t));
+        return ((s ^ neg) - neg) + (final_cw & (static_cast<u128>(0) - t_leaf));
+    };
+    const std::size_t leaf_off = static_cast<std::size_t>(begin - 2 * lo);
+    std::size_t i = 0;
+    if (leaf_off == 1) {
+        out[0] = leaf(rights[0], cw.t_right, t_in[0]);
+        i = 1;
+    }
+    const std::size_t full_end = (leaf_off + leaves) / 2;
+    for (; i < full_end; ++i) {
+        const std::uint8_t t = t_in[i];
+        out[2 * i - leaf_off] = leaf(lefts[i], cw.t_left, t);
+        out[2 * i + 1 - leaf_off] = leaf(rights[i], cw.t_right, t);
+    }
+    if (((leaf_off + leaves) & 1) != 0) {
+        out[leaves - 1] = leaf(lefts[full_end], cw.t_left, t_in[full_end]);
     }
 }
 

@@ -97,15 +97,6 @@ class Dpf {
     // out is resized to L * out_words, laid out point-major.
     void EvalFullDomain(const DpfKey& key, std::vector<u128>* out) const;
 
-    // Evaluates the contiguous leaf range [begin, end) by pruned DFS:
-    // subtrees disjoint from the range are never expanded, so the cost is
-    // O((end - begin) + log L) node expansions. out is resized to
-    // (end - begin) * out_words, point-major, with leaf x stored at offset
-    // (x - begin). This is the per-shard primitive of the sharded server
-    // answer engine. Leaf values are identical to EvalFullDomain's.
-    void EvalRange(const DpfKey& key, std::uint64_t begin, std::uint64_t end,
-                   std::vector<u128>* out) const;
-
     // Reusable frontier buffers for EvalRangeBatched, so a kernel that
     // walks many tiles pays the allocations once.
     struct RangeScratch {
@@ -115,16 +106,21 @@ class Dpf {
         std::vector<u128> child_right;
     };
 
-    // EvalRange by level-order (breadth-first) traversal: the covering node
-    // frontier of [begin, end) at each level — at most end - begin + 1
-    // nodes — is expanded in one Prg::ExpandBatch call, so the AES MMO
-    // PRG runs hardware-pipelined instead of one node at a time. The
-    // per-node correction-word math is exactly ExpandNode's, so leaf values
-    // are bit-identical to EvalRange for every PrfKind. out receives
-    // (end - begin) * out_words words, point-major (not resized — the
-    // caller sizes it, which lets kernels pack several queries' leaves
-    // into one buffer). Peak scratch is O(end - begin) nodes; callers
-    // chunk their ranges (e.g. per storage tile) to bound it.
+    // Evaluates the contiguous leaf range [begin, end) by level-order
+    // traversal: the covering node frontier of [begin, end) at each level
+    // — at most (end - begin) / 2 + 1 parents — is expanded in one
+    // Prg::ExpandBatch call, so the AES MMO runs hardware-pipelined and
+    // ChaCha20 runs multi-lane, and the correction words are applied
+    // branch-free (the control bit becomes a mask). Subtrees disjoint from
+    // the range are never expanded, so the cost is O((end - begin) +
+    // log L) node expansions. Leaf values equal EvalFullDomain's at the
+    // same indices for every PrfKind. out receives (end - begin) *
+    // out_words words, point-major, leaf x at offset (x - begin) (not
+    // resized — the caller sizes it, which lets kernels pack several
+    // queries' leaves into one buffer). Throws std::invalid_argument
+    // unless begin <= end <= L. Peak scratch is O(end - begin) nodes;
+    // callers chunk their ranges (e.g. per storage tile) to bound it.
+    // This is the per-shard primitive of the server answer engine.
     void EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
                           std::uint64_t end, u128* out,
                           RangeScratch* scratch) const;

@@ -76,7 +76,7 @@ const char* ShardPlacementName(ShardPlacement placement) {
 }
 
 AnswerEngine::AnswerEngine(ShardingOptions options)
-    : options_(options), kernel_(&GetCpuKernel(options.kernel)) {
+    : options_(options) {
     if (options_.num_shards == 0) options_.num_shards = 1;
 }
 
@@ -95,8 +95,8 @@ PirResponse AnswerEngine::Answer(const PirTable& table, const DpfKey& key,
         task.key = &key;
         task.resp = resp.data();
         CpuKernelScratch scratch;
-        kernel_->AnswerRange(table, row_begin, 0, num_rows, &task, 1,
-                             &scratch);
+        MultiqueryTileAnswerRange(table, row_begin, 0, num_rows, &task, 1,
+                                  &scratch);
         return resp;
     }
     return AnswerBatch(table, {job})[0];
@@ -146,51 +146,39 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     };
 
     // The unit of shard-task dispatch: a group of jobs the kernel answers
-    // in one call per shard. A multi-query kernel gets every job sharing a
-    // (table, row range, class, DPF-params) signature — identical PBR bins
-    // queried by concurrent requests, whole-table bench batches — so each
-    // shard's table traffic is paid once per group; other kernels keep one
-    // job per group, which preserves the seed's one-task-per-(job, shard)
-    // dispatch exactly. Groups are formed in `jobs` order (first
+    // in one call per shard — every job sharing a (table, row range, class,
+    // DPF-params) signature (identical PBR bins queried by concurrent
+    // requests, whole-table bench batches), so each shard's table traffic
+    // is paid once per group. Groups are formed in `jobs` order (first
     // occurrence), so submission order below still follows `jobs` order
-    // within a class.
+    // within a class. The eval window joins the signature via its
+    // saturated end, so an unclipped job (eval_end = all-ones) and one
+    // explicitly clipped to num_rows land in the same group.
     struct Group {
         std::vector<std::size_t> members;  // job indices, in `jobs` order
         TaskPriority cls = TaskPriority::kInteractive;
     };
     std::vector<Group> groups;
     groups.reserve(jobs.size());
-    if (kernel_->multi_query()) {
-        // The eval window joins the signature via its saturated end, so an
-        // unclipped job (eval_end = all-ones) and one explicitly clipped to
-        // num_rows land in the same group.
-        using GroupKey =
-            std::tuple<const PirTable*, std::uint64_t, std::uint64_t,
-                       std::uint64_t, std::uint64_t, int, int, int>;
-        std::map<GroupKey, std::size_t> index;
-        for (std::size_t q = 0; q < jobs.size(); ++q) {
-            const TableJob& tj = jobs[q];
-            const GroupKey key{tj.table,
-                               tj.job.row_begin,
-                               tj.job.num_rows,
-                               tj.job.eval_begin,
-                               std::min(tj.job.eval_end, tj.job.num_rows),
-                               static_cast<int>(job_class(q)),
-                               tj.job.key->params.log_domain,
-                               static_cast<int>(tj.job.key->params.prf)};
-            auto [it, inserted] = index.emplace(key, groups.size());
-            if (inserted) {
-                groups.emplace_back();
-                groups.back().cls = job_class(q);
-            }
-            groups[it->second].members.push_back(q);
-        }
-    } else {
-        for (std::size_t q = 0; q < jobs.size(); ++q) {
+    using GroupKey = std::tuple<const PirTable*, std::uint64_t, std::uint64_t,
+                                std::uint64_t, std::uint64_t, int, int, int>;
+    std::map<GroupKey, std::size_t> index;
+    for (std::size_t q = 0; q < jobs.size(); ++q) {
+        const TableJob& tj = jobs[q];
+        const GroupKey key{tj.table,
+                           tj.job.row_begin,
+                           tj.job.num_rows,
+                           tj.job.eval_begin,
+                           std::min(tj.job.eval_end, tj.job.num_rows),
+                           static_cast<int>(job_class(q)),
+                           tj.job.key->params.log_domain,
+                           static_cast<int>(tj.job.key->params.prf)};
+        auto [it, inserted] = index.emplace(key, groups.size());
+        if (inserted) {
             groups.emplace_back();
-            groups.back().members.push_back(q);
             groups.back().cls = job_class(q);
         }
+        groups[it->second].members.push_back(q);
     }
 
     // partials[job * shards + shard]; an empty vector is a zero partial.
@@ -258,9 +246,9 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
             }
         }
         if (!ws.tasks.empty()) {
-            kernel_->AnswerRange(*tj0.table, tj0.job.row_begin, lo, hi,
-                                 ws.tasks.data(), ws.tasks.size(),
-                                 &ws.scratch);
+            MultiqueryTileAnswerRange(*tj0.table, tj0.job.row_begin, lo, hi,
+                                      ws.tasks.data(), ws.tasks.size(),
+                                      &ws.scratch);
             for (std::size_t i = 0; i < ws.tasks.size(); ++i) {
                 if (!ws.tasks[i].aborted) continue;
                 // Aborted between tiles: the partial is incomplete and the

@@ -4,34 +4,31 @@
 // expansion plus the table mat-vec (paper Section 3), and both are
 // embarrassingly parallel over contiguous row ranges. The engine partitions
 // each answer job's rows into `num_shards` shards, evaluates the DPF leaf
-// range (Dpf::EvalRange) and the shard's slice of the mat-vec as one
-// ThreadPool task, and reduces the partial responses into the job's share.
+// range (Dpf::EvalRangeBatched) and the shard's slice of the mat-vec as
+// one ThreadPool task, and reduces the partial responses into the job's
+// share.
 //
-// The shard work itself is delegated to a CpuKernel strategy
-// (src/kernels/cpu_kernel.h), selected per engine through
-// ShardingOptions::kernel (default: GPUDPF_CPU_KERNEL env, else the best
-// kernel for the host): the scalar reference loop, or the multi-query tile
-// kernel that expands with the AES-NI-batched PRG and walks each storage
-// tile once for every batched query sharing its row range. Kernels walk
-// the rows one storage tile at a time (src/pir/table_layout.h), fusing the
-// leaf-range expansion with the mat-vec so the shares buffer and the tile
-// block stay cache-resident, and shard boundaries snap to the tile grid so
-// no tile is split across workers. Row-major tables report an unbounded
-// tile and keep the seed's single-expansion reference behavior.
+// The shard work itself is the one CPU kernel, MultiqueryTileAnswerRange
+// (src/kernels/cpu_kernel.h): it expands with the batched PRG and walks
+// each storage tile once for every batched query sharing its row range,
+// fusing the leaf-range expansion with the mat-vec so the shares buffer
+// and the tile block stay cache-resident (src/pir/table_layout.h). Shard
+// boundaries snap to the tile grid so no tile is split across workers.
+// Row-major tables report an unbounded tile.
 //
 // Batching submits every (job, shard) task of a request at once, so the
 // pool stays saturated even when individual jobs are narrow — e.g. the many
-// small per-bin queries of a PBR batched retrieval. When the selected
-// kernel is multi-query, jobs sharing a (table, row range, priority,
-// DPF-params) signature — the common case for PBR bins queried by many
-// concurrent requests, and for whole-table batches — are grouped so each
-// (group, shard) task pays the shard's table traffic once for the whole
-// group. With ShardPlacement::kPinned, shard s of every job is routed to
-// worker s % thread_count (ThreadPool::SubmitTo), so all jobs of a batch —
-// and repeated batches — stream a given row range from the same core's
-// warm cache instead of migrating rows between cores. Addition in Z_2^128
-// is commutative and associative, so any sharding, tiling, placement, or
-// kernel choice is bit-identical to the sequential reference path.
+// small per-bin queries of a PBR batched retrieval. Jobs sharing a (table,
+// row range, priority, DPF-params) signature — the common case for PBR
+// bins queried by many concurrent requests, and for whole-table batches —
+// are grouped so each (group, shard) task pays the shard's table traffic
+// once for the whole group. With ShardPlacement::kPinned, shard s of every
+// job is routed to worker s % thread_count (ThreadPool::SubmitTo), so all
+// jobs of a batch — and repeated batches — stream a given row range from
+// the same core's warm cache instead of migrating rows between cores.
+// Addition in Z_2^128 is commutative and associative, so any sharding,
+// tiling, grouping, or placement is bit-identical to the sequential
+// reference path.
 //
 // Request lifecycle: a TableJob may carry a JobContext (the serving
 // front-end attaches one per request). Every (job, shard) task re-checks
@@ -86,10 +83,6 @@ struct ShardingOptions {
     ThreadPool* pool = nullptr;
     // Shard-to-worker placement policy (see ShardPlacement).
     ShardPlacement placement = ShardPlacement::kDynamic;
-    // CPU kernel strategy the shard tasks dispatch through
-    // (src/kernels/cpu_kernel.h). Defaults to the process default, which
-    // honors GPUDPF_CPU_KERNEL and GPUDPF_FORCE_SCALAR.
-    CpuKernelKind kernel = DefaultCpuKernelKind();
 };
 
 class AnswerEngine {
@@ -98,9 +91,6 @@ class AnswerEngine {
     explicit AnswerEngine(ShardingOptions options);
 
     const ShardingOptions& options() const { return options_; }
-
-    // The kernel strategy this engine's shard tasks run.
-    const CpuKernel& kernel() const { return *kernel_; }
 
     // One answer job: evaluate `key` against the table rows
     // [row_begin, row_begin + num_rows), DPF leaf j selecting row
@@ -198,7 +188,6 @@ class AnswerEngine {
 
   private:
     ShardingOptions options_;
-    const CpuKernel* kernel_ = &GetCpuKernel(DefaultCpuKernelKind());
 };
 
 }  // namespace gpudpf

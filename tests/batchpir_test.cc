@@ -172,5 +172,40 @@ TEST(PbrSessionTest, RejectsMalformedInput) {
     EXPECT_THROW(session.Answer(table, too_few), std::invalid_argument);
 }
 
+TEST(PbrSessionTest, ParseJobsRejectsKeysOfAnotherDpf) {
+    // A well-formed key whose header names another PRF, output width or
+    // domain than the session's bin DPF is refused, not scanned.
+    Rng rng(9);
+    Pbr pbr(128, 16);
+    PbrSession session(&pbr, PrfKind::kChacha20, 13);
+    const auto req = session.BuildRequest(pbr.PlanBatch({5, 100}, rng));
+    EXPECT_EQ(session.ParseJobs(req.keys_for_server1).jobs.size(),
+              pbr.num_bins());
+
+    for (const PrfKind prf : AllPrfKinds()) {
+        if (prf == PrfKind::kChacha20) continue;
+        auto keys = req.keys_for_server1;
+        keys.back()[2] = static_cast<std::uint8_t>(prf);
+        EXPECT_THROW(session.ParseJobs(keys), std::invalid_argument)
+            << PrfKindName(prf);
+    }
+    // Re-serialized, so the length matches the declared width.
+    DpfKey wide =
+        DpfKey::Deserialize(req.keys_for_server0[0].data(),
+                            req.keys_for_server0[0].size());
+    wide.params.out_words = 2;
+    wide.final_cw.resize(2);
+    auto keys = req.keys_for_server0;
+    keys[0] = wide.Serialize();
+    EXPECT_THROW(session.ParseJobs(keys), std::invalid_argument);
+
+    DpfKey deep = DpfKey::Deserialize(req.keys_for_server0[0].data(),
+                                      req.keys_for_server0[0].size());
+    deep.params.log_domain += 1;
+    deep.cw.resize(deep.params.log_domain);
+    keys[0] = deep.Serialize();
+    EXPECT_THROW(session.ParseJobs(keys), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace gpudpf

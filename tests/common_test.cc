@@ -358,16 +358,18 @@ TEST(TablePrinterTest, RejectsArityMismatch) {
 TEST(EnvRegistryTest, TableDocumentsEveryKnob) {
     const auto& table = GpudpfEnvTable();
     ASSERT_FALSE(table.empty());
-    bool kernel_listed = false, net_listed = false;
+    bool scalar_listed = false, net_listed = false;
     for (const auto& var : table) {
         EXPECT_EQ(std::string(var.name).rfind("GPUDPF_", 0), 0u) << var.name;
         EXPECT_NE(var.description[0], '\0') << var.name;
-        if (std::string(var.name) == "GPUDPF_CPU_KERNEL") kernel_listed = true;
+        if (std::string(var.name) == "GPUDPF_FORCE_SCALAR") {
+            scalar_listed = true;
+        }
         if (std::string(var.name) == "GPUDPF_NET_REQUEST_TIMEOUT_MS") {
             net_listed = true;
         }
     }
-    EXPECT_TRUE(kernel_listed);
+    EXPECT_TRUE(scalar_listed);
     EXPECT_TRUE(net_listed);
 }
 

@@ -5,6 +5,7 @@
 // wide outputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <tuple>
 
@@ -378,53 +379,94 @@ TEST(DpfNodePrimitivesTest, RootEncodesParty) {
 
 // --- Level-order (SIMD-batched) range evaluation -----------------------------
 
-TEST(DpfEvalRangeBatchedTest, MatchesDfsEvalRangeAcrossSeedsAndLevels) {
-    // The frontier walk feeds the whole level through one Prg::ExpandBatch
-    // (the AES-NI pipeline for kAes128, each supported lane width for
-    // kChaCha20); the correction-word application is untouched, so the
-    // leaves must equal the pruned-DFS EvalRange bit for bit — every PRF,
-    // tree depth, output width, party, and subrange, including single-leaf
-    // ranges and ranges touching the domain edges.
+using LeafRange = std::pair<std::uint64_t, std::uint64_t>;
+
+// Every [begin, end) with begin <= end over a 2^n domain (n <= 4), plus
+// for larger n: the whole domain, begin == end, single leaves at both
+// edges, and ranges whose ends sit just inside and just outside each
+// level's node boundary, so every frontier starts and ends on both a left
+// and a right child somewhere in the walk.
+std::vector<LeafRange> RangesToCheck(int n, Rng& rng) {
+    const std::uint64_t domain = std::uint64_t{1} << n;
+    std::vector<LeafRange> ranges;
+    if (n <= 4) {
+        for (std::uint64_t b = 0; b <= domain; ++b) {
+            for (std::uint64_t e = b; e <= domain; ++e) {
+                ranges.push_back({b, e});
+            }
+        }
+        return ranges;
+    }
+    ranges = {{0, domain}, {7, 7}, {0, 1}, {domain - 1, domain}};
+    for (int k = 1; k < n; ++k) {
+        const std::uint64_t span = std::uint64_t{1} << k;
+        for (const auto& [b, e] :
+             {LeafRange{span - 1, 3 * span + 1},
+              LeafRange{span + 1, 3 * span - 1},
+              LeafRange{span, domain - span}, LeafRange{span - 1, span}}) {
+            ranges.push_back({b, std::min(e, domain)});
+        }
+    }
+    for (int trial = 0; trial < 8; ++trial) {
+        std::uint64_t a = rng.Next64() % (domain + 1);
+        std::uint64_t b = rng.Next64() % (domain + 1);
+        if (a > b) std::swap(a, b);
+        ranges.push_back({a, b});
+    }
+    return ranges;
+}
+
+TEST(DpfEvalRangeBatchedTest, MatchesFullDomainSlices) {
+    // The level walk feeds each frontier through one Prg::ExpandBatch (the
+    // AES-NI pipeline for kAes128 — the software path under
+    // GPUDPF_FORCE_SCALAR=1 — and each supported lane width for
+    // kChacha20) and corrects it branch-free; its leaves must equal the
+    // sequential EvalFullDomain reference's bit for bit, for every PRF,
+    // depth, output width, party and subrange.
     struct Config {
         PrfKind prf;
         ChachaLanes lanes;
     };
-    std::vector<Config> configs = {{PrfKind::kAes128, ChachaLanes::kScalar},
-                                   {PrfKind::kSipHash, ChachaLanes::kScalar}};
+    std::vector<Config> configs;
+    for (const PrfKind prf : AllPrfKinds()) {
+        if (prf != PrfKind::kChacha20) {
+            configs.push_back({prf, ChachaLanes::kScalar});
+        }
+    }
     for (ChachaLanes lanes : AllChachaLanes()) {
         if (ChachaLanesSupported(lanes)) {
             configs.push_back({PrfKind::kChacha20, lanes});
         }
     }
     for (const Config& config : configs) {
-        const PrfKind prf = config.prf;
-        for (int log_domain : {1, 2, 5, 10, 13}) {
+        for (int log_domain : {1, 2, 3, 4, 10}) {
             for (int out_words : {1, 3}) {
                 Rng rng(1000 + log_domain);
-                const Dpf dpf(DpfParams{log_domain, prf, out_words},
+                const Dpf dpf(DpfParams{log_domain, config.prf, out_words},
                               config.lanes);
                 const std::uint64_t domain = std::uint64_t{1} << log_domain;
-                auto [k0, k1] =
-                    dpf.GenIndicator(rng.Next64() % domain, rng);
+                auto [k0, k1] = dpf.GenIndicator(rng.Next64() % domain, rng);
+                const auto ranges = RangesToCheck(log_domain, rng);
                 Dpf::RangeScratch scratch;
-                for (int trial = 0; trial < 4; ++trial) {
-                    std::uint64_t a = rng.Next64() % domain;
-                    std::uint64_t b = rng.Next64() % domain;
-                    if (a > b) std::swap(a, b);
-                    const std::uint64_t begin = trial == 0 ? 0 : a;
-                    const std::uint64_t end = trial == 0 ? domain : b + 1;
-                    for (const DpfKey* key : {&k0, &k1}) {
-                        std::vector<u128> ref;
-                        dpf.EvalRange(*key, begin, end, &ref);
-                        std::vector<u128> got(ref.size(), 0);
+                for (const DpfKey* key : {&k0, &k1}) {
+                    std::vector<u128> full;
+                    dpf.EvalFullDomain(*key, &full);
+                    for (const auto& [begin, end] : ranges) {
+                        const std::vector<u128> want(
+                            full.begin() + begin * out_words,
+                            full.begin() + end * out_words);
+                        std::vector<u128> got(want.size() + 1, 7);
                         dpf.EvalRangeBatched(*key, begin, end, got.data(),
                                              &scratch);
-                        ASSERT_EQ(got, ref)
-                            << PrfKindName(prf) << "/"
+                        // The word past the range is never written.
+                        ASSERT_EQ(got.back(), 7u);
+                        got.pop_back();
+                        ASSERT_EQ(got, want)
+                            << PrfKindName(config.prf) << "/"
                             << ChachaLanesName(config.lanes)
-                            << " n=" << log_domain
-                            << " w=" << out_words << " [" << begin << ","
-                            << end << ") party " << key->party;
+                            << " n=" << log_domain << " w=" << out_words
+                            << " [" << begin << "," << end << ") party "
+                            << key->party;
                     }
                 }
             }

@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "src/common/rng.h"
-#include "src/kernels/cpu_kernel.h"
 #include "src/kernels/scheduler.h"
 #include "src/kernels/strategy.h"
 
@@ -271,27 +270,6 @@ TEST(SchedulerTest, AlwaysReturnsAPlan) {
     const auto decision = scheduler.Plan(22, 1ull << 22, 256, PrfKind::kSha256,
                                          /*max_latency_sec=*/1e-9);
     EXPECT_GT(decision.estimate.latency_sec, 0.0);
-}
-
-TEST(CpuKernelTest, NamesParseAndDispatchRoundTrip) {
-    // Every CPU kernel's name parses back to its kind, and the singleton
-    // GetCpuKernel returns reports that kind under that name.
-    for (const CpuKernelKind kind : AllCpuKernelKinds()) {
-        const char* name = CpuKernelKindName(kind);
-        CpuKernelKind parsed;
-        EXPECT_TRUE(ParseCpuKernelKind(name, &parsed)) << name;
-        EXPECT_EQ(parsed, kind);
-        EXPECT_EQ(GetCpuKernel(kind).kind(), kind);
-        EXPECT_STREQ(GetCpuKernel(kind).name(), name);
-    }
-    // A gpusim strategy name is not a CPU kernel, and neither is the
-    // removed one-query level-order kernel (now multiquery_tile's
-    // single-task case).
-    CpuKernelKind ignored;
-    EXPECT_FALSE(ParseCpuKernelKind("membound-tree", &ignored));
-    EXPECT_FALSE(ParseCpuKernelKind("simd_" "prg", &ignored));
-    EXPECT_FALSE(GetCpuKernel(CpuKernelKind::kScalar).multi_query());
-    EXPECT_TRUE(GetCpuKernel(CpuKernelKind::kMultiqueryTile).multi_query());
 }
 
 }  // namespace

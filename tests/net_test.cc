@@ -984,11 +984,12 @@ TEST(NetServingTest, MalformedKeyHeaderRejected) {
         req.hot_keys1 = std::move(prep.wire_hot_keys1);
         return req;
     };
-    // Header bytes: party, log_domain, PRF, out_words.
+    // Header bytes: party, log_domain, PRF, out_words. PRF bytes 0 (AES)
+    // and 1 (SHA-256) are valid kinds, but not this ChaCha20 node's.
     const struct {
         std::size_t offset;
         std::uint8_t value;
-    } corruptions[] = {{2, 5}, {2, 0x7f}, {0, 2}};
+    } corruptions[] = {{2, 5}, {2, 0x7f}, {0, 2}, {2, 1}, {2, 0}};
     std::uint64_t id = 1;
     for (const auto& c : corruptions) {
         net::LookupRequestFrame req = request(id++);
@@ -1003,7 +1004,7 @@ TEST(NetServingTest, MalformedKeyHeaderRejected) {
             << "byte " << c.offset << " = " << int{c.value};
     }
     auto stats = world.nodes[0]->stats();
-    EXPECT_EQ(stats.rejected, 3u);
+    EXPECT_EQ(stats.rejected, std::size(corruptions));
     EXPECT_EQ(stats.completed, 0u);
     EXPECT_EQ(stats.rows_scanned, 0u);
 

@@ -11,6 +11,7 @@
 
 #include "src/batchpir/pbr.h"
 #include "src/batchpir/pbr_session.h"
+#include "src/common/cpuid.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/core/service.h"
@@ -52,10 +53,10 @@ TEST(DpfEvalRangeTest, MatchesFullDomainSlices) {
     const int w = dpf.params().out_words;
     const std::uint64_t ranges[][2] = {
         {0, 256}, {0, 1}, {255, 256}, {13, 77}, {96, 99}, {128, 128}};
+    Dpf::RangeScratch scratch;
     for (const auto& r : ranges) {
-        std::vector<u128> part;
-        dpf.EvalRange(k0, r[0], r[1], &part);
-        ASSERT_EQ(part.size(), (r[1] - r[0]) * w);
+        std::vector<u128> part((r[1] - r[0]) * w);
+        dpf.EvalRangeBatched(k0, r[0], r[1], part.data(), &scratch);
         for (std::uint64_t x = r[0]; x < r[1]; ++x) {
             for (int j = 0; j < w; ++j) {
                 EXPECT_EQ(part[(x - r[0]) * w + j], full[x * w + j])
@@ -63,8 +64,10 @@ TEST(DpfEvalRangeTest, MatchesFullDomainSlices) {
             }
         }
     }
-    EXPECT_THROW(dpf.EvalRange(k0, 2, 1, &full), std::invalid_argument);
-    EXPECT_THROW(dpf.EvalRange(k0, 0, 257, &full), std::invalid_argument);
+    EXPECT_THROW(dpf.EvalRangeBatched(k0, 2, 1, full.data(), &scratch),
+                 std::invalid_argument);
+    EXPECT_THROW(dpf.EvalRangeBatched(k0, 0, 257, full.data(), &scratch),
+                 std::invalid_argument);
 }
 
 class ShardedAnswerTest : public ::testing::TestWithParam<std::size_t> {};
@@ -222,13 +225,21 @@ TEST(TiledLayoutTest, BitIdenticalToRowMajorAcrossShardsAndBatches) {
     }
 }
 
-TEST(CpuKernelMatrixTest, AllKernelsBitIdenticalAcrossLayoutsShardsPlacements) {
-    // The full acceptance matrix of the unified kernel API: every CPU
-    // kernel (scalar reference, SIMD-batched PRG, multi-query tile) must be
-    // bit-identical to the sequential reference under layouts {row-major,
-    // tiled} x shards {1,3,8} x placements {dynamic, pinned} x batch
-    // {1,4,32}. Z_2^128 addition is commutative, so any kernel's
-    // segmentation must reproduce the exact same words.
+// Where the matrices below run the scalar and the widest paths: the
+// accumulator ISA is pinned in-process (SetAccumulateIsa); the PRG (software
+// AES, scalar ChaCha20) drops to scalar under GPUDPF_FORCE_SCALAR=1, which
+// CI's forced-scalar legs set for the whole suite.
+const char* PrgPath() {
+    return GetCpuFeatures().forced_scalar ? "scalar" : "widest";
+}
+
+TEST(CpuKernelMatrixTest, BitIdenticalAcrossLayoutsShardsPlacements) {
+    // The full acceptance matrix of the CPU kernel: it must be
+    // bit-identical to the sequential reference under PRFs {AES,
+    // ChaCha20} x layouts {row-major, tiled} x shards {1,3,8} x placements
+    // {dynamic, pinned} x batch {1,4,32}. Z_2^128 addition is
+    // commutative, so any segmentation must reproduce the exact same
+    // words.
     Rng rng_a(53);
     Rng rng_b(53);
     const std::uint64_t n = 700;  // spans several tiles at 208 B/row
@@ -236,29 +247,27 @@ TEST(CpuKernelMatrixTest, AllKernelsBitIdenticalAcrossLayoutsShardsPlacements) {
     PirTable tiled(n, 208, TableLayout::kTiled);
     row_major.FillRandom(rng_a);
     tiled.FillRandom(rng_b);
-    PirClient client(10, PrfKind::kAes128, /*seed=*/23);
     ThreadPool pool(4);
 
     const std::size_t max_batch =
         *std::max_element(std::begin(kBatchSizes), std::end(kBatchSizes));
-    std::vector<std::vector<std::uint8_t>> keys;
-    std::vector<PirResponse> expected;
-    for (std::size_t i = 0; i < max_batch; ++i) {
-        PirQuery q = client.Query((i * 131) % n);
-        expected.push_back(ReferenceAnswer(
-            row_major, DpfKey::Deserialize(q.key_for_server0.data(),
-                                           q.key_for_server0.size())));
-        keys.push_back(std::move(q.key_for_server0));
-    }
-
-    for (const CpuKernelKind kernel : AllCpuKernelKinds()) {
+    for (const PrfKind prf : {PrfKind::kAes128, PrfKind::kChacha20}) {
+        PirClient client(10, prf, /*seed=*/23);
+        std::vector<std::vector<std::uint8_t>> keys;
+        std::vector<PirResponse> expected;
+        for (std::size_t i = 0; i < max_batch; ++i) {
+            PirQuery q = client.Query((i * 131) % n);
+            expected.push_back(ReferenceAnswer(
+                row_major, DpfKey::Deserialize(q.key_for_server0.data(),
+                                               q.key_for_server0.size())));
+            keys.push_back(std::move(q.key_for_server0));
+        }
         for (const PirTable* table : {&row_major, &tiled}) {
             for (const std::size_t shards : kShardCounts) {
                 for (const ShardPlacement placement :
                      {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-                    PirServer server(
-                        table,
-                        ShardingOptions{shards, &pool, placement, kernel});
+                    PirServer server(table,
+                                     ShardingOptions{shards, &pool, placement});
                     for (const std::size_t batch : kBatchSizes) {
                         const std::vector<std::vector<std::uint8_t>> subset(
                             keys.begin(), keys.begin() + batch);
@@ -266,8 +275,8 @@ TEST(CpuKernelMatrixTest, AllKernelsBitIdenticalAcrossLayoutsShardsPlacements) {
                         ASSERT_EQ(responses.size(), batch);
                         for (std::size_t i = 0; i < batch; ++i) {
                             ASSERT_EQ(responses[i], expected[i])
-                                << "kernel=" << CpuKernelKindName(kernel)
-                                << " layout="
+                                << "prf=" << PrfKindName(prf)
+                                << " prg=" << PrgPath() << " layout="
                                 << (table == &tiled ? "tiled" : "row-major")
                                 << " shards=" << shards << " placement="
                                 << ShardPlacementName(placement)
@@ -280,13 +289,13 @@ TEST(CpuKernelMatrixTest, AllKernelsBitIdenticalAcrossLayoutsShardsPlacements) {
     }
 }
 
-TEST(CpuKernelMatrixTest, AllAccumulateIsasBitIdenticalAcrossKernels) {
+TEST(CpuKernelMatrixTest, AllAccumulateIsasBitIdentical) {
     // The accumulator-ISA axis of the matrix: with the dispatch pinned to
-    // each supported AccumulateIsa in turn, every CPU kernel stays
-    // bit-identical to the sequential reference on both layouts. Exercises
-    // the vector accumulators through real kernel call sites (segment
-    // offsets, tile tails, multi-query fusion) rather than synthetic
-    // buffers.
+    // each supported AccumulateIsa in turn — scalar through the widest —
+    // the kernel stays bit-identical to the sequential reference on both
+    // layouts. Exercises the vector accumulators through real kernel call
+    // sites (segment offsets, tile tails, multi-query fusion) rather than
+    // synthetic buffers.
     Rng rng_a(59);
     Rng rng_b(59);
     const std::uint64_t n = 700;
@@ -294,33 +303,31 @@ TEST(CpuKernelMatrixTest, AllAccumulateIsasBitIdenticalAcrossKernels) {
     PirTable tiled(n, 208, TableLayout::kTiled);
     row_major.FillRandom(rng_a);
     tiled.FillRandom(rng_b);
-    PirClient client(10, PrfKind::kAes128, /*seed=*/29);
     ThreadPool pool(4);
 
-    std::vector<std::vector<std::uint8_t>> keys;
-    std::vector<PirResponse> expected;
-    for (std::size_t i = 0; i < 4; ++i) {
-        PirQuery q = client.Query((i * 173) % n);
-        expected.push_back(ReferenceAnswer(
-            row_major, DpfKey::Deserialize(q.key_for_server0.data(),
-                                           q.key_for_server0.size())));
-        keys.push_back(std::move(q.key_for_server0));
-    }
-
-    for (const AccumulateIsa isa : AllAccumulateIsas()) {
-        if (!AccumulateIsaSupported(isa)) continue;
-        ASSERT_TRUE(SetAccumulateIsa(isa));
-        for (const CpuKernelKind kernel : AllCpuKernelKinds()) {
+    for (const PrfKind prf : {PrfKind::kAes128, PrfKind::kChacha20}) {
+        PirClient client(10, prf, /*seed=*/29);
+        std::vector<std::vector<std::uint8_t>> keys;
+        std::vector<PirResponse> expected;
+        for (std::size_t i = 0; i < 4; ++i) {
+            PirQuery q = client.Query((i * 173) % n);
+            expected.push_back(ReferenceAnswer(
+                row_major, DpfKey::Deserialize(q.key_for_server0.data(),
+                                               q.key_for_server0.size())));
+            keys.push_back(std::move(q.key_for_server0));
+        }
+        for (const AccumulateIsa isa : AllAccumulateIsas()) {
+            if (!AccumulateIsaSupported(isa)) continue;
+            ASSERT_TRUE(SetAccumulateIsa(isa));
             for (const PirTable* table : {&row_major, &tiled}) {
-                PirServer server(table, ShardingOptions{3, &pool,
-                                                        ShardPlacement::kPinned,
-                                                        kernel});
+                PirServer server(
+                    table, ShardingOptions{3, &pool, ShardPlacement::kPinned});
                 const auto responses = server.BatchAnswer(keys);
                 ASSERT_EQ(responses.size(), keys.size());
                 for (std::size_t i = 0; i < keys.size(); ++i) {
                     ASSERT_EQ(responses[i], expected[i])
-                        << "accumulate=" << AccumulateIsaName(isa)
-                        << " kernel=" << CpuKernelKindName(kernel)
+                        << "prf=" << PrfKindName(prf) << " prg=" << PrgPath()
+                        << " accumulate=" << AccumulateIsaName(isa)
                         << " layout="
                         << (table == &tiled ? "tiled" : "row-major")
                         << " query=" << i;
@@ -437,42 +444,31 @@ TEST(AnswerEngineTest, JobContextSkipsDeadJobsAndKeepsLiveOnesBitIdentical) {
     const bool dead[kJobs] = {false, true, false, true, true, false};
     constexpr std::size_t kDeadJobs = 3;
 
-    for (const CpuKernelKind kernel : AllCpuKernelKinds()) {
-        for (const PirTable* table : {&row_major, &tiled}) {
-            for (const std::size_t shards : kShardCounts) {
-                for (const ShardPlacement placement :
-                     {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-                    AnswerEngine engine(
-                        ShardingOptions{shards, &pool, placement, kernel});
-                    std::vector<AnswerEngine::TableJob> jobs;
-                    for (std::size_t q = 0; q < kJobs; ++q) {
-                        jobs.push_back(
-                            {table, {&keys[q], 0, n}, {q, contexts[q]}});
-                    }
-                    std::vector<PirResponse> out(kJobs);
-                    const AnswerEngine::BatchStats stats =
-                        engine.AnswerBatchNotify(
-                            jobs, [&out](std::size_t q, PirResponse&& resp) {
-                                out[q] = std::move(resp);
-                            });
-                    EXPECT_EQ(stats.jobs_skipped, kDeadJobs)
-                        << "kernel=" << CpuKernelKindName(kernel)
-                        << " shards=" << shards;
-                    EXPECT_EQ(stats.shards_skipped, kDeadJobs * shards)
-                        << "kernel=" << CpuKernelKindName(kernel)
-                        << " shards=" << shards;
-                    for (std::size_t q = 0; q < kJobs; ++q) {
-                        if (dead[q]) {
-                            EXPECT_TRUE(out[q].empty())
-                                << "kernel=" << CpuKernelKindName(kernel)
-                                << " shards=" << shards << " job=" << q;
-                        } else {
-                            EXPECT_EQ(out[q], expected[q])
-                                << "kernel=" << CpuKernelKindName(kernel)
-                                << " shards=" << shards << " placement="
-                                << ShardPlacementName(placement)
-                                << " job=" << q;
-                        }
+    for (const PirTable* table : {&row_major, &tiled}) {
+        for (const std::size_t shards : kShardCounts) {
+            for (const ShardPlacement placement :
+                 {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
+                AnswerEngine engine(ShardingOptions{shards, &pool, placement});
+                std::vector<AnswerEngine::TableJob> jobs;
+                for (std::size_t q = 0; q < kJobs; ++q) {
+                    jobs.push_back({table, {&keys[q], 0, n}, {q, contexts[q]}});
+                }
+                std::vector<PirResponse> out(kJobs);
+                const AnswerEngine::BatchStats stats = engine.AnswerBatchNotify(
+                    jobs, [&out](std::size_t q, PirResponse&& resp) {
+                        out[q] = std::move(resp);
+                    });
+                EXPECT_EQ(stats.jobs_skipped, kDeadJobs) << "shards=" << shards;
+                EXPECT_EQ(stats.shards_skipped, kDeadJobs * shards)
+                    << "shards=" << shards;
+                for (std::size_t q = 0; q < kJobs; ++q) {
+                    if (dead[q]) {
+                        EXPECT_TRUE(out[q].empty())
+                            << "shards=" << shards << " job=" << q;
+                    } else {
+                        EXPECT_EQ(out[q], expected[q])
+                            << "shards=" << shards << " placement="
+                            << ShardPlacementName(placement) << " job=" << q;
                     }
                 }
             }
