@@ -227,9 +227,8 @@ void Dpf::ExpandNode(const DpfKey& key, const Node& parent, int level,
 
 void Dpf::Finalize(const DpfKey& key, const Node& leaf, u128* out) const {
     Convert(prg_, leaf.seed, out, params_.out_words);
-    const u128 t_mask = static_cast<u128>(0) - (leaf.t ? 1 : 0);
     for (int w = 0; w < params_.out_words; ++w) {
-        out[w] += key.final_cw[w] & t_mask;
+        if (leaf.t) out[w] += key.final_cw[w];
         if (key.party == 1) out[w] = static_cast<u128>(0) - out[w];
     }
 }
@@ -320,7 +319,10 @@ void Dpf::EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
     std::size_t off = 0;   // frontier's first node within seeds[cur]
     std::uint64_t lo = 0;  // frontier's first node index at this level
     std::size_t count = 1;
-    // With one output word the last level is fused with Finalize below.
+    // With one output word (the serving width) the last level is fused
+    // with Finalize below, so no leaf seed or control bit is stored to
+    // scratch and read back; wider outputs walk to the leaves and call
+    // Finalize on each.
     const int walk = params_.out_words == 1 ? n - 1 : n;
     for (int level = 0; level < walk; ++level) {
         prg_.ExpandBatch(scratch->seeds[cur].data() + off, count,
