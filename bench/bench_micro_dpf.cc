@@ -1,11 +1,13 @@
 // google-benchmark microbenchmarks: DPF Gen / point Eval / full-domain
-// Eval / the serving range walk and the parallel kernel strategies on the
-// host.
+// Eval / the serving range walk and scan kernel, and the parallel kernel
+// strategies on the host.
 #include <benchmark/benchmark.h>
 
 #include "src/common/rng.h"
 #include "src/dpf/dpf.h"
+#include "src/kernels/cpu_kernel.h"
 #include "src/kernels/strategy.h"
+#include "src/pir/answer_engine.h"
 
 namespace gpudpf {
 namespace {
@@ -52,16 +54,17 @@ void BM_DpfEvalFullDomain(benchmark::State& state) {
 }
 BENCHMARK(BM_DpfEvalFullDomain)->Arg(10)->Arg(14)->Arg(18);
 
-// The serving kernel's DPF step: EvalRangeBatched over a 2^16 domain in
-// consecutive segments of state.range(1) rows (the kernel's per-tile
-// segments), for PRF state.range(0). Items are leaves.
+// The serving kernel's DPF step: EvalRangeBatched of an XOR-share key
+// over a 2^16 domain in consecutive segments of state.range(1) rows (the
+// kernel's per-tile segments), for PRF state.range(0). Items are rows
+// selected (128 per block).
 void BM_DpfEvalRangeBatched(benchmark::State& state) {
     const auto prf = static_cast<PrfKind>(state.range(0));
     const auto segment = static_cast<std::uint64_t>(state.range(1));
-    const Dpf dpf(DpfParams{16, prf, 1});
+    const Dpf dpf(DpfParams{16, prf, 1, ShareKind::kXor});
     Rng rng(5);
     auto keys = dpf.GenIndicator(12'345, rng);
-    std::vector<u128> out(segment);
+    std::vector<u128> out(segment / kXorBlockRows + 1);
     Dpf::RangeScratch scratch;
     std::uint64_t begin = 0;
     for (auto _ : state) {
@@ -80,6 +83,39 @@ BENCHMARK(BM_DpfEvalRangeBatched)
     ->ArgsProduct({{static_cast<int>(PrfKind::kAes128),
                     static_cast<int>(PrfKind::kChacha20)},
                    {2'048, 16'384}});
+
+// The serving kernel, one thread: MultiqueryTileAnswerRange over one
+// taobao bin (65,536 rows x 64 B, tiled) for state.range(0) AES queries
+// sharing the pass. Items are (row, query) pairs.
+void BM_KernelScanTaobaoBin(benchmark::State& state) {
+    const auto queries = static_cast<std::size_t>(state.range(0));
+    constexpr std::uint64_t kRows = 1u << 16;
+    const Dpf dpf(DpfParams{16, PrfKind::kAes128, 1, ShareKind::kXor});
+    Rng rng(6);
+    PirTable table(kRows, 64, TableLayout::kTiled);
+    table.FillRandom(rng);
+    std::vector<DpfKey> keys;
+    for (std::size_t q = 0; q < queries; ++q) {
+        keys.push_back(dpf.GenIndicator(rng.UniformInt(kRows), rng).first);
+    }
+    std::vector<PirResponse> resp(queries,
+                                  PirResponse(table.words_per_entry()));
+    std::vector<CpuKernelTask> tasks(queries);
+    CpuKernelScratch scratch;
+    for (auto _ : state) {
+        for (std::size_t q = 0; q < queries; ++q) {
+            tasks[q] = CpuKernelTask{&dpf, &keys[q], nullptr, resp[q].data()};
+        }
+        MultiqueryTileAnswerRange(table, 0, 0, kRows, tasks.data(), queries,
+                                  &scratch);
+        benchmark::DoNotOptimize(resp[0].data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kRows * queries));
+    state.SetLabel("queries=" + std::to_string(queries));
+}
+BENCHMARK(BM_KernelScanTaobaoBin)->Arg(1)->Arg(2)->Arg(16)->Unit(
+    benchmark::kMillisecond);
 
 void BM_StrategyHostRun(benchmark::State& state) {
     const auto kind = static_cast<StrategyKind>(state.range(0));

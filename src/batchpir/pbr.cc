@@ -74,11 +74,9 @@ double Pbr::ExpectedRetrievedFraction(std::size_t q) const {
 }
 
 std::size_t Pbr::UploadBytesPerServer() const {
-    // Header(4) + root seed(16) + per-level CW(17) + final CW(16); see
-    // DpfKey::SerializedSize.
-    const std::size_t key_bytes =
-        4 + 16 + static_cast<std::size_t>(bin_log_domain_) * 17 + 16;
-    return num_bins_ * key_bytes;
+    // The key size does not depend on the PRF.
+    return num_bins_ *
+           DpfKey::SerializedSizeFor(BinDpfParams(PrfKind::kChacha20));
 }
 
 std::size_t Pbr::DownloadBytes(std::size_t entry_bytes) const {

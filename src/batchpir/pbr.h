@@ -18,6 +18,7 @@
 
 #include "src/common/rng.h"
 #include "src/crypto/prf.h"
+#include "src/dpf/dpf.h"
 
 namespace gpudpf {
 
@@ -30,8 +31,13 @@ class Pbr {
     std::uint64_t num_entries() const { return num_entries_; }
     std::uint64_t bin_size() const { return bin_size_; }
     std::uint64_t num_bins() const { return num_bins_; }
-    // DPF tree depth for a single bin query.
+    // DPF domain bits of a single bin query.
     int bin_log_domain() const { return bin_log_domain_; }
+    // Parameters of one bin query's DPF: an XOR-share indicator over the
+    // bin's domain. PbrSession generates and accepts exactly these keys.
+    DpfParams BinDpfParams(PrfKind prf) const {
+        return DpfParams{bin_log_domain_, prf, 1, ShareKind::kXor};
+    }
 
     std::uint64_t BinOf(std::uint64_t index) const { return index / bin_size_; }
     std::uint64_t LocalIndex(std::uint64_t index) const {
@@ -66,7 +72,7 @@ class Pbr {
 
     // --- cost accounting ----------------------------------------------------
     // Upload per server for one batched retrieval: one serialized DPF key
-    // per bin.
+    // (DpfKey::SerializedSizeFor(BinDpfParams)) per bin.
     std::size_t UploadBytesPerServer() const;
     // Download per server: one entry share per bin.
     std::size_t DownloadBytes(std::size_t entry_bytes) const;

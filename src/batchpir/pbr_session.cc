@@ -8,7 +8,7 @@ namespace gpudpf {
 PbrSession::PbrSession(const Pbr* pbr, PrfKind prf, std::uint64_t client_seed,
                        ShardingOptions sharding)
     : pbr_(pbr),
-      bin_dpf_(DpfParams{pbr->bin_log_domain(), prf, 1}),
+      bin_dpf_(pbr->BinDpfParams(prf)),
       rng_(client_seed),
       engine_(sharding) {}
 
@@ -48,9 +48,12 @@ PbrSession::BinJobs PbrSession::ParseJobs(
     for (std::uint64_t b = 0; b < keys.size(); ++b) {
         parsed.keys[b] = DpfKey::Deserialize(keys[b].data(), keys[b].size());
         // A key must name exactly the session's DPF: a valid header for
-        // another PRF or output width would otherwise be scanned and
-        // answered as if it were this session's.
+        // another PRF, output width or share kind would otherwise be
+        // scanned and answered as if it were this session's.
         const DpfParams& params = parsed.keys[b].params;
+        if (params.share != bin_dpf_.params().share) {
+            throw std::invalid_argument("PbrSession: key share kind mismatch");
+        }
         if (params.log_domain != bin_dpf_.params().log_domain) {
             throw std::invalid_argument("PbrSession: bad key domain");
         }
@@ -94,13 +97,13 @@ std::vector<std::vector<std::uint8_t>> PbrSession::Reconstruct(
     }
     std::vector<std::vector<std::uint8_t>> out(r0.size());
     for (std::size_t b = 0; b < r0.size(); ++b) {
-        std::vector<u128> sum(r0[b].size());
-        for (std::size_t k = 0; k < sum.size(); ++k) {
-            sum[k] = r0[b][k] + r1[b][k];
+        std::vector<u128> entry(r0[b].size());
+        for (std::size_t k = 0; k < entry.size(); ++k) {
+            entry[k] = r0[b][k] ^ r1[b][k];
         }
         out[b].resize(entry_bytes);
-        std::memcpy(out[b].data(), sum.data(),
-                    std::min(entry_bytes, sum.size() * 16));
+        std::memcpy(out[b].data(), entry.data(),
+                    std::min(entry_bytes, entry.size() * 16));
     }
     return out;
 }

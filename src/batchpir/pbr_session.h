@@ -36,7 +36,8 @@ class PbrSession {
         std::size_t UploadBytesPerServer() const;
     };
 
-    // Client: keys for every bin query in the plan (real and dummy alike).
+    // Client: XOR-share keys for every bin query in the plan (real and
+    // dummy alike).
     Request BuildRequest(const Pbr::Plan& plan);
 
     // One server's parsed per-bin answer jobs. `jobs` point into `keys`, so
@@ -49,8 +50,9 @@ class PbrSession {
     // Server: deserializes and validates one key per bin, binding each to
     // its bin's row range. Throws std::invalid_argument on a key count
     // other than num_bins, on bytes Deserialize rejects, and on a key
-    // whose log_domain, PRF or out_words differs from the session's bin
-    // DPF — before any job is formed, so no row is scanned for it. Lets a
+    // whose log_domain, PRF, out_words or share kind differs from the
+    // session's bin DPF (Pbr::BinDpfParams: an additive key is refused) —
+    // before any job is formed, so no row is scanned for it. Lets a
     // serving front-end pool the jobs of many requests (and tables) into
     // one AnswerEngine::AnswerBatch call instead of answering per session.
     BinJobs ParseJobs(
@@ -74,7 +76,7 @@ class PbrSession {
         const PirTable& table,
         const std::vector<std::vector<std::uint8_t>>& keys) const;
 
-    // Client: combines both servers' per-bin shares into entry bytes
+    // Client: XORs both servers' per-bin shares into entry bytes
     // (index-aligned with the plan's queries).
     std::vector<std::vector<std::uint8_t>> Reconstruct(
         const std::vector<PirResponse>& r0, const std::vector<PirResponse>& r1,

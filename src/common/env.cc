@@ -18,7 +18,8 @@ const std::vector<GpudpfEnvVar>& GpudpfEnvTable() {
          "1 = mask the CPU-feature probe (software AES, scalar ChaCha20 and "
          "accumulate)"},
         {"GPUDPF_ACCUMULATE",
-         "process-default mat-vec accumulator ISA: scalar | avx2 | avx512"},
+         "process-default u128 mat-vec accumulator ISA (AccumulateSegment; "
+         "no lookup path calls it): scalar | avx2 | avx512"},
         {"GPUDPF_NUMA",
          "NUMA first-touch tile placement: auto | on | off"},
         // The frame header's payload length is a u32, so 4095 MiB is the

@@ -6,9 +6,10 @@
 namespace gpudpf {
 namespace {
 
-// Converts a leaf seed into `n` pseudorandom output words (the "convert"
-// step of the BGI construction). For n == 1 the seed itself is the
-// conversion (it is already a PRG output for every node below the root).
+// Converts an additive key's leaf seed into `n` pseudorandom output words
+// (the "convert" step of the BGI construction). For n == 1 the seed itself
+// is the conversion (it is already a PRG output for every node below the
+// root); XOR keys convert differently (see GenBatch).
 void Convert(const Prg& prg, u128 seed, u128* out, int n) {
     if (n == 1) {
         out[0] = seed;
@@ -17,12 +18,23 @@ void Convert(const Prg& prg, u128 seed, u128* out, int n) {
     prg.ExpandWide(seed, out, static_cast<std::size_t>(n));
 }
 
+bool IsShareKind(int value) {
+    return value == static_cast<int>(ShareKind::kAdditive) ||
+           value == static_cast<int>(ShareKind::kXor);
+}
+
 }  // namespace
 
-std::size_t DpfKey::SerializedSize() const {
-    // Layout: header (party:1, log_domain:1, prf:1, out_words:1) +
-    // root seed (16) + per-level (seed 16 + packed t bits 1) + final CWs.
-    return 4 + 16 + cw.size() * 17 + final_cw.size() * 16;
+int DpfParams::TreeDepth() const {
+    if (share == ShareKind::kAdditive) return log_domain;
+    return log_domain > kXorBlockLog ? log_domain - kXorBlockLog : 0;
+}
+
+std::size_t DpfKey::SerializedSizeFor(const DpfParams& params) {
+    // Layout: header (party:1, log_domain:1, prf:1, out_words:1, share:1)
+    // + root seed (16) + per-level (seed 16 + packed t bits 1) + final CWs.
+    return 5 + 16 + static_cast<std::size_t>(params.TreeDepth()) * 17 +
+           static_cast<std::size_t>(params.out_words) * 16;
 }
 
 std::vector<std::uint8_t> DpfKey::Serialize() const {
@@ -32,6 +44,7 @@ std::vector<std::uint8_t> DpfKey::Serialize() const {
     out.push_back(static_cast<std::uint8_t>(params.log_domain));
     out.push_back(static_cast<std::uint8_t>(params.prf));
     out.push_back(static_cast<std::uint8_t>(params.out_words));
+    out.push_back(static_cast<std::uint8_t>(params.share));
     std::uint8_t buf[16];
     StoreU128Le(root_seed, buf);
     out.insert(out.end(), buf, buf + 16);
@@ -49,24 +62,27 @@ std::vector<std::uint8_t> DpfKey::Serialize() const {
 }
 
 DpfKey DpfKey::Deserialize(const std::uint8_t* data, std::size_t len) {
-    if (len < 20) throw std::invalid_argument("DpfKey: truncated buffer");
+    if (len < 21) throw std::invalid_argument("DpfKey: truncated buffer");
     if (data[0] > 1) throw std::invalid_argument("DpfKey: party not 0 or 1");
     if (!IsPrfKind(data[2])) {
         throw std::invalid_argument("DpfKey: unknown PRF kind");
+    }
+    if (!IsShareKind(data[4])) {
+        throw std::invalid_argument("DpfKey: unknown share kind");
     }
     DpfKey key;
     key.party = data[0];
     key.params.log_domain = data[1];
     key.params.prf = static_cast<PrfKind>(data[2]);
     key.params.out_words = data[3];
-    const std::size_t expected = 4 + 16 +
-                                 static_cast<std::size_t>(key.params.log_domain) * 17 +
-                                 static_cast<std::size_t>(key.params.out_words) * 16;
-    if (len != expected) throw std::invalid_argument("DpfKey: bad length");
-    std::size_t off = 4;
+    key.params.share = static_cast<ShareKind>(data[4]);
+    if (len != SerializedSizeFor(key.params)) {
+        throw std::invalid_argument("DpfKey: bad length");
+    }
+    std::size_t off = 5;
     key.root_seed = LoadU128Le(data + off);
     off += 16;
-    key.cw.resize(key.params.log_domain);
+    key.cw.resize(key.params.TreeDepth());
     for (auto& c : key.cw) {
         c.seed = LoadU128Le(data + off);
         off += 16;
@@ -90,6 +106,9 @@ Dpf::Dpf(DpfParams params, ChachaLanes lanes)
     if (params_.out_words < 1 || params_.out_words > 255) {
         throw std::invalid_argument("Dpf: out_words out of range");
     }
+    if (params_.share == ShareKind::kXor && params_.out_words != 1) {
+        throw std::invalid_argument("Dpf: XOR keys have one output word");
+    }
 }
 
 std::vector<std::pair<DpfKey, DpfKey>> Dpf::GenBatch(
@@ -102,6 +121,10 @@ std::vector<std::pair<DpfKey, DpfKey>> Dpf::GenBatch(
     }
     if (beta.size() != static_cast<std::size_t>(params_.out_words)) {
         throw std::invalid_argument("Dpf::Gen: beta width mismatch");
+    }
+    const bool xor_share = params_.share == ShareKind::kXor;
+    if (xor_share && beta[0] != 1) {
+        throw std::invalid_argument("Dpf::Gen: XOR keys share one bit");
     }
 
     // Walk state of point i: party p's seed and control bit at [2i + p].
@@ -118,16 +141,18 @@ std::vector<std::pair<DpfKey, DpfKey>> Dpf::GenBatch(
         k0.params = k1.params = params_;
         k0.root_seed = rng.Next128();
         k1.root_seed = rng.Next128();
-        k0.cw.resize(params_.log_domain);
-        k1.cw.resize(params_.log_domain);
+        k0.cw.resize(params_.TreeDepth());
+        k1.cw.resize(params_.TreeDepth());
         seeds[2 * i] = k0.root_seed;
         seeds[2 * i + 1] = k1.root_seed;
         ts[2 * i] = 0;
         ts[2 * i + 1] = 1;
     }
 
+    // An XOR key's tree is the top TreeDepth() levels of the domain's:
+    // level `level` still branches on bit n - 1 - level of alpha.
     const int n = params_.log_domain;
-    for (int level = 0; level < n; ++level) {
+    for (int level = 0; level < params_.TreeDepth(); ++level) {
         prg_.ExpandBatch(seeds.data(), 2 * m, lefts.data(), rights.data());
         for (std::size_t i = 0; i < m; ++i) {
             const int bit = static_cast<int>((alphas[i] >> (n - 1 - level)) & 1);
@@ -161,6 +186,24 @@ std::vector<std::pair<DpfKey, DpfKey>> Dpf::GenBatch(
             ts[2 * i] = t0_keep ^ (t0 && t_cw_keep);
             ts[2 * i + 1] = t1_keep ^ (t1 && t_cw_keep);
         }
+    }
+
+    if (xor_share) {
+        // The leaf converts to the left half of its seed's expansion — a
+        // full 128-bit PRG output. (The seed itself has its LSB cleared,
+        // so with it bit 0 of the final CW would be 1 exactly when
+        // alpha % 128 == 0.) The final CW makes the on-path blocks XOR to
+        // the unit block of alpha's bit; t0 XOR t1 == 1 there, so exactly
+        // one party adds it. Off-path leaves match and cancel.
+        prg_.ExpandBatch(seeds.data(), 2 * m, lefts.data(), rights.data());
+        for (std::size_t i = 0; i < m; ++i) {
+            const u128 cw = lefts[2 * i] ^ lefts[2 * i + 1] ^
+                            (static_cast<u128>(1)
+                             << (alphas[i] & (kXorBlockRows - 1)));
+            keys[i].first.final_cw = {cw};
+            keys[i].second.final_cw = {cw};
+        }
+        return keys;
     }
 
     // Final output correction words: make the on-path leaf shares sum to
@@ -239,16 +282,27 @@ void Dpf::EvalPoint(const DpfKey& key, std::uint64_t x, u128* out) const {
     }
     Node node = Root(key);
     const int n = params_.log_domain;
-    for (int level = 0; level < n; ++level) {
+    for (int level = 0; level < params_.TreeDepth(); ++level) {
         Node left;
         Node right;
         ExpandNode(key, node, level, &left, &right);
         node = ((x >> (n - 1 - level)) & 1) ? right : left;
     }
-    Finalize(key, node, out);
+    if (params_.share == ShareKind::kAdditive) {
+        Finalize(key, node, out);
+        return;
+    }
+    u128 block;
+    u128 unused;
+    prg_.Expand(node.seed, &block, &unused);
+    if (node.t) block ^= key.final_cw[0];
+    out[0] = (block >> (x & (kXorBlockRows - 1))) & 1;
 }
 
 void Dpf::EvalFullDomain(const DpfKey& key, std::vector<u128>* out) const {
+    if (params_.share != ShareKind::kAdditive) {
+        throw std::invalid_argument("Dpf::EvalFullDomain: additive keys only");
+    }
     const std::uint64_t L = domain_size();
     const int n = params_.log_domain;
     const int w = params_.out_words;
@@ -284,22 +338,28 @@ void Dpf::EvalFullDomain(const DpfKey& key, std::vector<u128>* out) const {
 void Dpf::EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
                            std::uint64_t end, u128* out,
                            RangeScratch* scratch) const {
+    if (params_.share != ShareKind::kXor ||
+        key.params.share != ShareKind::kXor) {
+        throw std::invalid_argument("Dpf::EvalRangeBatched: XOR keys only");
+    }
     if (begin > end || end > domain_size()) {
         throw std::invalid_argument("Dpf::EvalRangeBatched: bad range");
     }
     if (begin == end) return;
-    const int n = params_.log_domain;
-    const std::size_t leaves = static_cast<std::size_t>(end - begin);
+    const int depth = params_.TreeDepth();
+    const std::uint64_t first = begin >> kXorBlockLog;
+    const std::uint64_t last = (end - 1) >> kXorBlockLog;
+    const std::size_t blocks = static_cast<std::size_t>(last - first) + 1;
 
     // The frontier at level d is the contiguous node index range
-    // [begin >> (n-d), (end-1) >> (n-d)] — the nodes whose leaf spans
-    // intersect [begin, end). Each level expands the whole frontier
-    // through one batched PRG call and writes both children of every
-    // frontier node, interleaved, into the other seed buffer; the next
-    // frontier is that buffer from offset next_lo - 2*lo (0 or 1). A
-    // frontier never holds more than leaves/2 + 1 parents, so leaves + 2
+    // [first >> (depth-d), last >> (depth-d)] — the nodes whose leaf spans
+    // intersect the blocks [first, last]. Each level expands the whole
+    // frontier through one batched PRG call and writes both children of
+    // every frontier node, interleaved, into the other seed buffer; the
+    // next frontier is that buffer from offset next_lo - 2*lo (0 or 1). A
+    // frontier never holds more than blocks/2 + 1 parents, so blocks + 2
     // children bound every buffer.
-    const std::size_t cap = leaves + 2;
+    const std::size_t cap = blocks + 2;
     for (int side = 0; side < 2; ++side) {
         if (scratch->seeds[side].size() < cap) {
             scratch->seeds[side].resize(cap);
@@ -319,18 +379,13 @@ void Dpf::EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
     std::size_t off = 0;   // frontier's first node within seeds[cur]
     std::uint64_t lo = 0;  // frontier's first node index at this level
     std::size_t count = 1;
-    // With one output word (the serving width) the last level is fused
-    // with Finalize below, so no leaf seed or control bit is stored to
-    // scratch and read back; wider outputs walk to the leaves and call
-    // Finalize on each.
-    const int walk = params_.out_words == 1 ? n - 1 : n;
-    for (int level = 0; level < walk; ++level) {
+    for (int level = 0; level < depth; ++level) {
         prg_.ExpandBatch(scratch->seeds[cur].data() + off, count,
                          scratch->child_left.data(),
                          scratch->child_right.data());
-        const int child_shift = n - level - 1;
-        const std::uint64_t next_lo = begin >> child_shift;
-        const std::uint64_t next_hi = (end - 1) >> child_shift;
+        const int child_shift = depth - level - 1;
+        const std::uint64_t next_lo = first >> child_shift;
+        const std::uint64_t next_hi = last >> child_shift;
         const std::uint8_t* t_in = scratch->ts[cur].data() + off;
         const int next = 1 - cur;
         u128* s_out = scratch->seeds[next].data();
@@ -356,49 +411,14 @@ void Dpf::EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
         count = static_cast<std::size_t>(next_hi - next_lo) + 1;
     }
 
-    if (params_.out_words != 1) {
-        for (std::size_t i = 0; i < count; ++i) {
-            Finalize(key,
-                     Node{scratch->seeds[cur][off + i],
-                          scratch->ts[cur][off + i] != 0},
-                     out + i * static_cast<std::size_t>(params_.out_words));
-        }
-        return;
-    }
-
-    // Last level fused with Finalize: leaf share v = s + (final_cw & -t),
-    // negated for party 1 through a mask fixed once per key. Child j of
-    // the parent frontier (j = 2i + side) is leaf 2*lo + j, stored at
-    // out[j - leaf_off]; only the frontier's first parent (left child
-    // when leaf_off is 1) and last parent (right child when the leaf span
-    // ends on a left child) have a child outside [begin, end).
+    // Leaf conversion, as in GenBatch: block = left PRG output of the
+    // leaf seed, XOR the final CW under the leaf's control-bit mask.
     prg_.ExpandBatch(scratch->seeds[cur].data() + off, count,
                      scratch->child_left.data(), scratch->child_right.data());
-    const std::uint8_t* t_in = scratch->ts[cur].data() + off;
-    const CorrectionWord& cw = key.cw[n - 1];
-    const u128 neg = key.party == 1 ? ~static_cast<u128>(0) : 0;
-    const u128 final_cw = (key.final_cw[0] ^ neg) - neg;
-    auto leaf = [&](u128 child, bool t_side, std::uint8_t t) {
-        const u128 mask = static_cast<u128>(0) - t;
-        const u128 s = ClearLsb(child) ^ (cw.seed & mask);
-        const std::uint8_t t_leaf =
-            static_cast<std::uint8_t>(Lsb(child) ^ (t_side & t));
-        return ((s ^ neg) - neg) + (final_cw & (static_cast<u128>(0) - t_leaf));
-    };
-    const std::size_t leaf_off = static_cast<std::size_t>(begin - 2 * lo);
-    std::size_t i = 0;
-    if (leaf_off == 1) {
-        out[0] = leaf(rights[0], cw.t_right, t_in[0]);
-        i = 1;
-    }
-    const std::size_t full_end = (leaf_off + leaves) / 2;
-    for (; i < full_end; ++i) {
-        const std::uint8_t t = t_in[i];
-        out[2 * i - leaf_off] = leaf(lefts[i], cw.t_left, t);
-        out[2 * i + 1 - leaf_off] = leaf(rights[i], cw.t_right, t);
-    }
-    if (((leaf_off + leaves) & 1) != 0) {
-        out[leaves - 1] = leaf(lefts[full_end], cw.t_left, t_in[full_end]);
+    const std::uint8_t* t_leaf = scratch->ts[cur].data() + off;
+    const u128 final_cw = key.final_cw[0];
+    for (std::size_t i = 0; i < blocks; ++i) {
+        out[i] = lefts[i] ^ (final_cw & (static_cast<u128>(0) - t_leaf[i]));
     }
 }
 

@@ -2,15 +2,30 @@
 // primitive (Section 3.1, construction of Gilboa-Ishai [32] with the
 // correction-word refinement of Boyle-Gilboa-Ishai [12]).
 //
-// Gen(alpha, beta) produces two keys; Eval(k, x) produces additive shares in
-// Z_2^128 such that Eval(k0,x) + Eval(k1,x) == (x == alpha ? beta : 0).
-// Communication is O(lambda * log L): one 128-bit seed, log2(L) correction
-// words of 128+2 bits, and `out_words` final output correction words.
+// Two share kinds (ShareKind, one header byte of every key):
 //
-// The class exposes both whole-domain evaluation (the reference
-// implementation all GPU kernels are checked against) and node-level
-// primitives (Root / ExpandNode / Finalize) from which the parallel kernels
-// in src/kernels/ are composed.
+//   kXor       the serving path's only kind. The early-terminated
+//              construction of Boyle-Gilboa-Ishai ("Function Secret
+//              Sharing: Improvements and Extensions", CCS 2016) with
+//              nu = 7: the GGM tree stops 7 levels short of the domain,
+//              and each of its leaves converts to one 128-bit block whose
+//              bit j is party b's XOR share of [x == alpha] for
+//              x = 128 * leaf + j. Eval(k0,x) XOR Eval(k1,x) ==
+//              (x == alpha). A key carries max(0, log_domain - 7)
+//              correction words and one 128-bit final correction word.
+//   kAdditive  shares in Z_2^128: Eval(k0,x) + Eval(k1,x) ==
+//              (x == alpha ? beta : 0), log_domain correction words and
+//              `out_words` final words. Kept for the gpusim strategies
+//              and the bench_fig*/tab* paper model, which measure it.
+//
+// Communication is O(lambda * log L): one 128-bit seed plus one 128+2-bit
+// correction word per tree level, and the final output correction words.
+//
+// The class exposes whole-domain evaluation of additive keys (the
+// reference the gpusim strategies are checked against), node-level
+// primitives (Root / ExpandNode / Finalize) from which those strategies
+// are composed, point evaluation of both kinds, and the batched range
+// evaluator of XOR keys that the serving kernel runs.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +38,15 @@
 
 namespace gpudpf {
 
+// How the two parties' outputs combine (see the file comment). The value
+// is the key's share-kind header byte.
+enum class ShareKind : std::uint8_t { kAdditive = 0, kXor = 1 };
+
+// Leaves packed into one XOR-key block: the tree of an XOR key ends
+// kXorBlockLog levels above the domain.
+constexpr int kXorBlockLog = 7;
+constexpr std::uint64_t kXorBlockRows = std::uint64_t{1} << kXorBlockLog;
+
 // Static parameters of a DPF instance.
 struct DpfParams {
     // Tree depth; domain size L = 2^log_domain. Must be in [1, 40].
@@ -31,7 +55,13 @@ struct DpfParams {
     PrfKind prf = PrfKind::kChacha20;
     // Output width in 128-bit words (1 for PIR indicator shares; wider
     // outputs support other DPF applications and are exercised by tests).
+    // XOR keys have exactly one (their block).
     int out_words = 1;
+    ShareKind share = ShareKind::kAdditive;
+
+    // Levels of the key's GGM tree, i.e. its correction-word count:
+    // log_domain for additive keys, max(0, log_domain - 7) for XOR keys.
+    int TreeDepth() const;
 };
 
 // Per-level correction word.
@@ -45,23 +75,28 @@ struct CorrectionWord {
 struct DpfKey {
     int party = 0;  // 0 or 1
     u128 root_seed = 0;
-    std::vector<CorrectionWord> cw;  // log_domain entries
+    std::vector<CorrectionWord> cw;  // params.TreeDepth() entries
     std::vector<u128> final_cw;      // out_words entries
     DpfParams params;
 
-    // Size of the serialized key in bytes — the client->server upload cost
-    // (Table 4 "Bytes" column).
-    std::size_t SerializedSize() const;
+    // Serialized size in bytes of a key with these params — the
+    // client->server upload cost (Table 4 "Bytes" column). The one
+    // definition every upload account derives from.
+    static std::size_t SerializedSizeFor(const DpfParams& params);
+    std::size_t SerializedSize() const { return SerializedSizeFor(params); }
     std::vector<std::uint8_t> Serialize() const;
     // Parses untrusted bytes: throws std::invalid_argument on a bad length,
-    // a party byte other than 0/1, or a PRF byte outside PrfKind.
+    // a party byte other than 0/1, a PRF byte outside PrfKind or a
+    // share-kind byte outside ShareKind.
     static DpfKey Deserialize(const std::uint8_t* data, std::size_t len);
 };
 
 class Dpf {
   public:
     // `lanes` pins the ChaCha20 ExpandBatch path (see Prg); the default is
-    // the widest the host allows. Every path yields the same bytes.
+    // the widest the host allows. Every path yields the same bytes. Throws
+    // std::invalid_argument on a log_domain outside [1, 40], out_words
+    // outside [1, 255], or XOR params with out_words != 1.
     explicit Dpf(DpfParams params, ChachaLanes lanes = WidestChachaLanes());
 
     const DpfParams& params() const { return params_; }
@@ -74,8 +109,9 @@ class Dpf {
     // level-synchronously: every tree level expands all 2n party seeds in
     // one Prg::ExpandBatch call. Root seeds are drawn k0 then k1, point by
     // point, so the keys and the Rng position afterwards equal n
-    // successive Gen calls. beta.size() must equal params.out_words; every
-    // alpha is checked before any seed is drawn.
+    // successive Gen calls. beta.size() must equal params.out_words, and
+    // XOR keys share one bit, so their beta must be {1}; every alpha is
+    // checked before any seed is drawn.
     std::vector<std::pair<DpfKey, DpfKey>> GenBatch(
         const std::vector<std::uint64_t>& alphas,
         const std::vector<u128>& beta, Rng& rng) const;
@@ -85,16 +121,18 @@ class Dpf {
                                   const std::vector<u128>& beta,
                                   Rng& rng) const;
 
-    // Convenience: beta = (1, 0, ...) — the PIR indicator.
+    // Convenience: beta = (1, 0, ...) — the PIR indicator (of either kind).
     std::pair<DpfKey, DpfKey> GenIndicator(std::uint64_t alpha, Rng& rng) const;
     std::vector<std::pair<DpfKey, DpfKey>> GenIndicatorBatch(
         const std::vector<std::uint64_t>& alphas, Rng& rng) const;
 
-    // Evaluates the share at a single point x; out must hold out_words words.
+    // Evaluates the share at a single point x; out must hold out_words
+    // words. For an XOR key out[0] is the share bit (0 or 1).
     void EvalPoint(const DpfKey& key, std::uint64_t x, u128* out) const;
 
-    // Sequential full-domain evaluation (iterative DFS with O(log L) state).
-    // out is resized to L * out_words, laid out point-major.
+    // Sequential full-domain evaluation of an additive key (iterative DFS
+    // with O(log L) state). out is resized to L * out_words, laid out
+    // point-major. Throws std::invalid_argument on an XOR key.
     void EvalFullDomain(const DpfKey& key, std::vector<u128>* out) const;
 
     // Reusable frontier buffers for EvalRangeBatched, so a kernel that
@@ -106,20 +144,21 @@ class Dpf {
         std::vector<u128> child_right;
     };
 
-    // Evaluates the contiguous leaf range [begin, end) by level-order
-    // traversal: the covering node frontier of [begin, end) at each level
-    // — at most (end - begin) / 2 + 1 parents — is expanded in one
-    // Prg::ExpandBatch call, so the AES MMO runs hardware-pipelined and
-    // ChaCha20 runs multi-lane, and the correction words are applied
-    // branch-free (the control bit becomes a mask). Subtrees disjoint from
-    // the range are never expanded, so the cost is O((end - begin) +
-    // log L) node expansions. Leaf values equal EvalFullDomain's at the
-    // same indices for every PrfKind. out receives (end - begin) *
-    // out_words words, point-major, leaf x at offset (x - begin) (not
-    // resized — the caller sizes it, which lets kernels pack several
-    // queries' leaves into one buffer). Throws std::invalid_argument
-    // unless begin <= end <= L. Peak scratch is O(end - begin) nodes;
-    // callers chunk their ranges (e.g. per storage tile) to bound it.
+    // Evaluates an XOR key over the contiguous point range [begin, end):
+    // writes one selection block per 128-point block that intersects the
+    // range, out[i] covering points [128 * (begin / 128 + i), + 128), bit j
+    // of a block being the share bit of its j-th point (the caller sizes
+    // out; `(end - 1) / 128 - begin / 128 + 1` words). The edge blocks'
+    // bits of points outside [begin, end) are unspecified: callers read
+    // only the range's bits.
+    // The tree walk is level-order: the covering node frontier at each
+    // level is expanded in one Prg::ExpandBatch call (AES-NI pipelined,
+    // ChaCha20 multi-lane) and corrected branch-free (the control bit
+    // becomes a mask); subtrees disjoint from the range are never
+    // expanded, and the leaves convert through one more batched call.
+    // Bits equal EvalPoint's for every PrfKind. Throws
+    // std::invalid_argument on an additive key (or Dpf) and unless
+    // begin <= end <= L. Peak scratch is O((end - begin) / 128) nodes.
     // This is the per-shard primitive of the server answer engine.
     void EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
                           std::uint64_t end, u128* out,
@@ -141,7 +180,8 @@ class Dpf {
     void ExpandNode(const DpfKey& key, const Node& parent, int level,
                     Node* left, Node* right) const;
 
-    // Converts a leaf node into out_words output share words.
+    // Converts a leaf node of an additive key into out_words output share
+    // words.
     void Finalize(const DpfKey& key, const Node& leaf, u128* out) const;
 
   private:

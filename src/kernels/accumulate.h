@@ -1,7 +1,10 @@
 // ISA-dispatched u128 mat-vec accumulator: the shares^T * rows inner loop
-// every CPU kernel funnels through.
+// of the additive-share answer. No lookup path calls it: serving answers
+// XOR-share keys with a masked XOR (src/kernels/cpu_kernel.h). It stays
+// only because the serving benchmark's kernels.accumulate_gib_per_s probe
+// calls AccumulateSegment; it goes when that benchmark next changes.
 //
-// The server-side PIR answer is resp[k] += v_j * row_j[k] over Z_2^128
+// The additive PIR answer is resp[k] += v_j * row_j[k] over Z_2^128
 // (wrap-around arithmetic of unsigned __int128) for each row j of a
 // tile-contiguous segment. This file owns that loop and dispatches it to
 // the widest implementation the host supports:

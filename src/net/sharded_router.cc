@@ -297,9 +297,9 @@ ShardedRouter::LookupOutcome ShardedRouter::Lookup(
         }
     }
 
-    // MERGE: per table, per server, per bin, sum the K shard shares in
-    // shard-index order — exactly the full-scan share (addition in
-    // Z_2^128 over disjoint row ranges commutes with the scan split).
+    // MERGE: per table, per server, per bin, XOR the K shard shares in
+    // shard-index order — exactly the full-scan share (XOR over disjoint
+    // row ranges commutes with the scan split).
     auto merge_lists =
         [&](auto pick) -> std::vector<PirResponse> {
         std::vector<PirResponse> out;

@@ -4,11 +4,11 @@
 // 1/K. A replicated deployment is the K=1 case: one shard, owning the
 // whole row space, backed by R interchangeable replicas.
 //
-// Sharding works because DPF answer shares are additive over disjoint row
-// ranges: a full-table answer share is the wrapping mod-2^128 sum of the
-// per-range shares, so K nodes can each scan only rows
+// Sharding works because DPF answer shares are XOR shares, additive (in
+// GF(2)) over disjoint row ranges: a full-table answer share is the XOR of
+// the per-range shares, so K nodes can each scan only rows
 // [ShardRangeOf(bin_size, K, k)) of every bin and the client recovers the
-// exact full-scan share by summing the K partials in shard order
+// exact full-scan share by XORing the K partials in shard order
 // (MergeShardShares). Replication works because lookups are deterministic
 // in the client's state and every identically-configured node builds
 // bit-identical tables, so any replica of a shard may answer that shard's

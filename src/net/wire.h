@@ -36,7 +36,7 @@
 //   kShardPartial — one table's raw answer shares for a request id over
 //     the request's row window, both logical servers, tagged with the
 //     shard index that produced it and streamed as soon as that table's
-//     job group finishes. Partial shares from all K shards sum (mod 2^128,
+//     job group finishes. Partial shares from all K shards XOR (in
 //     shard-index order) to exactly the full-scan share — see
 //     src/pir/shard_merge.h. Every lookup is answered this way; a
 //     replicated deployment is simply K=1.
@@ -72,7 +72,10 @@ inline constexpr std::uint32_t kMagic = 0x47445046u;
 // per-request row-range block on kLookupRequest.
 // v3: kShardPartial answers every lookup; type 5 (v2's untagged
 // table-partial frame) is retired and decodes as kBadType.
-inline constexpr std::uint16_t kProtocolVersion = 3;
+// v4: lookup keys are XOR-share DPF keys (a 5-byte key header with a
+// share-kind byte) and partial shares are XOR shares; a v3 peer would
+// merge them as Z_2^128 sums, so the versions refuse each other.
+inline constexpr std::uint16_t kProtocolVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 12;
 
 enum class FrameType : std::uint16_t {
@@ -238,7 +241,7 @@ bool DecodeShardHello(const std::uint8_t* data, std::size_t len,
 // shard index that produced it: server0[b]/server1[b] are the two logical
 // servers' per-bin responses, index-aligned with the uploaded keys. The
 // u128 share words travel little-endian; re-encoding a decoded frame
-// reproduces the exact bytes. The shares of all K shards sum (mod 2^128,
+// reproduces the exact bytes. The shares of all K shards XOR (in
 // shard-index order — MergeShardShares) to the full-table shares.
 struct ShardPartialFrame {
     std::uint64_t request_id = 0;

@@ -26,13 +26,17 @@ void ValidateJob(const PirTable& table, const AnswerEngine::Job& job) {
     if (job.key == nullptr) {
         throw std::invalid_argument("AnswerEngine: null key in job");
     }
-    // Deserialize checks only the party and PRF bytes, so bound the
-    // declared params here: log_domain outside the Dpf's range would make the domain shift
-    // below undefined, and the mat-vec assumes one indicator share word per
-    // leaf (wider outputs would mis-stride the point-major shares buffer).
+    // Deserialize checks only the party, PRF and share-kind bytes, so
+    // bound the declared params here: log_domain outside the Dpf's range
+    // would make the domain shift below undefined, and the scan reads one
+    // XOR selection block per 128 rows (an additive key's per-row words
+    // are another protocol).
     if (job.key->params.log_domain < 1 || job.key->params.log_domain > 40) {
         throw std::invalid_argument(
             "AnswerEngine: key log_domain out of range");
+    }
+    if (job.key->params.share != ShareKind::kXor) {
+        throw std::invalid_argument("AnswerEngine: key must be XOR-share");
     }
     if (job.key->params.out_words != 1) {
         throw std::invalid_argument("AnswerEngine: key out_words must be 1");
@@ -271,14 +275,13 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
                 done(q, PirResponse{});
                 continue;
             }
-            // Last shard in: reduce in shard order. Addition in Z_2^128
-            // commutes, so the result is bit-identical to the sequential
-            // path.
+            // Last shard in: reduce in shard order. XOR commutes, so the
+            // result is bit-identical to the sequential path.
             PirResponse reduced(jobs[q].table->words_per_entry(), 0);
             for (std::size_t ps = 0; ps < shards; ++ps) {
                 const PirResponse& part = partials[q * shards + ps];
                 for (std::size_t k = 0; k < part.size(); ++k) {
-                    reduced[k] += part[k];
+                    reduced[k] ^= part[k];
                 }
             }
             done(q, std::move(reduced));

@@ -1,18 +1,18 @@
 // Sharded, batched server-side answer engine.
 //
 // The dominant server cost in two-server DPF-PIR is the full-domain DPF
-// expansion plus the table mat-vec (paper Section 3), and both are
+// expansion plus the table scan (paper Section 3), and both are
 // embarrassingly parallel over contiguous row ranges. The engine partitions
-// each answer job's rows into `num_shards` shards, evaluates the DPF leaf
-// range (Dpf::EvalRangeBatched) and the shard's slice of the mat-vec as
-// one ThreadPool task, and reduces the partial responses into the job's
-// share.
+// each answer job's rows into `num_shards` shards, evaluates the job's
+// XOR-share DPF selection blocks over the shard (Dpf::EvalRangeBatched)
+// and XORs the shard's selected rows as one ThreadPool task, and reduces
+// the partial responses into the job's share by XOR.
 //
 // The shard work itself is the one CPU kernel, MultiqueryTileAnswerRange
 // (src/kernels/cpu_kernel.h): it expands with the batched PRG and walks
 // each storage tile once for every batched query sharing its row range,
-// fusing the leaf-range expansion with the mat-vec so the shares buffer
-// and the tile block stay cache-resident (src/pir/table_layout.h). Shard
+// fusing the selection-block expansion with the scan so the blocks and
+// the tile's rows stay cache-resident (src/pir/table_layout.h). Shard
 // boundaries snap to the tile grid so no tile is split across workers.
 // Row-major tables report an unbounded tile.
 //
@@ -26,14 +26,13 @@
 // job is routed to worker s % thread_count (ThreadPool::SubmitTo), so all
 // jobs of a batch — and repeated batches — stream a given row range from
 // the same core's warm cache instead of migrating rows between cores.
-// Addition in Z_2^128 is commutative and associative, so any sharding,
-// tiling, grouping, or placement is bit-identical to the sequential
-// reference path.
+// XOR is commutative and associative, so any sharding, tiling, grouping,
+// or placement is bit-identical to the sequential reference path.
 //
 // Request lifecycle: a TableJob may carry a JobContext (the serving
 // front-end attaches one per request). Every (job, shard) task re-checks
 // the context at start — and between tiles inside long shards — and skips
-// its DPF-eval + mat-vec work when the request has been cancelled or its
+// its DPF-eval + scan work when the request has been cancelled or its
 // deadline has passed: the job completes with an EMPTY response (never
 // assembled downstream), the countdown short-circuits, and the freed
 // worker slots drain the remaining queue, interactive tasks first. For
@@ -92,19 +91,19 @@ class AnswerEngine {
 
     const ShardingOptions& options() const { return options_; }
 
-    // One answer job: evaluate `key` against the table rows
-    // [row_begin, row_begin + num_rows), DPF leaf j selecting row
-    // row_begin + j. The key's domain must cover num_rows.
+    // One answer job: evaluate `key` (an XOR-share key; any other kind is
+    // refused with std::invalid_argument before a row is read) against the
+    // table rows [row_begin, row_begin + num_rows), DPF point j selecting
+    // row row_begin + j. The key's domain must cover num_rows.
     //
     // eval_begin/eval_end clip the job to the job-relative window
-    // [eval_begin, min(eval_end, num_rows)): the DPF leaf anchor stays at
-    // row_begin (leaf j still selects row row_begin + j), but only leaves
-    // inside the window are evaluated and accumulated. A sharded fleet
-    // node uses this to answer its assigned row slice of a client's
-    // full-range key; because addition in Z_2^128 commutes, partial shares
-    // over disjoint windows sum to exactly the full-scan share. A job
-    // whose window is empty completes with an all-ZERO share (the additive
-    // identity, words_per_entry words) — never the empty response, which
+    // [eval_begin, min(eval_end, num_rows)): the DPF point anchor stays at
+    // row_begin (point j still selects row row_begin + j), but only rows
+    // inside the window are read. A sharded fleet node uses this to answer
+    // its assigned row slice of a client's full-range key; because XOR
+    // commutes, partial shares over disjoint windows XOR to exactly the
+    // full-scan share. A job whose window is empty completes with an
+    // all-ZERO share (the XOR identity, words_per_entry words) — never the empty response, which
     // is reserved for skipped (dead-request) jobs. The defaults leave the
     // job unclipped.
     struct Job {

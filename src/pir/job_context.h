@@ -5,7 +5,7 @@
 // PbrSession::BindJobs — into every AnswerEngine::TableJob the request
 // fans out into. The front-end flips it on Cancel() or deadline expiry;
 // the engine polls it at every (job, shard) task start and between tiles
-// inside long shards, skipping the DPF-eval + mat-vec work of dead
+// inside long shards, skipping the DPF-eval + scan work of dead
 // requests so abandoned tasks free the pool early instead of running to
 // completion (ROADMAP: deadline propagation into the engine).
 //

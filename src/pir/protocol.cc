@@ -6,7 +6,7 @@
 namespace gpudpf {
 
 PirClient::PirClient(int log_domain, PrfKind prf, std::uint64_t seed)
-    : dpf_(DpfParams{log_domain, prf, 1}), rng_(seed) {}
+    : dpf_(DpfParams{log_domain, prf, 1, ShareKind::kXor}), rng_(seed) {}
 
 PirQuery PirClient::Query(std::uint64_t index) {
     auto [k0, k1] = dpf_.GenIndicator(index, rng_);
@@ -22,11 +22,11 @@ std::vector<std::uint8_t> PirClient::Reconstruct(const PirResponse& r0,
     if (r0.size() != r1.size()) {
         throw std::invalid_argument("PirClient::Reconstruct: size mismatch");
     }
-    std::vector<u128> sum(r0.size());
-    for (std::size_t i = 0; i < r0.size(); ++i) sum[i] = r0[i] + r1[i];
+    std::vector<u128> entry(r0.size());
+    for (std::size_t i = 0; i < r0.size(); ++i) entry[i] = r0[i] ^ r1[i];
     std::vector<std::uint8_t> out(entry_bytes);
-    std::memcpy(out.data(), sum.data(),
-                std::min(entry_bytes, sum.size() * sizeof(u128)));
+    std::memcpy(out.data(), entry.data(),
+                std::min(entry_bytes, entry.size() * sizeof(u128)));
     return out;
 }
 

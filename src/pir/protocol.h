@@ -1,8 +1,12 @@
 // Two-server DPF-PIR protocol (paper Figure 2).
 //
 //   client:  Gen(i) -> (k_a, k_b), uploads one key per server
-//   servers: Eval over the full domain, response = shares^T * Table
-//   client:  entry = response_a + response_b (mod 2^128 per word)
+//   servers: Eval over the full domain, response = XOR of the rows whose
+//            share bit is set
+//   client:  entry = response_a XOR response_b
+//
+// Keys are early-terminated XOR-share DPF keys (ShareKind::kXor, see
+// src/dpf/dpf.h): one 128-bit selection block per 128 rows.
 //
 // `PirClient` runs on the (trusted) user device; `PirServer` is the
 // reference sequential server implementation that all GPU/CPU kernels are
@@ -28,7 +32,7 @@ struct PirQuery {
     std::size_t UploadBytesPerServer() const { return key_for_server0.size(); }
 };
 
-// One server's response: additive share of the selected entry, one u128 per
+// One server's response: XOR share of the selected entry, one u128 per
 // entry word (defined in src/pir/answer_engine.h).
 
 class PirClient {
@@ -38,7 +42,7 @@ class PirClient {
 
     const Dpf& dpf() const { return dpf_; }
 
-    // Builds the two keys for private index `index`.
+    // Builds the two XOR-share keys for private index `index`.
     PirQuery Query(std::uint64_t index);
 
     // Combines the two server responses into the entry bytes.
@@ -53,14 +57,14 @@ class PirClient {
 
 class PirServer {
   public:
-    // With default sharding (num_shards == 1) Answer is the sequential
-    // reference path every kernel is validated against; num_shards > 1
-    // splits the DPF expansion + mat-vec into row-range shards evaluated on
-    // the sharding pool, bit-identical to the reference.
+    // With default sharding (num_shards == 1) Answer runs the engine's one
+    // kernel inline; num_shards > 1 splits the DPF expansion + scan into
+    // row-range shards evaluated on the sharding pool, bit-identical.
     explicit PirServer(const PirTable* table, ShardingOptions sharding = {})
         : table_(table), engine_(sharding) {}
 
-    // Answer path: full-domain DPF expansion + integer mat-vec.
+    // Answer path: full-domain DPF expansion + XOR of the selected rows.
+    // Throws std::invalid_argument on a key that is not XOR-share.
     PirResponse Answer(const std::uint8_t* key_bytes, std::size_t key_len) const;
 
     // Same, from a parsed key (used by tests).

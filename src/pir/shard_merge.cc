@@ -30,7 +30,7 @@ void AccumulateShare(PirResponse& acc, const PirResponse& partial) {
             "AccumulateShare: partial share length mismatch");
     }
     for (std::size_t k = 0; k < partial.size(); ++k) {
-        acc[k] += partial[k];
+        acc[k] ^= partial[k];
     }
 }
 

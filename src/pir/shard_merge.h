@@ -3,9 +3,9 @@
 // A sharded fleet splits each table's rows into K contiguous shard ranges;
 // every node evaluates the SAME client DPF keys but only over its assigned
 // range (AnswerEngine::Job's eval window), producing a partial answer
-// share per table. Addition in Z_2^128 is exact, commutative, and
-// associative, so summing the K partial shares — in any order, though we
-// fix shard-index order to mirror the in-process engine's reduction —
+// share per table. Shares are XOR shares, and XOR is exact, commutative,
+// and associative, so XORing the K partial shares — in any order, though
+// we fix shard-index order to mirror the in-process engine's reduction —
 // reproduces the full-scan share bit for bit. These helpers are the single
 // definition of that partition and merge: the ShardedRouter plans and
 // merges with them (so every fleet bench_sharded_fleet drives does too),
@@ -37,11 +37,11 @@ struct ShardRange {
 ShardRange ShardRangeOf(std::uint64_t num_rows, std::size_t shard_count,
                         std::size_t k);
 
-// acc += partial (element-wise, wrapping mod 2^128). An empty partial is
-// the zero share and leaves acc unchanged; otherwise the sizes must match.
+// acc ^= partial (element-wise). An empty partial is the zero share and
+// leaves acc unchanged; otherwise the sizes must match.
 void AccumulateShare(PirResponse& acc, const PirResponse& partial);
 
-// Sums per-shard partial shares in shard-index order. All non-empty
+// XORs per-shard partial shares in shard-index order. All non-empty
 // partials must share one length (words_per_entry); empty entries are
 // zero shares. Throws std::invalid_argument on length mismatch or if
 // every partial is empty (no length to produce).

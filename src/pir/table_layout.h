@@ -1,6 +1,6 @@
 // Physical storage layouts for PIR tables.
 //
-// The server-side answer cost is a memory-bound mat-vec over the table
+// The server-side answer cost is a memory-bound scan over the table
 // rows (paper Section 3.1); at high thread counts the flat row-major
 // layout streams every row with no cache reuse. TableStorage separates
 // the table's logical row interface from its physical placement so the
@@ -12,7 +12,7 @@
 //              64-byte-aligned contiguous block sized to fit in L2 (the
 //              whole allocation is 2 MiB-aligned and hugepage-advised when
 //              large). The answer engine fuses the DPF leaf-range
-//              expansion with the mat-vec one tile at a time and aligns
+//              expansion with the scan one tile at a time and aligns
 //              shard boundaries to the tile grid, so a tile is never
 //              split across two workers.
 //
@@ -113,7 +113,7 @@ class TableStorage {
     const TableGeometry& geometry() const { return geometry_; }
 
     // Rows per compute tile — the granularity the answer engine fuses DPF
-    // expansion + mat-vec over, and the alignment unit for shard
+    // expansion + scan over, and the alignment unit for shard
     // boundaries. 0 = untiled (one tile spans any row range).
     std::uint64_t rows_per_tile() const { return rows_per_tile_; }
 

@@ -152,12 +152,31 @@ TEST(PbrSessionTest, EndToEndBatchedRetrieval) {
 }
 
 TEST(PbrSessionTest, UploadMatchesAccounting) {
+    // Pbr's upload account and the bytes PbrSession actually builds derive
+    // from one key-size definition (DpfKey::SerializedSizeFor). The serving
+    // geometries: movielens full bins (1,125 rows, 2^11 domain: 4 tree
+    // levels), movielens hot bins (45 rows, 2^6: no tree) and taobao bins
+    // (65,536 rows, 2^16: 9 levels); an XOR key is 5 + 16 + 17 * levels +
+    // 16 bytes.
+    struct Geometry {
+        std::uint64_t rows;
+        std::uint64_t bin_size;
+        std::size_t key_bytes;
+    };
     Rng rng(8);
-    Pbr pbr(1 << 12, 1 << 8);
-    PbrSession session(&pbr, PrfKind::kAes128, 12);
-    const auto plan = pbr.PlanBatch({1, 500}, rng);
-    const auto req = session.BuildRequest(plan);
-    EXPECT_EQ(req.UploadBytesPerServer(), pbr.UploadBytesPerServer());
+    for (const Geometry g : {Geometry{27'000, 1'125, 105},
+                             Geometry{2'700, 45, 37},
+                             Geometry{262'144, 65'536, 190}}) {
+        const Pbr pbr(g.rows, g.bin_size);
+        for (const PrfKind prf : {PrfKind::kAes128, PrfKind::kChacha20}) {
+            PbrSession session(&pbr, prf, 12);
+            const auto req = session.BuildRequest(pbr.PlanBatch({1, 30}, rng));
+            EXPECT_EQ(req.UploadBytesPerServer(), pbr.UploadBytesPerServer())
+                << g.bin_size << " " << PrfKindName(prf);
+            EXPECT_EQ(pbr.UploadBytesPerServer(), pbr.num_bins() * g.key_bytes)
+                << g.bin_size;
+        }
+    }
 }
 
 TEST(PbrSessionTest, RejectsMalformedInput) {
@@ -173,8 +192,9 @@ TEST(PbrSessionTest, RejectsMalformedInput) {
 }
 
 TEST(PbrSessionTest, ParseJobsRejectsKeysOfAnotherDpf) {
-    // A well-formed key whose header names another PRF, output width or
-    // domain than the session's bin DPF is refused, not scanned.
+    // A well-formed key whose header names another PRF, output width,
+    // domain or share kind than the session's bin DPF is refused, not
+    // scanned.
     Rng rng(9);
     Pbr pbr(128, 16);
     PbrSession session(&pbr, PrfKind::kChacha20, 13);
@@ -202,8 +222,16 @@ TEST(PbrSessionTest, ParseJobsRejectsKeysOfAnotherDpf) {
     DpfKey deep = DpfKey::Deserialize(req.keys_for_server0[0].data(),
                                       req.keys_for_server0[0].size());
     deep.params.log_domain += 1;
-    deep.cw.resize(deep.params.log_domain);
+    deep.cw.resize(deep.params.TreeDepth());
     keys[0] = deep.Serialize();
+    EXPECT_THROW(session.ParseJobs(keys), std::invalid_argument);
+
+    // A well-formed additive key over the session's very domain and PRF:
+    // the session answers XOR-share keys only.
+    const Dpf additive(
+        DpfParams{pbr.bin_log_domain(), PrfKind::kChacha20, 1});
+    keys = req.keys_for_server0;
+    keys[1] = additive.GenIndicator(3, rng).first.Serialize();
     EXPECT_THROW(session.ParseJobs(keys), std::invalid_argument);
 }
 

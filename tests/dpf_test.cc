@@ -1,11 +1,14 @@
 // DPF correctness and property tests (paper Section 3.1).
 //
-// Core invariant: Eval(k0, x) + Eval(k1, x) == (x == alpha ? beta : 0) in
-// Z_2^128, for every x, every alpha, every supported PRF, every depth, and
-// wide outputs.
+// Core invariants: for additive keys Eval(k0, x) + Eval(k1, x) ==
+// (x == alpha ? beta : 0) in Z_2^128, and for XOR keys Eval(k0, x) XOR
+// Eval(k1, x) == (x == alpha), for every x, every alpha, every supported
+// PRF, every depth, and (additive) wide outputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <set>
 #include <tuple>
 
@@ -20,39 +23,52 @@ namespace {
 
 TEST(DpfKeyTest, SerializedSizeMatchesFormula) {
     Rng rng(1);
-    for (int n : {1, 4, 10, 20}) {
-        const Dpf dpf(DpfParams{n, PrfKind::kChacha20, 1});
-        auto [k0, k1] = dpf.GenIndicator(0, rng);
-        // header 4 + seed 16 + n*(16+1) + 16 final.
-        EXPECT_EQ(k0.SerializedSize(), 4u + 16u + n * 17u + 16u);
-        EXPECT_EQ(k0.Serialize().size(), k0.SerializedSize());
+    for (int n : {1, 4, 7, 8, 10, 11, 16, 20}) {
+        // header 5 + seed 16 + levels*(16+1) + 16 final; an XOR key's tree
+        // stops 7 levels early.
+        const std::size_t xor_levels = n > 7 ? n - 7 : 0;
+        for (const auto& [share, levels] :
+             {std::pair{ShareKind::kAdditive, std::size_t(n)},
+              std::pair{ShareKind::kXor, xor_levels}}) {
+            const DpfParams params{n, PrfKind::kChacha20, 1, share};
+            const Dpf dpf(params);
+            auto [k0, k1] = dpf.GenIndicator(0, rng);
+            EXPECT_EQ(k0.cw.size(), levels);
+            EXPECT_EQ(k0.SerializedSize(), 5u + 16u + levels * 17u + 16u);
+            EXPECT_EQ(DpfKey::SerializedSizeFor(params), k0.SerializedSize());
+            EXPECT_EQ(k0.Serialize().size(), k0.SerializedSize());
+            EXPECT_EQ(k1.Serialize().size(), k0.SerializedSize());
+        }
     }
 }
 
 TEST(DpfKeyTest, SerializationRoundTrip) {
-    Rng rng(2);
-    const Dpf dpf(DpfParams{12, PrfKind::kAes128, 1});
-    auto [k0, k1] = dpf.GenIndicator(1234, rng);
-    const auto bytes = k0.Serialize();
-    const DpfKey back = DpfKey::Deserialize(bytes.data(), bytes.size());
-    EXPECT_EQ(back.party, k0.party);
-    EXPECT_EQ(back.root_seed, k0.root_seed);
-    EXPECT_EQ(back.params.log_domain, k0.params.log_domain);
-    EXPECT_EQ(back.params.prf, k0.params.prf);
-    ASSERT_EQ(back.cw.size(), k0.cw.size());
-    for (std::size_t i = 0; i < back.cw.size(); ++i) {
-        EXPECT_EQ(back.cw[i].seed, k0.cw[i].seed);
-        EXPECT_EQ(back.cw[i].t_left, k0.cw[i].t_left);
-        EXPECT_EQ(back.cw[i].t_right, k0.cw[i].t_right);
-    }
-    ASSERT_EQ(back.final_cw.size(), k0.final_cw.size());
-    EXPECT_EQ(back.final_cw[0], k0.final_cw[0]);
+    for (ShareKind share : {ShareKind::kAdditive, ShareKind::kXor}) {
+        Rng rng(2);
+        const Dpf dpf(DpfParams{12, PrfKind::kAes128, 1, share});
+        auto [k0, k1] = dpf.GenIndicator(1234, rng);
+        const auto bytes = k0.Serialize();
+        const DpfKey back = DpfKey::Deserialize(bytes.data(), bytes.size());
+        EXPECT_EQ(back.party, k0.party);
+        EXPECT_EQ(back.root_seed, k0.root_seed);
+        EXPECT_EQ(back.params.log_domain, k0.params.log_domain);
+        EXPECT_EQ(back.params.prf, k0.params.prf);
+        EXPECT_EQ(back.params.share, share);
+        ASSERT_EQ(back.cw.size(), k0.cw.size());
+        for (std::size_t i = 0; i < back.cw.size(); ++i) {
+            EXPECT_EQ(back.cw[i].seed, k0.cw[i].seed);
+            EXPECT_EQ(back.cw[i].t_left, k0.cw[i].t_left);
+            EXPECT_EQ(back.cw[i].t_right, k0.cw[i].t_right);
+        }
+        ASSERT_EQ(back.final_cw.size(), k0.final_cw.size());
+        EXPECT_EQ(back.final_cw[0], k0.final_cw[0]);
 
-    // The deserialized key evaluates identically.
-    u128 a, b;
-    dpf.EvalPoint(k0, 1234, &a);
-    dpf.EvalPoint(back, 1234, &b);
-    EXPECT_EQ(a, b);
+        // The deserialized key evaluates identically.
+        u128 a, b;
+        dpf.EvalPoint(k0, 1234, &a);
+        dpf.EvalPoint(back, 1234, &b);
+        EXPECT_EQ(a, b);
+    }
 }
 
 TEST(DpfKeyTest, DeserializeRejectsGarbage) {
@@ -65,10 +81,11 @@ TEST(DpfKeyTest, DeserializeRejectsGarbage) {
                  std::invalid_argument);
 
     // A well-formed key with one corrupt header byte: a party other than
-    // 0/1, or a PRF byte outside PrfKind (which would otherwise reach
-    // Prg::Expand with no case for it).
+    // 0/1, a PRF byte outside PrfKind (which would otherwise reach
+    // Prg::Expand with no case for it), or a share-kind byte outside
+    // ShareKind.
     Rng rng(3);
-    const Dpf dpf(DpfParams{6, PrfKind::kChacha20, 1});
+    const Dpf dpf(DpfParams{6, PrfKind::kChacha20, 1, ShareKind::kXor});
     const auto good = dpf.GenIndicator(9, rng).second.Serialize();
     EXPECT_NO_THROW(DpfKey::Deserialize(good.data(), good.size()));
     for (std::uint8_t party : {2, 3, 255}) {
@@ -85,6 +102,13 @@ TEST(DpfKeyTest, DeserializeRejectsGarbage) {
                      std::invalid_argument)
             << "prf " << int{prf};
     }
+    for (std::uint8_t share : {2, 3, 127, 255}) {
+        auto bad = good;
+        bad[4] = share;
+        EXPECT_THROW(DpfKey::Deserialize(bad.data(), bad.size()),
+                     std::invalid_argument)
+            << "share kind " << int{share};
+    }
     for (PrfKind kind : AllPrfKinds()) {
         auto ok = good;
         ok[2] = static_cast<std::uint8_t>(kind);
@@ -97,10 +121,14 @@ TEST(DpfKeyTest, DeserializeRejectsGarbage) {
 TEST(DpfGenBatchTest, ByteIdenticalToPerKeyGen) {
     // One GenBatch over n points equals n successive Gen calls from the
     // same Rng seed: every key byte, and the Rng's next draw afterwards.
-    for (PrfKind prf : {PrfKind::kChacha20, PrfKind::kAes128}) {
+    for (const auto& [prf, share] :
+         {std::pair{PrfKind::kChacha20, ShareKind::kAdditive},
+          std::pair{PrfKind::kAes128, ShareKind::kAdditive},
+          std::pair{PrfKind::kChacha20, ShareKind::kXor},
+          std::pair{PrfKind::kAes128, ShareKind::kXor}}) {
         for (int log_domain : {1, 6, 11, 20}) {
             for (std::size_t n : {0u, 1u, 17u, 84u}) {
-                const Dpf dpf(DpfParams{log_domain, prf, 1});
+                const Dpf dpf(DpfParams{log_domain, prf, 1, share});
                 Rng alpha_rng(500 + n);
                 std::vector<std::uint64_t> alphas(n);
                 for (auto& a : alphas) {
@@ -159,12 +187,21 @@ TEST(DpfGenBatchTest, RejectsBadAlphaBeforeDrawingSeeds) {
     EXPECT_EQ(rng.Next128(), untouched.Next128());
 }
 
+TEST(DpfGenBatchTest, XorKeysShareOneBit) {
+    const Dpf dpf(DpfParams{9, PrfKind::kChacha20, 1, ShareKind::kXor});
+    Rng rng(9);
+    EXPECT_THROW(dpf.Gen(3, {2}, rng), std::invalid_argument);
+    EXPECT_NO_THROW(dpf.Gen(3, {1}, rng));
+}
+
 TEST(DpfTest, RejectsBadParams) {
     EXPECT_THROW(Dpf(DpfParams{0, PrfKind::kAes128, 1}),
                  std::invalid_argument);
     EXPECT_THROW(Dpf(DpfParams{41, PrfKind::kAes128, 1}),
                  std::invalid_argument);
     EXPECT_THROW(Dpf(DpfParams{8, PrfKind::kAes128, 0}),
+                 std::invalid_argument);
+    EXPECT_THROW(Dpf(DpfParams{8, PrfKind::kAes128, 2, ShareKind::kXor}),
                  std::invalid_argument);
 }
 
@@ -377,19 +414,107 @@ TEST(DpfNodePrimitivesTest, RootEncodesParty) {
     EXPECT_TRUE(dpf.Root(k1).t);
 }
 
+// --- Early-terminated XOR-share keys ----------------------------------------
+
+// Exhaustive XOR correctness: depths below, at and above the 7 levels an
+// XOR key's tree drops (n <= 7 is a 0-level tree: the root converts to
+// the only block), every PRF.
+class DpfXorCorrectnessTest
+    : public ::testing::TestWithParam<std::tuple<int, PrfKind>> {};
+
+TEST_P(DpfXorCorrectnessTest, SharesXorToIndicatorEverywhere) {
+    const auto [n, prf] = GetParam();
+    Rng rng(420 + n);
+    const Dpf dpf(DpfParams{n, prf, 1, ShareKind::kXor});
+    const std::uint64_t L = dpf.domain_size();
+    std::set<std::uint64_t> alphas{0, L - 1, L / 2};
+    alphas.insert(rng.UniformInt(L));
+    for (std::uint64_t alpha : alphas) {
+        auto [k0, k1] = dpf.GenIndicator(alpha, rng);
+        for (std::uint64_t x = 0; x < L; ++x) {
+            u128 a, b;
+            dpf.EvalPoint(k0, x, &a);
+            dpf.EvalPoint(k1, x, &b);
+            ASSERT_LE(a, 1u);
+            ASSERT_LE(b, 1u);
+            EXPECT_EQ(a ^ b, static_cast<u128>(x == alpha ? 1 : 0))
+                << "alpha=" << alpha << " x=" << x;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DepthsAndPrfs, DpfXorCorrectnessTest,
+    ::testing::Combine(::testing::Values(1, 3, 7, 8, 9, 11),
+                       ::testing::ValuesIn(AllPrfKinds())),
+    [](const auto& info) {
+        std::string n = PrfKindName(std::get<1>(info.param));
+        n.erase(std::remove(n.begin(), n.end(), '-'), n.end());
+        return "n" + std::to_string(std::get<0>(info.param)) + "_" + n;
+    });
+
+TEST(DpfXorSecurityTest, FinalCwLowBitDoesNotRevealAlignedAlpha) {
+    // The leaf converts to a full PRG output of its seed, not the seed:
+    // leaf seeds have their LSB cleared, so with the seed as the
+    // conversion bit 0 of the final CW would be 1 exactly when
+    // alpha % 128 == 0 — and always 0 for these keys.
+    Rng rng(21);
+    for (const auto& [prf, n] :
+         {std::pair{PrfKind::kAes128, 16}, std::pair{PrfKind::kChacha20, 11},
+          std::pair{PrfKind::kChacha20, 5}}) {
+        const Dpf dpf(DpfParams{n, prf, 1, ShareKind::kXor});
+        std::vector<std::uint64_t> alphas;
+        while (alphas.size() < 256) {
+            const std::uint64_t alpha = rng.UniformInt(dpf.domain_size());
+            if ((alpha & 127) != 0) alphas.push_back(alpha);
+        }
+        int low_bits_set = 0;
+        for (const auto& [k0, k1] : dpf.GenIndicatorBatch(alphas, rng)) {
+            low_bits_set += Lsb(k0.final_cw[0]);
+        }
+        EXPECT_GT(low_bits_set, 0) << PrfKindName(prf) << " n=" << n;
+        EXPECT_LT(low_bits_set, 256) << PrfKindName(prf) << " n=" << n;
+    }
+}
+
+TEST(DpfXorTest, AdditiveOnlyAndXorOnlyEvaluatorsRefuseTheOtherKind) {
+    Rng rng(22);
+    const Dpf additive(DpfParams{9, PrfKind::kAes128, 1});
+    const Dpf xor_dpf(DpfParams{9, PrfKind::kAes128, 1, ShareKind::kXor});
+    const auto add_keys = additive.GenIndicator(5, rng);
+    const auto xor_keys = xor_dpf.GenIndicator(5, rng);
+    std::vector<u128> out(8);
+    Dpf::RangeScratch scratch;
+    EXPECT_THROW(additive.EvalRangeBatched(add_keys.first, 0, 512, out.data(),
+                                           &scratch),
+                 std::invalid_argument);
+    EXPECT_THROW(xor_dpf.EvalRangeBatched(add_keys.first, 0, 512, out.data(),
+                                          &scratch),
+                 std::invalid_argument);
+    EXPECT_THROW(xor_dpf.EvalFullDomain(xor_keys.first, &out),
+                 std::invalid_argument);
+    EXPECT_THROW(xor_dpf.EvalRangeBatched(xor_keys.first, 2, 1, out.data(),
+                                          &scratch),
+                 std::invalid_argument);
+    EXPECT_THROW(xor_dpf.EvalRangeBatched(xor_keys.first, 0, 513, out.data(),
+                                          &scratch),
+                 std::invalid_argument);
+}
+
 // --- Level-order (SIMD-batched) range evaluation -----------------------------
 
 using LeafRange = std::pair<std::uint64_t, std::uint64_t>;
 
-// Every [begin, end) with begin <= end over a 2^n domain (n <= 4), plus
-// for larger n: the whole domain, begin == end, single leaves at both
+// Every [begin, end) with begin <= end over a 2^n domain (n <= 8), plus
+// for larger n: the whole domain, begin == end, single points at both
 // edges, ranges whose ends sit just inside and just outside each level's
-// node boundary, so every frontier starts and ends on both a left and a
-// right child somewhere in the walk, and 8 random ranges.
+// node boundary (the 128-point block edges among them), so every frontier
+// starts and ends on both a left and a right child somewhere in the walk,
+// and 8 random ranges.
 std::vector<LeafRange> RangesToCheck(int n, Rng& rng) {
     const std::uint64_t domain = std::uint64_t{1} << n;
     std::vector<LeafRange> ranges;
-    if (n <= 4) {
+    if (n <= 8) {
         for (std::uint64_t b = 0; b <= domain; ++b) {
             for (std::uint64_t e = b; e <= domain; ++e) {
                 ranges.push_back({b, e});
@@ -402,13 +527,10 @@ std::vector<LeafRange> RangesToCheck(int n, Rng& rng) {
         const std::uint64_t span = std::uint64_t{1} << k;
         for (const auto& [b, e] :
              {LeafRange{span - 1, 3 * span + 1},
-              LeafRange{span + 1, 3 * span - 1}, LeafRange{span - 1, span}}) {
+              LeafRange{span + 1, 3 * span - 1}, LeafRange{span - 1, span},
+              LeafRange{span, domain - span}}) {
             ranges.push_back({b, std::min(e, domain)});
         }
-        // Near-whole-domain ranges only up to n = 10: past that they cost
-        // a full-domain walk each and the edge ranges above already put
-        // both ends on both child sides at every level.
-        if (n <= 10) ranges.push_back({span, domain - span});
     }
     for (int trial = 0; trial < 8; ++trial) {
         std::uint64_t a = rng.Next64() % (domain + 1);
@@ -419,13 +541,15 @@ std::vector<LeafRange> RangesToCheck(int n, Rng& rng) {
     return ranges;
 }
 
-TEST(DpfEvalRangeBatchedTest, MatchesFullDomainSlices) {
+TEST(DpfEvalRangeBatchedTest, MatchesPointEvalBits) {
     // The level walk feeds each frontier through one Prg::ExpandBatch (the
     // AES-NI pipeline for kAes128 — the software path under
     // GPUDPF_FORCE_SCALAR=1 — and each supported lane width for
-    // kChacha20) and corrects it branch-free; its leaves must equal the
-    // sequential EvalFullDomain reference's bit for bit, for every PRF,
-    // depth, output width, party and subrange.
+    // kChacha20), corrects it branch-free and converts the leaves to
+    // selection blocks; bit j of block i must equal the EvalPoint bit of
+    // point 128 * (begin / 128 + i) + j for every such point in
+    // [begin, end), for every PRF, depth, party and subrange, and exactly
+    // (end - 1) / 128 - begin / 128 + 1 words are written.
     struct Config {
         PrfKind prf;
         ChachaLanes lanes;
@@ -442,33 +566,49 @@ TEST(DpfEvalRangeBatchedTest, MatchesFullDomainSlices) {
         }
     }
     for (const Config& config : configs) {
-        for (int log_domain : {1, 2, 3, 4, 5, 10, 13}) {
-            for (int out_words : {1, 3}) {
-                Rng rng(1000 + log_domain);
-                const Dpf dpf(DpfParams{log_domain, config.prf, out_words},
-                              config.lanes);
-                const std::uint64_t domain = std::uint64_t{1} << log_domain;
-                auto [k0, k1] = dpf.GenIndicator(rng.Next64() % domain, rng);
-                const auto ranges = RangesToCheck(log_domain, rng);
-                Dpf::RangeScratch scratch;
-                for (const DpfKey* key : {&k0, &k1}) {
-                    std::vector<u128> full;
-                    dpf.EvalFullDomain(*key, &full);
-                    for (const auto& [begin, end] : ranges) {
-                        const std::vector<u128> want(
-                            full.begin() + begin * out_words,
-                            full.begin() + end * out_words);
-                        std::vector<u128> got(want.size() + 1, 7);
-                        dpf.EvalRangeBatched(*key, begin, end, got.data(),
-                                             &scratch);
-                        // The word past the range is never written.
-                        ASSERT_EQ(got.back(), 7u);
-                        got.pop_back();
-                        ASSERT_EQ(got, want)
+        for (int log_domain : {1, 2, 3, 4, 5, 6, 7, 8, 11, 16}) {
+            // 2^16 only under the serving PRFs: its per-point reference
+            // walk is the slow part of this test.
+            if (log_domain == 16 && config.prf != PrfKind::kAes128 &&
+                config.prf != PrfKind::kChacha20) {
+                continue;
+            }
+            Rng rng(1000 + log_domain);
+            const Dpf dpf(DpfParams{log_domain, config.prf, 1, ShareKind::kXor},
+                          config.lanes);
+            const std::uint64_t domain = std::uint64_t{1} << log_domain;
+            auto [k0, k1] = dpf.GenIndicator(rng.Next64() % domain, rng);
+            const auto ranges = RangesToCheck(log_domain, rng);
+            Dpf::RangeScratch scratch;
+            for (const DpfKey* key : {&k0, &k1}) {
+                std::vector<std::uint8_t> bit(domain);
+                for (std::uint64_t x = 0; x < domain; ++x) {
+                    u128 v;
+                    dpf.EvalPoint(*key, x, &v);
+                    bit[x] = static_cast<std::uint8_t>(v);
+                }
+                for (const auto& [begin, end] : ranges) {
+                    const std::size_t blocks =
+                        begin == end ? 0 : (end - 1) / 128 - begin / 128 + 1;
+                    std::vector<u128> got(blocks + 1, 7);
+                    dpf.EvalRangeBatched(*key, begin, end, got.data(),
+                                         &scratch);
+                    // The word past the blocks is never written.
+                    ASSERT_EQ(got.back(), 7u);
+                    for (std::size_t i = 0; i < blocks; ++i) {
+                        u128 in_range = 0;
+                        u128 want = 0;
+                        for (int j = 0; j < 128; ++j) {
+                            const std::uint64_t x = (begin / 128 + i) * 128 + j;
+                            if (x < begin || x >= end) continue;
+                            in_range |= static_cast<u128>(1) << j;
+                            want |= static_cast<u128>(bit[x]) << j;
+                        }
+                        ASSERT_EQ(got[i] & in_range, want)
                             << PrfKindName(config.prf) << "/"
                             << ChachaLanesName(config.lanes)
-                            << " n=" << log_domain << " w=" << out_words
-                            << " [" << begin << "," << end << ") party "
+                            << " n=" << log_domain << " [" << begin << ","
+                            << end << ") block " << i << " party "
                             << key->party;
                     }
                 }
@@ -489,12 +629,20 @@ std::string HexDigest(const Sha256Digest& d) {
     return out;
 }
 
-TEST(DpfGoldenKeysTest, MovielensShapedRequestBytesArePinned) {
-    // The movielens serving geometry: a 27,000-row full table in 24 bins
-    // (bin domain 2^11) and a 2,700-row hot table in 60 bins (2^6), keys
-    // under ChaCha20 from one fixed client seed, 84 bins x 2 servers. The
-    // digest was taken from the one-key-at-a-time generator; any change
-    // to the key bytes, their order, or the client Rng stream moves it.
+using ServerKeys = std::vector<std::vector<std::uint8_t>>;
+// One lookup's (server-0, server-1) serialized keys for a table's plan.
+using LookupKeys =
+    std::function<std::pair<ServerKeys, ServerKeys>(const Pbr::Plan&)>;
+
+// The movielens serving geometry: a 27,000-row full table in 24 bins (bin
+// domain 2^11) and a 2,700-row hot table in 60 bins (2^6), keys under
+// ChaCha20 from client seed 101, 3 lookups of 84 bins x 2 servers.
+// `generator(pbr)` returns a table's key generator (which keeps its client
+// Rng across lookups); every key byte goes into the digest except the one
+// at offset `skip`, if any.
+std::string MovielensRequestDigest(
+    const std::function<LookupKeys(const Pbr&)>& generator,
+    std::size_t skip) {
     Sha256Ctx ctx;
     Rng plan_rng(101);
     const Pbr full(27'000, 1'125);
@@ -502,19 +650,69 @@ TEST(DpfGoldenKeysTest, MovielensShapedRequestBytesArePinned) {
     std::vector<std::uint64_t> wanted;
     for (std::uint64_t i = 0; i < 70; ++i) wanted.push_back(i * 383 % 27'000);
     for (const Pbr* pbr : {&full, &hot}) {
-        PbrSession session(pbr, PrfKind::kChacha20, /*client_seed=*/101);
+        const LookupKeys keys = generator(*pbr);
         std::vector<std::uint64_t> local;
         for (std::uint64_t w : wanted) local.push_back(w % pbr->num_entries());
         for (int lookup = 0; lookup < 3; ++lookup) {
-            const auto req =
-                session.BuildRequest(pbr->PlanBatch(local, plan_rng));
-            for (const auto* keys :
-                 {&req.keys_for_server0, &req.keys_for_server1}) {
-                for (const auto& k : *keys) ctx.Update(k.data(), k.size());
+            const auto [keys0, keys1] =
+                keys(pbr->PlanBatch(local, plan_rng));
+            for (const ServerKeys* server : {&keys0, &keys1}) {
+                for (const auto& k : *server) {
+                    for (std::size_t i = 0; i < k.size(); ++i) {
+                        if (i != skip) ctx.Update(&k[i], 1);
+                    }
+                }
             }
         }
     }
-    EXPECT_EQ(HexDigest(ctx.Finish()), "ae4ae0e9fb24bc12b04cb3da87ecb5c3dbb0797a948eae694bc721b0da5d259f");
+    return HexDigest(ctx.Finish());
+}
+
+TEST(DpfGoldenKeysTest, AdditiveMovielensShapedRequestBytesArePinned) {
+    // Additive keys of the movielens request, hashed without their
+    // share-kind header byte (offset 4): the digest is the one taken from
+    // the one-key-at-a-time generator before the header had that byte, so
+    // any change to the additive key bytes, their order, or the client
+    // Rng stream moves it.
+    const std::string digest = MovielensRequestDigest(
+        [](const Pbr& pbr) -> LookupKeys {
+            auto dpf = std::make_shared<Dpf>(
+                DpfParams{pbr.bin_log_domain(), PrfKind::kChacha20, 1});
+            auto rng = std::make_shared<Rng>(101);
+            return [dpf, rng](const Pbr::Plan& plan) {
+                std::vector<std::uint64_t> alphas;
+                for (const auto& q : plan.queries) {
+                    alphas.push_back(q.local_index);
+                }
+                std::pair<ServerKeys, ServerKeys> out;
+                for (const auto& [k0, k1] :
+                     dpf->GenIndicatorBatch(alphas, *rng)) {
+                    out.first.push_back(k0.Serialize());
+                    out.second.push_back(k1.Serialize());
+                }
+                return out;
+            };
+        },
+        /*skip=*/4);
+    EXPECT_EQ(digest,
+              "ae4ae0e9fb24bc12b04cb3da87ecb5c3dbb0797a948eae694bc721b0da5d259f");
+}
+
+TEST(DpfGoldenKeysTest, XorMovielensShapedRequestBytesArePinned) {
+    // The serving path's keys, whole: PbrSession::BuildRequest.
+    const std::string digest = MovielensRequestDigest(
+        [](const Pbr& pbr) -> LookupKeys {
+            auto session = std::make_shared<PbrSession>(
+                &pbr, PrfKind::kChacha20, /*client_seed=*/101);
+            return [session](const Pbr::Plan& plan) {
+                auto req = session->BuildRequest(plan);
+                return std::pair{std::move(req.keys_for_server0),
+                                 std::move(req.keys_for_server1)};
+            };
+        },
+        /*skip=*/~std::size_t{0});
+    EXPECT_EQ(digest,
+              "42e6d23a68f2b22085d8b34ffccaac798a021abbc2a17fe12f31768c1ff33e9a");
 }
 
 }  // namespace

@@ -116,13 +116,17 @@ TEST(WireTest, FrameHeaderValidation) {
                                &out),
               DecodeStatus::kBadVersion);
 
-    // A v2 peer: version skew, not a misparse.
-    bad = bytes;
-    bad[4] = 2;
-    bad[5] = 0;
-    EXPECT_EQ(net::DecodeFrame(bad.data(), bad.size(), net::MaxFramePayload(),
-                               &out),
-              DecodeStatus::kBadVersion);
+    // A v2 or v3 peer (v3 carried additive keys and shares): version
+    // skew, not a misparse.
+    for (const std::uint8_t old_version : {2, 3}) {
+        bad = bytes;
+        bad[4] = old_version;
+        bad[5] = 0;
+        EXPECT_EQ(net::DecodeFrame(bad.data(), bad.size(),
+                                   net::MaxFramePayload(), &out),
+                  DecodeStatus::kBadVersion)
+            << "v" << int{old_version};
+    }
 
     // Unknown frame type.
     bad = bytes;
@@ -739,7 +743,7 @@ TEST(ShardMergeTest, RangePartitionCovers) {
     EXPECT_THROW(ShardRangeOf(8, 0, 0), std::invalid_argument);
 }
 
-// Summing per-shard shares reproduces the full share; empty partials are
+// XORing per-shard shares reproduces the full share; empty partials are
 // zero shares; length mismatches fail loud.
 TEST(ShardMergeTest, MergeShardShares) {
     const PirResponse a = {MakeU128(1, 2), MakeU128(3, 4)};
@@ -748,7 +752,7 @@ TEST(ShardMergeTest, MergeShardShares) {
     PirResponse want(2, 0);
     for (const PirResponse* part : {&a, &b, &c}) {
         for (std::size_t w = 0; w < want.size(); ++w) {
-            want[w] += (*part)[w];  // wrapping u128 add
+            want[w] ^= (*part)[w];
         }
     }
     EXPECT_EQ(MergeShardShares({a, b, c}), want);
@@ -984,27 +988,47 @@ TEST(NetServingTest, MalformedKeyHeaderRejected) {
         req.hot_keys1 = std::move(prep.wire_hot_keys1);
         return req;
     };
-    // Header bytes: party, log_domain, PRF, out_words. PRF bytes 0 (AES)
-    // and 1 (SHA-256) are valid kinds, but not this ChaCha20 node's.
+    // Header bytes: party, log_domain, PRF, out_words, share kind. PRF
+    // bytes 0 (AES) and 1 (SHA-256) are valid kinds, but not this ChaCha20
+    // node's; share-kind byte 0 (additive) is a valid kind, but its key
+    // would have another length.
     const struct {
         std::size_t offset;
         std::uint8_t value;
-    } corruptions[] = {{2, 5}, {2, 0x7f}, {0, 2}, {2, 1}, {2, 0}};
+    } corruptions[] = {{2, 5}, {2, 0x7f}, {0, 2}, {2, 1},
+                       {2, 0}, {4, 2},    {4, 0}};
     std::uint64_t id = 1;
-    for (const auto& c : corruptions) {
-        net::LookupRequestFrame req = request(id++);
-        ASSERT_FALSE(req.full_keys1.empty());
-        req.full_keys1.back()[c.offset] = c.value;
+    auto expect_rejected = [&](const net::LookupRequestFrame& req,
+                               const std::string& what) {
         ASSERT_TRUE(conn->SendLookup(req));
         const auto reply = conn->CollectShard(req.request_id, req.has_hot,
                                               /*timeout_ms=*/2'000);
         EXPECT_EQ(reply.status, net::NodeConnection::LookupStatus::kRejected)
-            << "byte " << c.offset << " = " << int{c.value};
-        EXPECT_EQ(reply.rejection, AdmissionStatus::kInvalidRequest)
-            << "byte " << c.offset << " = " << int{c.value};
+            << what;
+        EXPECT_EQ(reply.rejection, AdmissionStatus::kInvalidRequest) << what;
+    };
+    for (const auto& c : corruptions) {
+        net::LookupRequestFrame req = request(id++);
+        ASSERT_FALSE(req.full_keys1.empty());
+        req.full_keys1.back()[c.offset] = c.value;
+        expect_rejected(req, "byte " + std::to_string(c.offset) + " = " +
+                                 std::to_string(int{c.value}));
+    }
+    // A well-formed additive key for the same bin domain and PRF: the node
+    // answers XOR-share keys only.
+    {
+        net::LookupRequestFrame req = request(id++);
+        const DpfKey genuine = DpfKey::Deserialize(
+            req.full_keys1.back().data(), req.full_keys1.back().size());
+        DpfParams additive = genuine.params;
+        additive.share = ShareKind::kAdditive;
+        Rng rng(7);
+        req.full_keys1.back() =
+            Dpf(additive).GenIndicator(1, rng).second.Serialize();
+        expect_rejected(req, "additive key");
     }
     auto stats = world.nodes[0]->stats();
-    EXPECT_EQ(stats.rejected, std::size(corruptions));
+    EXPECT_EQ(stats.rejected, std::size(corruptions) + 1);
     EXPECT_EQ(stats.completed, 0u);
     EXPECT_EQ(stats.rows_scanned, 0u);
 

@@ -2,6 +2,8 @@
 // keys, naive-PIR baseline equivalence, and communication accounting.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/common/rng.h"
 #include "src/pir/protocol.h"
 #include "src/pir/table.h"
@@ -129,11 +131,26 @@ TEST(NaivePirTest, RetrievesEntryAndMatchesDpfPath) {
     table.FillRandom(rng);
     const std::uint64_t index = 123;
 
+    // The naive scheme's shares are additive: the entry is r0 + r1.
     const auto q = naive_pir::MakeQuery(index, 256, rng);
     const PirResponse r0 = naive_pir::Answer(table, q.share_for_server0);
     const PirResponse r1 = naive_pir::Answer(table, q.share_for_server1);
+    std::vector<u128> sum(r0.size());
+    for (std::size_t k = 0; k < sum.size(); ++k) sum[k] = r0[k] + r1[k];
+    std::vector<std::uint8_t> naive(48);
+    std::memcpy(naive.data(), sum.data(), naive.size());
+    EXPECT_EQ(naive, table.EntryBytes(index));
+
+    // The DPF path (XOR shares) retrieves the same bytes.
+    PirServer server(&table);
     PirClient client(8, PrfKind::kChacha20);
-    EXPECT_EQ(client.Reconstruct(r0, r1, 48), table.EntryBytes(index));
+    const PirQuery dq = client.Query(index);
+    EXPECT_EQ(client.Reconstruct(server.Answer(dq.key_for_server0.data(),
+                                               dq.key_for_server0.size()),
+                                 server.Answer(dq.key_for_server1.data(),
+                                               dq.key_for_server1.size()),
+                                 48),
+              table.EntryBytes(index));
 }
 
 TEST(NaivePirTest, SharesIndividuallyRandom) {
@@ -147,6 +164,22 @@ TEST(NaivePirTest, SharesIndividuallyRandom) {
         EXPECT_EQ(q.share_for_server0[j] + q.share_for_server1[j],
                   static_cast<u128>(j == 7 ? 1 : 0));
     }
+}
+
+TEST(PirServerTest, RejectsAdditiveKeys) {
+    // The serving path answers XOR-share keys only: a well-formed additive
+    // key for the same table is refused before any row is read.
+    Rng rng(28);
+    PirTable table(256, 16);
+    PirServer server(&table);
+    const Dpf additive(DpfParams{8, PrfKind::kAes128, 1});
+    const auto bytes = additive.GenIndicator(3, rng).first.Serialize();
+    EXPECT_THROW(server.Answer(bytes.data(), bytes.size()),
+                 std::invalid_argument);
+    PirClient client(8, PrfKind::kAes128);
+    const PirQuery q = client.Query(3);
+    EXPECT_NO_THROW(
+        server.Answer(q.key_for_server0.data(), q.key_for_server0.size()));
 }
 
 TEST(PirServerTest, RejectsUndersizedDomain) {

@@ -1,7 +1,7 @@
 // Sharded/batched answer engine tests: the sharded Answer/BatchAnswer paths
-// must be bit-identical to the sequential reference (full-domain DPF
-// expansion + mat-vec) for every shard count and batch size, from the DPF
-// range primitive up through the end-to-end service.
+// must be bit-identical to the sequential reference (per-row EvalPoint bit
+// + XOR of the selected rows) for every shard count and batch size, from
+// the CPU kernel up through the end-to-end service.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "src/common/thread_pool.h"
 #include "src/core/service.h"
 #include "src/dpf/dpf.h"
-#include "src/kernels/accumulate.h"
 #include "src/ml/embedding.h"
 #include "src/pir/answer_engine.h"
 #include "src/pir/protocol.h"
@@ -29,45 +28,20 @@ namespace {
 constexpr std::size_t kShardCounts[] = {1, 3, 8};
 constexpr std::size_t kBatchSizes[] = {1, 4, 32};
 
-// Independent sequential reference: the seed's original answer path.
+// Independent sequential reference for XOR-share keys: the EvalPoint bit
+// of every row, then the XOR of the rows whose bit is set.
 PirResponse ReferenceAnswer(const PirTable& table, const DpfKey& key) {
     const Dpf dpf(key.params);
-    std::vector<u128> shares;
-    dpf.EvalFullDomain(key, &shares);
     const std::size_t w = table.words_per_entry();
     PirResponse resp(w, 0);
     for (std::uint64_t j = 0; j < table.num_entries(); ++j) {
-        const u128 v = shares[j];
+        u128 bit;
+        dpf.EvalPoint(key, j, &bit);
+        if (bit == 0) continue;
         const u128* row = table.Entry(j);
-        for (std::size_t k = 0; k < w; ++k) resp[k] += v * row[k];
+        for (std::size_t k = 0; k < w; ++k) resp[k] ^= row[k];
     }
     return resp;
-}
-
-TEST(DpfEvalRangeTest, MatchesFullDomainSlices) {
-    const Dpf dpf(DpfParams{8, PrfKind::kChacha20, 2});
-    Rng rng(31);
-    auto [k0, k1] = dpf.GenIndicator(97, rng);
-    std::vector<u128> full;
-    dpf.EvalFullDomain(k0, &full);
-    const int w = dpf.params().out_words;
-    const std::uint64_t ranges[][2] = {
-        {0, 256}, {0, 1}, {255, 256}, {13, 77}, {96, 99}, {128, 128}};
-    Dpf::RangeScratch scratch;
-    for (const auto& r : ranges) {
-        std::vector<u128> part((r[1] - r[0]) * w);
-        dpf.EvalRangeBatched(k0, r[0], r[1], part.data(), &scratch);
-        for (std::uint64_t x = r[0]; x < r[1]; ++x) {
-            for (int j = 0; j < w; ++j) {
-                EXPECT_EQ(part[(x - r[0]) * w + j], full[x * w + j])
-                    << "x=" << x << " word=" << j;
-            }
-        }
-    }
-    EXPECT_THROW(dpf.EvalRangeBatched(k0, 2, 1, full.data(), &scratch),
-                 std::invalid_argument);
-    EXPECT_THROW(dpf.EvalRangeBatched(k0, 0, 257, full.data(), &scratch),
-                 std::invalid_argument);
 }
 
 class ShardedAnswerTest : public ::testing::TestWithParam<std::size_t> {};
@@ -225,10 +199,9 @@ TEST(TiledLayoutTest, BitIdenticalToRowMajorAcrossShardsAndBatches) {
     }
 }
 
-// Where the matrices below run the scalar and the widest paths: the
-// accumulator ISA is pinned in-process (SetAccumulateIsa); the PRG (software
-// AES, scalar ChaCha20) drops to scalar under GPUDPF_FORCE_SCALAR=1, which
-// CI's forced-scalar legs set for the whole suite.
+// Where the matrix below runs the scalar and the widest PRG paths:
+// software AES and scalar ChaCha20 under GPUDPF_FORCE_SCALAR=1, which CI's
+// forced-scalar legs set for the whole suite.
 const char* PrgPath() {
     return GetCpuFeatures().forced_scalar ? "scalar" : "widest";
 }
@@ -237,105 +210,62 @@ TEST(CpuKernelMatrixTest, BitIdenticalAcrossLayoutsShardsPlacements) {
     // The full acceptance matrix of the CPU kernel: it must be
     // bit-identical to the sequential reference under PRFs {AES,
     // ChaCha20} x layouts {row-major, tiled} x shards {1,3,8} x placements
-    // {dynamic, pinned} x batch {1,4,32}. Z_2^128 addition is
-    // commutative, so any segmentation must reproduce the exact same
-    // words.
-    Rng rng_a(53);
-    Rng rng_b(53);
-    const std::uint64_t n = 700;  // spans several tiles at 208 B/row
-    PirTable row_major(n, 208, TableLayout::kRowMajor);
-    PirTable tiled(n, 208, TableLayout::kTiled);
-    row_major.FillRandom(rng_a);
-    tiled.FillRandom(rng_b);
+    // {dynamic, pinned} x batch {1,4,32}. The tables have the movielens
+    // bin sizes (1,125 rows, 2^11 domain; 45 rows, a 0-level tree), and
+    // 1,072-byte rows give 64-row tiles, so bin, shard and tile edges fall
+    // inside a 128-row selection block. XOR commutes, so any segmentation
+    // must reproduce the exact same words.
     ThreadPool pool(4);
-
     const std::size_t max_batch =
         *std::max_element(std::begin(kBatchSizes), std::end(kBatchSizes));
-    for (const PrfKind prf : {PrfKind::kAes128, PrfKind::kChacha20}) {
-        PirClient client(10, prf, /*seed=*/23);
-        std::vector<std::vector<std::uint8_t>> keys;
-        std::vector<PirResponse> expected;
-        for (std::size_t i = 0; i < max_batch; ++i) {
-            PirQuery q = client.Query((i * 131) % n);
-            expected.push_back(ReferenceAnswer(
-                row_major, DpfKey::Deserialize(q.key_for_server0.data(),
-                                               q.key_for_server0.size())));
-            keys.push_back(std::move(q.key_for_server0));
-        }
-        for (const PirTable* table : {&row_major, &tiled}) {
-            for (const std::size_t shards : kShardCounts) {
-                for (const ShardPlacement placement :
-                     {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-                    PirServer server(table,
-                                     ShardingOptions{shards, &pool, placement});
-                    for (const std::size_t batch : kBatchSizes) {
-                        const std::vector<std::vector<std::uint8_t>> subset(
-                            keys.begin(), keys.begin() + batch);
-                        const auto responses = server.BatchAnswer(subset);
-                        ASSERT_EQ(responses.size(), batch);
-                        for (std::size_t i = 0; i < batch; ++i) {
-                            ASSERT_EQ(responses[i], expected[i])
-                                << "prf=" << PrfKindName(prf)
-                                << " prg=" << PrgPath() << " layout="
-                                << (table == &tiled ? "tiled" : "row-major")
-                                << " shards=" << shards << " placement="
-                                << ShardPlacementName(placement)
-                                << " batch=" << batch << " query=" << i;
+    for (const std::uint64_t n : {std::uint64_t{1'125}, std::uint64_t{45}}) {
+        Rng rng_a(53);
+        Rng rng_b(53);
+        PirTable row_major(n, 1'072, TableLayout::kRowMajor);
+        PirTable tiled(n, 1'072, TableLayout::kTiled);
+        ASSERT_EQ(tiled.rows_per_tile(), 64u);
+        row_major.FillRandom(rng_a);
+        tiled.FillRandom(rng_b);
+        const int log_domain = n > 64 ? 11 : 6;
+        for (const PrfKind prf : {PrfKind::kAes128, PrfKind::kChacha20}) {
+            PirClient client(log_domain, prf, /*seed=*/23);
+            std::vector<std::vector<std::uint8_t>> keys;
+            std::vector<PirResponse> expected;
+            for (std::size_t i = 0; i < max_batch; ++i) {
+                PirQuery q = client.Query((i * 131) % n);
+                expected.push_back(ReferenceAnswer(
+                    row_major, DpfKey::Deserialize(q.key_for_server0.data(),
+                                                   q.key_for_server0.size())));
+                keys.push_back(std::move(q.key_for_server0));
+            }
+            for (const PirTable* table : {&row_major, &tiled}) {
+                for (const std::size_t shards : kShardCounts) {
+                    for (const ShardPlacement placement :
+                         {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
+                        PirServer server(
+                            table, ShardingOptions{shards, &pool, placement});
+                        for (const std::size_t batch : kBatchSizes) {
+                            const std::vector<std::vector<std::uint8_t>>
+                                subset(keys.begin(), keys.begin() + batch);
+                            const auto responses = server.BatchAnswer(subset);
+                            ASSERT_EQ(responses.size(), batch);
+                            for (std::size_t i = 0; i < batch; ++i) {
+                                ASSERT_EQ(responses[i], expected[i])
+                                    << "rows=" << n
+                                    << " prf=" << PrfKindName(prf)
+                                    << " prg=" << PrgPath() << " layout="
+                                    << (table == &tiled ? "tiled"
+                                                        : "row-major")
+                                    << " shards=" << shards << " placement="
+                                    << ShardPlacementName(placement)
+                                    << " batch=" << batch << " query=" << i;
+                            }
                         }
                     }
                 }
             }
         }
     }
-}
-
-TEST(CpuKernelMatrixTest, AllAccumulateIsasBitIdentical) {
-    // The accumulator-ISA axis of the matrix: with the dispatch pinned to
-    // each supported AccumulateIsa in turn — scalar through the widest —
-    // the kernel stays bit-identical to the sequential reference on both
-    // layouts. Exercises the vector accumulators through real kernel call
-    // sites (segment offsets, tile tails, multi-query fusion) rather than
-    // synthetic buffers.
-    Rng rng_a(59);
-    Rng rng_b(59);
-    const std::uint64_t n = 700;
-    PirTable row_major(n, 208, TableLayout::kRowMajor);
-    PirTable tiled(n, 208, TableLayout::kTiled);
-    row_major.FillRandom(rng_a);
-    tiled.FillRandom(rng_b);
-    ThreadPool pool(4);
-
-    for (const PrfKind prf : {PrfKind::kAes128, PrfKind::kChacha20}) {
-        PirClient client(10, prf, /*seed=*/29);
-        std::vector<std::vector<std::uint8_t>> keys;
-        std::vector<PirResponse> expected;
-        for (std::size_t i = 0; i < 4; ++i) {
-            PirQuery q = client.Query((i * 173) % n);
-            expected.push_back(ReferenceAnswer(
-                row_major, DpfKey::Deserialize(q.key_for_server0.data(),
-                                               q.key_for_server0.size())));
-            keys.push_back(std::move(q.key_for_server0));
-        }
-        for (const AccumulateIsa isa : AllAccumulateIsas()) {
-            if (!AccumulateIsaSupported(isa)) continue;
-            ASSERT_TRUE(SetAccumulateIsa(isa));
-            for (const PirTable* table : {&row_major, &tiled}) {
-                PirServer server(
-                    table, ShardingOptions{3, &pool, ShardPlacement::kPinned});
-                const auto responses = server.BatchAnswer(keys);
-                ASSERT_EQ(responses.size(), keys.size());
-                for (std::size_t i = 0; i < keys.size(); ++i) {
-                    ASSERT_EQ(responses[i], expected[i])
-                        << "prf=" << PrfKindName(prf) << " prg=" << PrgPath()
-                        << " accumulate=" << AccumulateIsaName(isa)
-                        << " layout="
-                        << (table == &tiled ? "tiled" : "row-major")
-                        << " query=" << i;
-                }
-            }
-        }
-    }
-    SetAccumulateIsa(DefaultAccumulateIsa());
 }
 
 TEST(ShardedServiceTest, TiledLayoutLookupMatchesRowMajor) {
@@ -396,8 +326,14 @@ TEST(AnswerEngineTest, RejectsBadJobs) {
     EXPECT_THROW(engine.Answer(table, hostile, 0, table.num_entries()),
                  std::invalid_argument);
     hostile = key;
-    hostile.params.out_words = 4;  // would mis-stride the mat-vec
+    hostile.params.out_words = 4;  // not an XOR selection block
     EXPECT_THROW(engine.Answer(table, hostile, 0, table.num_entries()),
+                 std::invalid_argument);
+    // An additive key is another protocol: refused before any row is read.
+    Rng key_rng(46);
+    const DpfKey additive =
+        Dpf(DpfParams{6, PrfKind::kChacha20, 1}).GenIndicator(3, key_rng).first;
+    EXPECT_THROW(engine.Answer(table, additive, 0, table.num_entries()),
                  std::invalid_argument);
 }
 

@@ -29,18 +29,19 @@ constexpr TableLayout kLayouts[] = {TableLayout::kRowMajor,
 constexpr ShardPlacement kPlacements[] = {ShardPlacement::kDynamic,
                                           ShardPlacement::kPinned};
 
-// Sequential reference over [0, num_rows): full-domain expansion + mat-vec.
+// Sequential reference over [0, num_rows): the XOR-share key's EvalPoint
+// bit of every row, then the XOR of the selected rows.
 PirResponse ReferenceAnswer(const PirTable& table, const DpfKey& key,
                             std::uint64_t num_rows) {
     const Dpf dpf(key.params);
-    std::vector<u128> shares;
-    dpf.EvalFullDomain(key, &shares);
     const std::size_t w = table.words_per_entry();
     PirResponse resp(w, 0);
     for (std::uint64_t j = 0; j < num_rows; ++j) {
-        const u128 v = shares[j];
+        u128 bit;
+        dpf.EvalPoint(key, j, &bit);
+        if (bit == 0) continue;
         const u128* row = table.Entry(j);
-        for (std::size_t k = 0; k < w; ++k) resp[k] += v * row[k];
+        for (std::size_t k = 0; k < w; ++k) resp[k] ^= row[k];
     }
     return resp;
 }
