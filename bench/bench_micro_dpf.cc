@@ -3,11 +3,17 @@
 // strategies on the host.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <utility>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/dpf/dpf.h"
 #include "src/kernels/cpu_kernel.h"
 #include "src/kernels/strategy.h"
 #include "src/pir/answer_engine.h"
+#include "src/pir/table_layout.h"
 
 namespace gpudpf {
 namespace {
@@ -85,37 +91,98 @@ BENCHMARK(BM_DpfEvalRangeBatched)
                    {2'048, 16'384}});
 
 // The serving kernel, one thread: MultiqueryTileAnswerRange over one
-// taobao bin (65,536 rows x 64 B, tiled) for state.range(0) AES queries
-// sharing the pass. Items are (row, query) pairs.
-void BM_KernelScanTaobaoBin(benchmark::State& state) {
+// tiled bin of `rows` x `row_bytes` for state.range(0) XOR queries under
+// `prf` sharing each pass, the bin split into `shards` row shards as the
+// answer engine splits it. Items are (row, query) pairs. The walk_share
+// counter is the multi-key DPF walk's share of kernel time: best of 40
+// timed passes of EvalRangeBatched over the kernel's own segments (each
+// shard cut at the tile grid) against best of 40 kernel passes.
+void KernelScanBin(benchmark::State& state, std::uint64_t rows,
+                   std::size_t row_bytes, int log_domain, PrfKind prf,
+                   std::size_t shards) {
+    using Clock = std::chrono::steady_clock;
     const auto queries = static_cast<std::size_t>(state.range(0));
-    constexpr std::uint64_t kRows = 1u << 16;
-    const Dpf dpf(DpfParams{16, PrfKind::kAes128, 1, ShareKind::kXor});
+    const Dpf dpf(DpfParams{log_domain, prf, 1, ShareKind::kXor});
     Rng rng(6);
-    PirTable table(kRows, 64, TableLayout::kTiled);
+    PirTable table(rows, row_bytes, TableLayout::kTiled);
     table.FillRandom(rng);
     std::vector<DpfKey> keys;
+    std::vector<const DpfKey*> key_ptrs;
     for (std::size_t q = 0; q < queries; ++q) {
-        keys.push_back(dpf.GenIndicator(rng.UniformInt(kRows), rng).first);
+        keys.push_back(dpf.GenIndicator(rng.UniformInt(rows), rng).first);
     }
+    for (const DpfKey& key : keys) key_ptrs.push_back(&key);
     std::vector<PirResponse> resp(queries,
                                   PirResponse(table.words_per_entry()));
     std::vector<CpuKernelTask> tasks(queries);
     CpuKernelScratch scratch;
-    for (auto _ : state) {
-        for (std::size_t q = 0; q < queries; ++q) {
-            tasks[q] = CpuKernelTask{&dpf, &keys[q], nullptr, resp[q].data()};
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> shard_ranges;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> segments;
+    const std::uint64_t tile = table.rows_per_tile();
+    for (std::size_t s = 0; s < shards; ++s) {
+        const std::uint64_t lo = ShardRowBoundary(0, rows, tile, shards, s);
+        const std::uint64_t hi = ShardRowBoundary(0, rows, tile, shards, s + 1);
+        shard_ranges.push_back({lo, hi});
+        for (std::uint64_t b = lo; b < hi;) {
+            const std::uint64_t e = std::min(hi, (b / tile + 1) * tile);
+            segments.push_back({b, e});
+            b = e;
         }
-        MultiqueryTileAnswerRange(table, 0, 0, kRows, tasks.data(), queries,
-                                  &scratch);
-        benchmark::DoNotOptimize(resp[0].data());
     }
+    const auto kernel_pass = [&] {
+        for (const auto& [lo, hi] : shard_ranges) {
+            for (std::size_t q = 0; q < queries; ++q) {
+                tasks[q] = CpuKernelTask{&keys[q], nullptr, resp[q].data()};
+            }
+            MultiqueryTileAnswerRange(table, dpf, 0, lo, hi, tasks.data(),
+                                      queries, &scratch);
+        }
+        benchmark::DoNotOptimize(resp[0].data());
+        benchmark::ClobberMemory();
+    };
+    for (auto _ : state) kernel_pass();
+
+    std::vector<u128> blocks;
+    Dpf::RangeScratch range;
+    const auto walk_pass = [&] {
+        for (const auto& [lo, hi] : segments) {
+            blocks.resize(queries * ((hi - 1) / 128 - lo / 128 + 1));
+            dpf.EvalRangeBatched(key_ptrs.data(), queries, lo, hi,
+                                 blocks.data(), &range);
+        }
+        benchmark::DoNotOptimize(blocks.data());
+        benchmark::ClobberMemory();
+    };
+    const auto best_of_40 = [](const auto& pass) {
+        auto best = Clock::duration::max();
+        for (int i = 0; i < 40; ++i) {
+            const auto start = Clock::now();
+            pass();
+            best = std::min(best, Clock::now() - start);
+        }
+        return std::chrono::duration<double>(best).count();
+    };
+    state.counters["walk_share"] = best_of_40(walk_pass) / best_of_40(kernel_pass);
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(kRows * queries));
-    state.SetLabel("queries=" + std::to_string(queries));
+                            static_cast<std::int64_t>(rows * queries));
+    state.SetLabel(std::string(PrfKindName(prf)) +
+                   " queries=" + std::to_string(queries));
+}
+
+// A taobao bin: 65,536 rows x 64 B, AES, answered as one range.
+void BM_KernelScanTaobaoBin(benchmark::State& state) {
+    KernelScanBin(state, 1u << 16, 64, 16, PrfKind::kAes128, 1);
 }
 BENCHMARK(BM_KernelScanTaobaoBin)->Arg(1)->Arg(2)->Arg(16)->Unit(
     benchmark::kMillisecond);
+
+// A movielens full-table bin: 1,125 rows x 192 B (2^11 domain),
+// ChaCha20, in 4 row shards — a 4-level tree over 2-3 blocks per shard.
+void BM_KernelScanMovielensBin(benchmark::State& state) {
+    KernelScanBin(state, 1'125, 192, 11, PrfKind::kChacha20, 4);
+}
+BENCHMARK(BM_KernelScanMovielensBin)->Arg(1)->Arg(8)->Arg(16)->Unit(
+    benchmark::kMicrosecond);
 
 void BM_StrategyHostRun(benchmark::State& state) {
     const auto kind = static_cast<StrategyKind>(state.range(0));

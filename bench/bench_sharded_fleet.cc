@@ -109,6 +109,9 @@ struct FleetRun {
     double rows_per_request = 0.0;
 };
 
+// Completed lookups after which --ready-file is touched.
+constexpr std::size_t kReadyAfterLookups = 1'000;
+
 FleetRun RunFleet(const bench::ReplicatedWorld& world, const Shards& shards,
                   std::size_t client_threads, std::size_t lookups_per_client,
                   const std::vector<std::vector<LookupResult>>& ref,
@@ -125,13 +128,6 @@ FleetRun RunFleet(const bench::ReplicatedWorld& world, const Shards& shards,
     net::ShardedRouter::Options options;
     options.health_period_ms = 50;
     net::ShardedRouter router(planning.get(), shards, options);
-
-    if (ready_file != nullptr) {
-        // Signal an external driver (the smoke script's kill-one scenario)
-        // that the routed load is about to start — its SIGKILL lands
-        // mid-run instead of racing the world build.
-        if (std::FILE* f = std::fopen(ready_file, "w")) std::fclose(f);
-    }
 
     FleetRun run;
     std::atomic<std::size_t> done{0};
@@ -168,13 +164,23 @@ FleetRun RunFleet(const bench::ReplicatedWorld& world, const Shards& shards,
                 }
             });
         }
-        if (abort_node != nullptr) {
-            const std::size_t trigger = static_cast<std::size_t>(
-                0.3 * client_threads * lookups_per_client);
-            while (done.load() < trigger) {
+        const std::size_t total = client_threads * lookups_per_client;
+        const auto wait_done = [&done](std::size_t count) {
+            while (done.load() < count) {
                 std::this_thread::sleep_for(std::chrono::milliseconds(1));
             }
+        };
+        if (abort_node != nullptr) {
+            wait_done(static_cast<std::size_t>(0.3 * total));
             abort_node->Abort();
+        }
+        if (ready_file != nullptr) {
+            // Tell the process running this bench (the smoke script's
+            // kill-one scenario) once kReadyAfterLookups lookups have
+            // completed (half the load, if that is less), so its SIGKILL
+            // lands mid-run however fast the fleet answers.
+            wait_done(std::min(kReadyAfterLookups, total / 2));
+            if (std::FILE* f = std::fopen(ready_file, "w")) std::fclose(f);
         }
         for (auto& t : threads) t.join();
     }

@@ -98,10 +98,10 @@ run_scenario() { # $1 = name, $2 = shards, $3 = replicas per shard, $4 = victim 
     "$BENCH_BIN" 4 10 --connect="$endpoints" --json="$WORK_DIR/smoke.json"
 
     echo "-- kill-one: SIGKILL node $victim mid-run --"
-    # The bench touches the ready file right before the routed load
-    # starts, and the load (6 x 1000 lookups, over a second at 5,000 q/s)
-    # outlasts the 0.3 s wait, so the SIGKILL lands mid-run; the victim's
-    # shard fails over to a sibling replica and every request completes.
+    # The bench touches the ready file once 1,000 of its 6 x 1000 lookups
+    # have completed, and the SIGKILL follows at once, so it lands mid-run
+    # however fast the fleet answers; the victim's shard fails over to a
+    # sibling replica and every request completes.
     "$BENCH_BIN" 6 1000 --connect="$endpoints" --json="$json" \
         --ready-file="$WORK_DIR/ready" > "$WORK_DIR/killone.log" 2>&1 &
     local bench_pid=$!
@@ -110,7 +110,6 @@ run_scenario() { # $1 = name, $2 = shards, $3 = replicas per shard, $4 = victim 
         sleep 0.1
     done
     [ -e "$WORK_DIR/ready" ] || { echo "bench never signalled ready"; exit 1; }
-    sleep 0.3
     kill -KILL "${NODE_PIDS[$victim]}"
     echo "killed node $victim (pid ${NODE_PIDS[$victim]})"
     if ! wait "$bench_pid"; then

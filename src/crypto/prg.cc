@@ -1,5 +1,6 @@
 #include "src/crypto/prg.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/common/cpuid.h"
@@ -54,12 +55,47 @@ void ChachaExpandScalar(const u128* seeds, std::size_t n, u128* lefts,
     }
 }
 
-// A multi-lane kernel over the batch, then the scalar path over its tail.
-template <std::size_t (*Kernel)(const u128*, std::size_t, u128*, u128*)>
+using ChachaKernel = std::size_t (*)(const u128*, std::size_t, u128*, u128*);
+
+// One vector step of `Lanes` seeds over a tail of 1 <= n <= Lanes seeds,
+// zero-padded in a stack buffer; the padding lanes' outputs are dropped.
+template <std::size_t Lanes>
+void ChachaPaddedStep(ChachaKernel kernel, const u128* seeds, std::size_t n,
+                      u128* lefts, u128* rights) {
+    u128 in[Lanes] = {};
+    u128 l[Lanes];
+    u128 r[Lanes];
+    std::copy(seeds, seeds + n, in);
+    kernel(in, Lanes, l, r);
+    std::copy(l, l + n, lefts);
+    std::copy(r, r + n, rights);
+}
+
+// The tail a lane kernel leaves (n < its lane count). One seed costs less
+// on the scalar block than a vector step; 2-8 seeds take one AVX2 step and
+// 9-15 one AVX-512 step (the AVX-512 path's hosts all have AVX2; both
+// steps cost about the same, a single scalar block about 0.6 of one).
+template <bool Wide>
+void ChachaExpandTail(const u128* seeds, std::size_t n, u128* lefts,
+                      u128* rights) {
+    if (n <= 1) {
+        ChachaExpandScalar(seeds, n, lefts, rights);
+    } else if (Wide && n > 8) {
+        ChachaPaddedStep<16>(&chacha_simd::DpfExpandAvx512, seeds, n, lefts,
+                             rights);
+    } else {
+        ChachaPaddedStep<8>(&chacha_simd::DpfExpandAvx2, seeds, n, lefts,
+                            rights);
+    }
+}
+
+// A multi-lane kernel over the batch, then its tail on the vector unit.
+template <ChachaKernel Kernel, bool Wide>
 void ChachaExpandLanes(const u128* seeds, std::size_t n, u128* lefts,
                        u128* rights) {
     const std::size_t done = Kernel(seeds, n, lefts, rights);
-    ChachaExpandScalar(seeds + done, n - done, lefts + done, rights + done);
+    ChachaExpandTail<Wide>(seeds + done, n - done, lefts + done,
+                           rights + done);
 }
 
 }  // namespace
@@ -106,9 +142,9 @@ ChachaExpandFn GetChachaExpandFn(ChachaLanes lanes) {
         case ChachaLanes::kScalar:
             return &ChachaExpandScalar;
         case ChachaLanes::kAvx2:
-            return &ChachaExpandLanes<&chacha_simd::DpfExpandAvx2>;
+            return &ChachaExpandLanes<&chacha_simd::DpfExpandAvx2, false>;
         case ChachaLanes::kAvx512:
-            return &ChachaExpandLanes<&chacha_simd::DpfExpandAvx512>;
+            return &ChachaExpandLanes<&chacha_simd::DpfExpandAvx512, true>;
     }
     return nullptr;
 }

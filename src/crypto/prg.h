@@ -19,7 +19,8 @@ namespace gpudpf {
 
 // Lane paths of the ChaCha20 ExpandBatch: kScalar runs one block per seed,
 // kAvx2 8 seeds per step and kAvx512 16 (src/crypto/chacha20_simd.cc);
-// the vector paths finish a batch's tail on the scalar path.
+// the vector paths finish a batch's tail of 2 or more seeds in one
+// zero-padded vector step, and a single leftover seed on the scalar path.
 enum class ChachaLanes { kScalar, kAvx2, kAvx512 };
 
 const char* ChachaLanesName(ChachaLanes lanes);

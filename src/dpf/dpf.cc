@@ -338,28 +338,45 @@ void Dpf::EvalFullDomain(const DpfKey& key, std::vector<u128>* out) const {
 void Dpf::EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
                            std::uint64_t end, u128* out,
                            RangeScratch* scratch) const {
-    if (params_.share != ShareKind::kXor ||
-        key.params.share != ShareKind::kXor) {
+    const DpfKey* keys = &key;
+    EvalRangeBatched(&keys, 1, begin, end, out, scratch);
+}
+
+void Dpf::EvalRangeBatched(const DpfKey* const* keys, std::size_t num_keys,
+                           std::uint64_t begin, std::uint64_t end, u128* out,
+                           RangeScratch* scratch) const {
+    if (params_.share != ShareKind::kXor) {
         throw std::invalid_argument("Dpf::EvalRangeBatched: XOR keys only");
+    }
+    const int depth = params_.TreeDepth();
+    for (std::size_t k = 0; k < num_keys; ++k) {
+        const DpfKey& key = *keys[k];
+        if (key.params.share != params_.share ||
+            key.params.log_domain != params_.log_domain ||
+            key.params.prf != params_.prf ||
+            key.cw.size() != static_cast<std::size_t>(depth) ||
+            key.final_cw.empty()) {
+            throw std::invalid_argument(
+                "Dpf::EvalRangeBatched: key of another Dpf");
+        }
     }
     if (begin > end || end > domain_size()) {
         throw std::invalid_argument("Dpf::EvalRangeBatched: bad range");
     }
-    if (begin == end) return;
-    const int depth = params_.TreeDepth();
+    if (begin == end || num_keys == 0) return;
     const std::uint64_t first = begin >> kXorBlockLog;
     const std::uint64_t last = (end - 1) >> kXorBlockLog;
     const std::size_t blocks = static_cast<std::size_t>(last - first) + 1;
 
-    // The frontier at level d is the contiguous node index range
-    // [first >> (depth-d), last >> (depth-d)] — the nodes whose leaf spans
-    // intersect the blocks [first, last]. Each level expands the whole
-    // frontier through one batched PRG call and writes both children of
-    // every frontier node, interleaved, into the other seed buffer; the
-    // next frontier is that buffer from offset next_lo - 2*lo (0 or 1). A
-    // frontier never holds more than blocks/2 + 1 parents, so blocks + 2
-    // children bound every buffer.
-    const std::size_t cap = blocks + 2;
+    // The frontier at level d is the same contiguous node index range for
+    // every key, [first >> (depth-d), last >> (depth-d)] — the nodes whose
+    // leaf spans intersect the blocks [first, last] — so it never holds
+    // more than `blocks` nodes. Each level expands all keys' frontiers,
+    // key-major and contiguous, through one batched PRG call; each key's
+    // children are then corrected with its own correction word and the
+    // ones inside the next frontier are written, key-major, into the other
+    // seed buffer.
+    const std::size_t cap = num_keys * blocks;
     for (int side = 0; side < 2; ++side) {
         if (scratch->seeds[side].size() < cap) {
             scratch->seeds[side].resize(cap);
@@ -374,51 +391,68 @@ void Dpf::EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
     const u128* rights = scratch->child_right.data();
 
     int cur = 0;
-    scratch->seeds[cur][0] = key.root_seed;
-    scratch->ts[cur][0] = key.party == 1 ? 1 : 0;
-    std::size_t off = 0;   // frontier's first node within seeds[cur]
+    for (std::size_t k = 0; k < num_keys; ++k) {
+        scratch->seeds[cur][k] = keys[k]->root_seed;
+        scratch->ts[cur][k] = keys[k]->party == 1 ? 1 : 0;
+    }
     std::uint64_t lo = 0;  // frontier's first node index at this level
     std::size_t count = 1;
     for (int level = 0; level < depth; ++level) {
-        prg_.ExpandBatch(scratch->seeds[cur].data() + off, count,
+        prg_.ExpandBatch(scratch->seeds[cur].data(), num_keys * count,
                          scratch->child_left.data(),
                          scratch->child_right.data());
         const int child_shift = depth - level - 1;
         const std::uint64_t next_lo = first >> child_shift;
-        const std::uint64_t next_hi = last >> child_shift;
-        const std::uint8_t* t_in = scratch->ts[cur].data() + off;
+        const std::size_t next_count =
+            static_cast<std::size_t>((last >> child_shift) - next_lo) + 1;
+        // Parent i's children sit at next-frontier positions 2i - skip and
+        // 2i + 1 - skip; only the first parent's left child and the last
+        // parent's right child can fall outside it.
+        const std::size_t skip = static_cast<std::size_t>(next_lo - 2 * lo);
         const int next = 1 - cur;
-        u128* s_out = scratch->seeds[next].data();
-        std::uint8_t* t_out = scratch->ts[next].data();
-        // Branch-free correction: t selects the correction word through
-        // an all-ones/all-zeros mask instead of a branch.
-        const CorrectionWord& cw = key.cw[level];
-        const std::uint8_t t_left = cw.t_left ? 1 : 0;
-        const std::uint8_t t_right = cw.t_right ? 1 : 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::uint8_t t = t_in[i];
-            const u128 seed_cw = cw.seed & (static_cast<u128>(0) - t);
-            s_out[2 * i] = ClearLsb(lefts[i]) ^ seed_cw;
-            s_out[2 * i + 1] = ClearLsb(rights[i]) ^ seed_cw;
-            t_out[2 * i] = static_cast<std::uint8_t>(Lsb(lefts[i]) ^
-                                                     (t_left & t));
-            t_out[2 * i + 1] = static_cast<std::uint8_t>(Lsb(rights[i]) ^
-                                                         (t_right & t));
+        for (std::size_t k = 0; k < num_keys; ++k) {
+            const std::uint8_t* t_in = scratch->ts[cur].data() + k * count;
+            const u128* kl = lefts + k * count;
+            const u128* kr = rights + k * count;
+            u128* s_out = scratch->seeds[next].data() + k * next_count;
+            std::uint8_t* t_out = scratch->ts[next].data() + k * next_count;
+            // Branch-free correction: t selects the correction word
+            // through an all-ones/all-zeros mask instead of a branch.
+            const CorrectionWord& cw = keys[k]->cw[level];
+            const std::uint8_t t_left = cw.t_left ? 1 : 0;
+            const std::uint8_t t_right = cw.t_right ? 1 : 0;
+            for (std::size_t i = 0; i < count; ++i) {
+                const std::uint8_t t = t_in[i];
+                const u128 seed_cw = cw.seed & (static_cast<u128>(0) - t);
+                const std::size_t pos = 2 * i - skip;  // wraps for i = skip = 0
+                if (2 * i >= skip) {
+                    s_out[pos] = ClearLsb(kl[i]) ^ seed_cw;
+                    t_out[pos] =
+                        static_cast<std::uint8_t>(Lsb(kl[i]) ^ (t_left & t));
+                }
+                if (pos + 1 < next_count) {
+                    s_out[pos + 1] = ClearLsb(kr[i]) ^ seed_cw;
+                    t_out[pos + 1] =
+                        static_cast<std::uint8_t>(Lsb(kr[i]) ^ (t_right & t));
+                }
+            }
         }
         cur = next;
-        off = static_cast<std::size_t>(next_lo - 2 * lo);
         lo = next_lo;
-        count = static_cast<std::size_t>(next_hi - next_lo) + 1;
+        count = next_count;
     }
 
     // Leaf conversion, as in GenBatch: block = left PRG output of the
-    // leaf seed, XOR the final CW under the leaf's control-bit mask.
-    prg_.ExpandBatch(scratch->seeds[cur].data() + off, count,
+    // leaf seed, XOR the final CW under the leaf's control-bit mask. The
+    // leaf frontier is exactly the blocks [first, last] of every key.
+    prg_.ExpandBatch(scratch->seeds[cur].data(), cap,
                      scratch->child_left.data(), scratch->child_right.data());
-    const std::uint8_t* t_leaf = scratch->ts[cur].data() + off;
-    const u128 final_cw = key.final_cw[0];
-    for (std::size_t i = 0; i < blocks; ++i) {
-        out[i] = lefts[i] ^ (final_cw & (static_cast<u128>(0) - t_leaf[i]));
+    const std::uint8_t* t_leaf = scratch->ts[cur].data();
+    for (std::size_t k = 0; k < num_keys; ++k) {
+        const u128 final_cw = keys[k]->final_cw[0];
+        for (std::size_t i = k * blocks; i < (k + 1) * blocks; ++i) {
+            out[i] = lefts[i] ^ (final_cw & (static_cast<u128>(0) - t_leaf[i]));
+        }
     }
 }
 

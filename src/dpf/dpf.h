@@ -28,6 +28,7 @@
 // evaluator of XOR keys that the serving kernel runs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -136,7 +137,7 @@ class Dpf {
     void EvalFullDomain(const DpfKey& key, std::vector<u128>* out) const;
 
     // Reusable frontier buffers for EvalRangeBatched, so a kernel that
-    // walks many tiles pays the allocations once.
+    // walks many ranges pays the allocations once.
     struct RangeScratch {
         std::vector<u128> seeds[2];
         std::vector<std::uint8_t> ts[2];
@@ -150,18 +151,31 @@ class Dpf {
     // of a block being the share bit of its j-th point (the caller sizes
     // out; `(end - 1) / 128 - begin / 128 + 1` words). The edge blocks'
     // bits of points outside [begin, end) are unspecified: callers read
-    // only the range's bits.
-    // The tree walk is level-order: the covering node frontier at each
-    // level is expanded in one Prg::ExpandBatch call (AES-NI pipelined,
-    // ChaCha20 multi-lane) and corrected branch-free (the control bit
-    // becomes a mask); subtrees disjoint from the range are never
-    // expanded, and the leaves convert through one more batched call.
-    // Bits equal EvalPoint's for every PrfKind. Throws
-    // std::invalid_argument on an additive key (or Dpf) and unless
-    // begin <= end <= L. Peak scratch is O((end - begin) / 128) nodes.
-    // This is the per-shard primitive of the server answer engine.
+    // only the range's bits. The multi-key form below with one key.
     void EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
                           std::uint64_t end, u128* out,
+                          RangeScratch* scratch) const;
+
+    // Evaluates num_keys XOR keys of this Dpf's log_domain and PRF over
+    // one range [begin, end), key-major: key k's blocks start at
+    // out + k * blocks, each as the single-key form writes them (blocks =
+    // `(end - 1) / 128 - begin / 128 + 1`). Bits equal EvalPoint's for
+    // every PrfKind.
+    // The tree walk is level-order and shared by the keys: every key's
+    // frontier at a level covers the same node range, and all of them are
+    // expanded in one Prg::ExpandBatch call (AES-NI pipelined, ChaCha20
+    // multi-lane), so a few-block range of many keys still fills the
+    // vector lanes — the paper's level-by-level batching across queries.
+    // Each key's children are then corrected with its own correction word,
+    // branch-free (the control bit becomes a mask); subtrees disjoint from
+    // the range are never expanded, and the leaves convert through one more
+    // batched call. Throws std::invalid_argument, before any output is
+    // written, on an additive Dpf, a key whose share kind, log_domain, PRF
+    // or correction-word count differs from this Dpf's, or unless
+    // begin <= end <= L. Peak scratch is num_keys * blocks nodes. This is
+    // the per-shard primitive of the server answer engine.
+    void EvalRangeBatched(const DpfKey* const* keys, std::size_t num_keys,
+                          std::uint64_t begin, std::uint64_t end, u128* out,
                           RangeScratch* scratch) const;
 
     // --- Node-level primitives for parallel kernels -----------------------

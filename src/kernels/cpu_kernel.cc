@@ -81,13 +81,14 @@ void XorSelectedRows(const u128* rows, std::size_t w, std::size_t n,
 
 }  // namespace
 
-// Per segment, every live query's selection blocks are evaluated; then
-// each 32-row run of the segment stays in L1 while every query's
-// response XORs in the run's selected rows — the tile's memory traffic
-// is paid once per group instead of once per query (fig06/fig08).
-void MultiqueryTileAnswerRange(const PirTable& table, std::uint64_t row_begin,
-                               std::uint64_t lo, std::uint64_t hi,
-                               CpuKernelTask* tasks, std::size_t num_tasks,
+// Per segment, one multi-key walk evaluates every live query's selection
+// blocks; then each 32-row run of the segment stays in L1 while every
+// query's response XORs in the run's selected rows — the tile's memory
+// traffic is paid once per group instead of once per query (fig06/fig08).
+void MultiqueryTileAnswerRange(const PirTable& table, const Dpf& dpf,
+                               std::uint64_t row_begin, std::uint64_t lo,
+                               std::uint64_t hi, CpuKernelTask* tasks,
+                               std::size_t num_tasks,
                                CpuKernelScratch* scratch) {
     const std::size_t w = table.words_per_entry();
     std::vector<std::size_t>& active = scratch->active;
@@ -112,8 +113,10 @@ void MultiqueryTileAnswerRange(const PirTable& table, std::uint64_t row_begin,
             if (active.empty()) break;
         }
         first = false;
+        scratch->keys.clear();
         for (const std::size_t t : active) {
             has_context |= tasks[t].context != nullptr;
+            scratch->keys.push_back(tasks[t].key);
         }
         const std::uint64_t cap = std::max<std::uint64_t>(
             kMinSegmentRows,
@@ -126,12 +129,9 @@ void MultiqueryTileAnswerRange(const PirTable& table, std::uint64_t row_begin,
         if (scratch->shares.size() < active.size() * blocks) {
             scratch->shares.resize(active.size() * blocks);
         }
-        for (std::size_t ai = 0; ai < active.size(); ++ai) {
-            const CpuKernelTask& task = tasks[active[ai]];
-            task.dpf->EvalRangeBatched(*task.key, cur, seg_end,
-                                       scratch->shares.data() + ai * blocks,
-                                       &scratch->range);
-        }
+        dpf.EvalRangeBatched(scratch->keys.data(), active.size(), cur,
+                             seg_end, scratch->shares.data(),
+                             &scratch->range);
         // Rows are tile-contiguous (SegmentEnd clips to the tile grid), so
         // the pointer strides. Each 32-row run of the segment is read by
         // every live query while it is L1-resident.

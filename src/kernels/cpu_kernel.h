@@ -9,15 +9,16 @@
 // sequential reference (per-row EvalPoint bit, then a XOR over the
 // selected rows): XOR commutes, and the bits equal EvalPoint's.
 //
-// It is the paper's fig06/fig08 memory-bound insight: all queries of a
-// batch group sharing one row range are evaluated per storage-tile
-// segment, then each 128-row block of the tile stays in L1 while every
-// query's response XORs in its selected rows — table traffic is paid per
-// tile, not per query. The selection is branch-free (the bit becomes a
-// mask), and rows outside the range are never read. DPF expansion walks
-// each tree level's node frontier through one batched PRG call (AES-NI
-// pipelined, ChaCha20 multi-lane); GPUDPF_FORCE_SCALAR drops the PRG to
-// its scalar paths under this same kernel.
+// It is the paper's fig06/fig08 batching in two places. DPF expansion is
+// one level-order walk for all live queries of a segment (the multi-key
+// Dpf::EvalRangeBatched): each tree level of every query goes through one
+// batched PRG call (AES-NI pipelined, ChaCha20 multi-lane), so even a
+// few-block shard of a small bin fills the vector lanes. The scan then
+// keeps each 32-row run of the segment in L1 while every live query's
+// response XORs in the run's selected rows — table traffic is paid per
+// segment, not per query. The selection is branch-free (the bit becomes a
+// mask), and rows outside the range are never read. GPUDPF_FORCE_SCALAR
+// drops the PRG to its scalar paths under this same kernel.
 #pragma once
 
 #include <cstddef>
@@ -36,12 +37,11 @@ namespace gpudpf {
 enum class CpuKernelKind { kMultiqueryTile };
 
 // One query of a kernel call (an XOR-share key). `resp` accumulates the
-// query's partial response (words_per_entry words, caller-zeroed); `aborted` is set by the
-// kernel when the query's context flipped dead between segments and its
-// remaining rows were reclaimed (resp is then incomplete and must be
-// discarded — the query was dead anyway).
+// query's partial response (words_per_entry words, caller-zeroed);
+// `aborted` is set by the kernel when the query's context flipped dead
+// between segments and its remaining rows were reclaimed (resp is then
+// incomplete and must be discarded — the query was dead anyway).
 struct CpuKernelTask {
-    const Dpf* dpf = nullptr;
     const DpfKey* key = nullptr;
     const JobContext* context = nullptr;
     u128* resp = nullptr;
@@ -53,6 +53,7 @@ struct CpuKernelScratch {
     std::vector<u128> shares;  // selection blocks, query-major
     Dpf::RangeScratch range;
     std::vector<std::size_t> active;
+    std::vector<const DpfKey*> keys;  // the active tasks' keys
 };
 
 // Rows answered between context re-checks on untiled (row-major) tables,
@@ -64,16 +65,18 @@ constexpr std::uint64_t kContextCheckRows = 1u << 14;
 
 // Answers job-relative rows [lo, hi) for every task: task t's DPF point j
 // selects table row row_begin + j, and the XOR of its selected rows
-// accumulates (XOR) into task t's resp. All tasks share row_begin and the
-// range — the engine groups queries by (table, row range). The caller
-// has already checked each task's context at call start; the kernel
-// re-checks between internal segments (at most kContextCheckRows rows
-// apart) and marks dead tasks aborted. Bit-identical for every layout and
-// task count: segmentation only reorders commutative XORs. Keys must be
-// XOR-share keys (EvalRangeBatched throws otherwise).
-void MultiqueryTileAnswerRange(const PirTable& table, std::uint64_t row_begin,
-                               std::uint64_t lo, std::uint64_t hi,
-                               CpuKernelTask* tasks, std::size_t num_tasks,
+// accumulates (XOR) into task t's resp. All tasks share row_begin, the
+// range and `dpf` — the engine groups queries by (table, row range, DPF
+// params). The caller has already checked each task's context at call
+// start; the kernel re-checks between internal segments (at most
+// kContextCheckRows rows apart) and marks dead tasks aborted.
+// Bit-identical for every layout and task count: segmentation only
+// reorders commutative XORs. Keys must be XOR-share keys of `dpf`'s
+// log_domain and PRF (EvalRangeBatched throws otherwise).
+void MultiqueryTileAnswerRange(const PirTable& table, const Dpf& dpf,
+                               std::uint64_t row_begin, std::uint64_t lo,
+                               std::uint64_t hi, CpuKernelTask* tasks,
+                               std::size_t num_tasks,
                                CpuKernelScratch* scratch);
 
 }  // namespace gpudpf

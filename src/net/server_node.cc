@@ -206,13 +206,15 @@ void PirServerNode::ServeConnection(int fd) {
         Hello peer;
         if (io == IoStatus::kOk && frame.type == FrameType::kClientHello &&
             DecodeHello(frame.payload.data(), frame.payload.size(), &peer)) {
-            shared->Send(FrameType::kServerHello, EncodeHello(hello_));
+            // Count a refusal before replying, so a client that sees the
+            // mismatched hello also sees the counter.
             if (peer == hello_) {
                 handshake_ok = true;
             } else {
                 MutexLock lock(mu_);
                 ++stats_.hello_rejected;
             }
+            shared->Send(FrameType::kServerHello, EncodeHello(hello_));
         } else if (io == IoStatus::kBadFrame ||
                    (io == IoStatus::kOk &&
                     frame.type != FrameType::kClientHello)) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <tuple>
 
@@ -59,12 +60,35 @@ void ValidateJob(const PirTable& table, const AnswerEngine::Job& job) {
     }
 }
 
-// Per-worker kernel call state, allocated once per pool task (or per
+// Per-worker kernel call state, built once per claim-loop runner (or per
 // (worker, class) pinned task) and reused across its kernel calls.
 struct WorkerState {
     CpuKernelScratch scratch;
     std::vector<CpuKernelTask> tasks;
     std::vector<std::size_t> task_jobs;
+};
+
+constexpr std::size_t kLineBytes = 64;
+constexpr std::size_t kLineWords = kLineBytes / sizeof(u128);
+
+// One batch's partial responses: an uninitialized, line-aligned array of
+// words, one slot per (job, shard). Each slot is rounded up to whole
+// lines, so workers writing neighbouring slots never share a line.
+class PartialArena {
+  public:
+    explicit PartialArena(std::size_t words)
+        : words_(static_cast<u128*>(::operator new(
+              words * sizeof(u128), std::align_val_t(kLineBytes)))) {}
+    ~PartialArena() {
+        ::operator delete(words_, std::align_val_t(kLineBytes));
+    }
+    PartialArena(const PartialArena&) = delete;
+    PartialArena& operator=(const PartialArena&) = delete;
+
+    u128* at(std::size_t offset) const { return words_ + offset; }
+
+  private:
+    u128* words_;
 };
 
 }  // namespace
@@ -87,23 +111,7 @@ AnswerEngine::AnswerEngine(ShardingOptions options)
 PirResponse AnswerEngine::Answer(const PirTable& table, const DpfKey& key,
                                  std::uint64_t row_begin,
                                  std::uint64_t num_rows) const {
-    Job job{&key, row_begin, num_rows};
-    ValidateJob(table, job);
-    if (options_.num_shards == 1) {
-        // Sequential path: one kernel call's worth of work, inline on the
-        // caller.
-        const Dpf dpf(key.params);
-        PirResponse resp(table.words_per_entry(), 0);
-        CpuKernelTask task;
-        task.dpf = &dpf;
-        task.key = &key;
-        task.resp = resp.data();
-        CpuKernelScratch scratch;
-        MultiqueryTileAnswerRange(table, row_begin, 0, num_rows, &task, 1,
-                                  &scratch);
-        return resp;
-    }
-    return AnswerBatch(table, {job})[0];
+    return AnswerBatch(table, {Job{&key, row_begin, num_rows}})[0];
 }
 
 std::vector<PirResponse> AnswerEngine::AnswerBatch(
@@ -136,11 +144,6 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     }
 
     const std::size_t shards = options_.num_shards;
-    // Keys of one batch usually share DpfParams, but each job carries its
-    // own; build each job's evaluator once, outside the shard tasks.
-    std::vector<Dpf> dpfs;
-    dpfs.reserve(jobs.size());
-    for (const TableJob& tj : jobs) dpfs.emplace_back(tj.job.key->params);
 
     // Scheduling class per job: a job with no context is interactive.
     auto job_class = [&jobs](std::size_t q) {
@@ -149,21 +152,24 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
                                   : TaskPriority::kInteractive;
     };
 
-    // The unit of shard-task dispatch: a group of jobs the kernel answers
-    // in one call per shard — every job sharing a (table, row range, class,
-    // DPF-params) signature (identical PBR bins queried by concurrent
-    // requests, whole-table bench batches), so each shard's table traffic
-    // is paid once per group. Groups are formed in `jobs` order (first
-    // occurrence), so submission order below still follows `jobs` order
-    // within a class. The eval window joins the signature via its
-    // saturated end, so an unclipped job (eval_end = all-ones) and one
-    // explicitly clipped to num_rows land in the same group.
+    // The unit of dispatch is a (group, shard) pair: a group of jobs the
+    // kernel answers in one call per shard — every job sharing a (table,
+    // row range, class, DPF-params) signature (identical PBR bins queried
+    // by concurrent requests, whole-table bench batches), so each shard's
+    // DPF walk is one multi-key walk and its table traffic is paid once per
+    // group. The signature fixes log_domain and PRF, and ValidateJob pins
+    // XOR keys with one output word, so one Dpf evaluates every member.
+    // Groups are formed in `jobs` order (first occurrence), so dispatch
+    // order below still follows `jobs` order within a class. The eval
+    // window joins the signature via its saturated end, so an unclipped
+    // job (eval_end = all-ones) and one explicitly clipped to num_rows land
+    // in the same group.
     struct Group {
         std::vector<std::size_t> members;  // job indices, in `jobs` order
-        TaskPriority cls = TaskPriority::kInteractive;
+        TaskPriority cls;
+        Dpf dpf;
     };
     std::vector<Group> groups;
-    groups.reserve(jobs.size());
     using GroupKey = std::tuple<const PirTable*, std::uint64_t, std::uint64_t,
                                 std::uint64_t, std::uint64_t, int, int, int>;
     std::map<GroupKey, std::size_t> index;
@@ -179,14 +185,27 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
                            static_cast<int>(tj.job.key->params.prf)};
         auto [it, inserted] = index.emplace(key, groups.size());
         if (inserted) {
-            groups.emplace_back();
-            groups.back().cls = job_class(q);
+            groups.push_back(Group{{}, job_class(q), Dpf(tj.job.key->params)});
         }
         groups[it->second].members.push_back(q);
     }
 
-    // partials[job * shards + shard]; an empty vector is a zero partial.
-    std::vector<PirResponse> partials(jobs.size() * shards);
+    // Job q's partial of shard s is the words_per_entry words at
+    // partials.at(slot[q] + s * stride(q)), stride(q) being its row width
+    // rounded up to whole lines. Each (group, shard) unit zeroes the slots
+    // of its live jobs before answering, so a slot is read only after its
+    // own unit wrote it; a skipped job's slots are never read.
+    auto stride = [&jobs](std::size_t q) {
+        const std::size_t w = jobs[q].table->words_per_entry();
+        return (w + kLineWords - 1) / kLineWords * kLineWords;
+    };
+    std::vector<std::size_t> slot(jobs.size());
+    std::size_t arena_words = 0;
+    for (std::size_t q = 0; q < jobs.size(); ++q) {
+        slot[q] = arena_words;
+        arena_words += shards * stride(q);
+    }
+    const PartialArena partials(arena_words);
     // Shards left per job; the worker that takes a job's count to zero
     // owns its reduction and completion callback. Empty shards decrement
     // too, so the count reaches zero exactly once per job. The acq_rel
@@ -194,8 +213,8 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     // visible to the reducing worker.
     std::unique_ptr<std::atomic<std::size_t>[]> remaining(
         new std::atomic<std::size_t>[jobs.size()]);
-    // Set by any shard task that observed the job's context dead (at task
-    // start or between tiles): the reducer then delivers an empty response
+    // Set by any unit that observed the job's context dead (at unit start
+    // or between tiles): the reducer then delivers an empty response
     // instead of assembling a partial result for a request nobody wants.
     // The countdown's acq_rel chain publishes the flag to the reducer.
     std::unique_ptr<std::atomic<bool>[]> job_skipped(
@@ -208,12 +227,13 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     std::atomic<std::size_t> jobs_skipped{0};
     // Answers shard s of every job in group g with one kernel call, then
     // runs the per-job countdown/reduction. Per (job, shard) semantics —
-    // dead-job triage at task start, the skip counters, partial ownership,
+    // dead-job triage at unit start, the skip counters, partial ownership,
     // reduction in shard order — are identical to dispatching each job
     // alone.
     auto run_group = [&](std::size_t g, std::size_t s, WorkerState& ws) {
         const Group& grp = groups[g];
         const TableJob& tj0 = jobs[grp.members.front()];
+        const std::size_t w = tj0.table->words_per_entry();
         const std::uint64_t tile_rows = tj0.table->rows_per_tile();
         // Shard boundaries are computed over the FULL job range (so the
         // tile-snapped partition — and the NUMA first-touch pass that
@@ -231,35 +251,35 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
         for (const std::size_t q : grp.members) {
             const JobContext* context = jobs[q].binding.context;
             if (context != nullptr && context->ShouldSkip()) {
-                // Dead request: reclaim its slice of this task without
+                // Dead request: reclaim its slice of this unit without
                 // touching the table. Every shard of a dead job counts,
                 // empty ones too — the skip counters are deterministic per
                 // job, which is what the serving tests pin down.
                 job_skipped[q].store(true, std::memory_order_relaxed);
                 shards_skipped.fetch_add(1, std::memory_order_relaxed);
-            } else if (lo < hi) {
-                PirResponse& partial = partials[q * shards + s];
-                partial.assign(tj0.table->words_per_entry(), 0);
+                continue;
+            }
+            u128* partial = partials.at(slot[q] + s * stride(q));
+            std::fill_n(partial, w, 0);
+            if (lo < hi) {
                 CpuKernelTask task;
-                task.dpf = &dpfs[q];
                 task.key = jobs[q].job.key;
                 task.context = context;
-                task.resp = partial.data();
+                task.resp = partial;
                 ws.tasks.push_back(task);
                 ws.task_jobs.push_back(q);
             }
         }
         if (!ws.tasks.empty()) {
-            MultiqueryTileAnswerRange(*tj0.table, tj0.job.row_begin, lo, hi,
-                                      ws.tasks.data(), ws.tasks.size(),
+            MultiqueryTileAnswerRange(*tj0.table, grp.dpf, tj0.job.row_begin,
+                                      lo, hi, ws.tasks.data(), ws.tasks.size(),
                                       &ws.scratch);
             for (std::size_t i = 0; i < ws.tasks.size(); ++i) {
                 if (!ws.tasks[i].aborted) continue;
                 // Aborted between tiles: the partial is incomplete and the
                 // job is dead either way.
-                const std::size_t q = ws.task_jobs[i];
-                partials[q * shards + s].clear();
-                job_skipped[q].store(true, std::memory_order_relaxed);
+                job_skipped[ws.task_jobs[i]].store(true,
+                                                   std::memory_order_relaxed);
                 shards_skipped.fetch_add(1, std::memory_order_relaxed);
             }
         }
@@ -277,20 +297,16 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
             }
             // Last shard in: reduce in shard order. XOR commutes, so the
             // result is bit-identical to the sequential path.
-            PirResponse reduced(jobs[q].table->words_per_entry(), 0);
+            PirResponse reduced(w, 0);
             for (std::size_t ps = 0; ps < shards; ++ps) {
-                const PirResponse& part = partials[q * shards + ps];
-                for (std::size_t k = 0; k < part.size(); ++k) {
-                    reduced[k] ^= part[k];
-                }
+                const u128* part = partials.at(slot[q] + ps * stride(q));
+                for (std::size_t k = 0; k < w; ++k) reduced[k] ^= part[k];
             }
             done(q, std::move(reduced));
         }
     };
-    // Groups bucketed by scheduling class: interactive groups' tasks are
-    // submitted (and, with the pool's two-level dequeue, run) before batch
-    // groups' tasks; group (hence `jobs`) order is preserved within a
-    // class.
+    // Groups bucketed by scheduling class; group (hence `jobs`) order is
+    // preserved within a class.
     std::array<std::vector<std::size_t>, 2> by_class;
     for (std::size_t g = 0; g < groups.size(); ++g) {
         by_class[static_cast<std::size_t>(groups[g].cls)].push_back(g);
@@ -299,9 +315,28 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
         options_.pool != nullptr ? *options_.pool : ThreadPool::Shared();
     const std::size_t threads = pool.thread_count();
     const std::size_t total = groups.size() * shards;
+    // The claim loop: a runner claims the next (group, shard) unit of its
+    // class from the class's cursor until the class is drained, groups in
+    // `jobs` order and shards innermost. So units run — and jobs complete —
+    // in the order callers put their jobs (what they want streamed first,
+    // first), and a runner that finishes early keeps claiming instead of
+    // being bound to a static chunk. Interactive runners are queued before
+    // batch runners and carry their class, so the pool's two-level dequeue
+    // starts interactive work first, across batches too; a batch-class
+    // runner, once started, drains its class before it yields the worker.
+    std::array<std::atomic<std::size_t>, 2> cursor{};
+    auto drain = [&](std::size_t c, WorkerState& ws) {
+        const std::vector<std::size_t>& class_groups = by_class[c];
+        const std::size_t units = class_groups.size() * shards;
+        for (std::size_t u = cursor[c].fetch_add(1, std::memory_order_relaxed);
+             u < units;
+             u = cursor[c].fetch_add(1, std::memory_order_relaxed)) {
+            run_group(class_groups[u / shards], u % shards, ws);
+        }
+    };
     if (options_.placement == ShardPlacement::kPinned && threads > 1) {
         // Route shard s of every group to worker s % threads, groups
-        // innermost: consecutive tasks on one worker re-read the same
+        // innermost: consecutive units on one worker re-read the same
         // shard rows, so a batch streams each row range into exactly one
         // core's cache. One pinned pool task per (worker, priority class),
         // so a worker freed by skips still finishes interactive shards
@@ -325,33 +360,23 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
         }
         pool.Wait();
     } else if (threads <= 1 || total <= 1) {
-        // Sequential path: groups complete — and notify — in
-        // class-then-submission order.
+        // The same loop on the caller: groups complete — and notify — in
+        // class-then-`jobs` order.
         WorkerState ws;
-        for (const auto& class_groups : by_class) {
-            for (std::size_t g : class_groups) {
-                for (std::size_t s = 0; s < shards; ++s) {
-                    run_group(g, s, ws);
-                }
-            }
-        }
+        for (std::size_t c = 0; c < by_class.size(); ++c) drain(c, ws);
     } else {
-        // One pool task per (group, shard), so the shared queue drains in
-        // submission order — callers order their jobs so that what runs
-        // (and completes) first is what they want streamed first — and any
-        // worker that finishes early keeps pulling tasks instead of being
-        // bound to a static chunk. Batch-class tasks carry their priority,
-        // so freed workers prefer interactive tasks even across batches.
+        // One runner per worker the class can keep busy, each with one
+        // WorkerState for all the units it claims.
         for (std::size_t c = 0; c < by_class.size(); ++c) {
-            for (std::size_t g : by_class[c]) {
-                for (std::size_t s = 0; s < shards; ++s) {
-                    pool.Submit(
-                        [&, g, s] {
-                            WorkerState ws;
-                            run_group(g, s, ws);
-                        },
-                        static_cast<TaskPriority>(c));
-                }
+            const std::size_t runners =
+                std::min(threads, by_class[c].size() * shards);
+            for (std::size_t r = 0; r < runners; ++r) {
+                pool.Submit(
+                    [&, c] {
+                        WorkerState ws;
+                        drain(c, ws);
+                    },
+                    static_cast<TaskPriority>(c));
             }
         }
         pool.Wait();

@@ -4,44 +4,49 @@
 // expansion plus the table scan (paper Section 3), and both are
 // embarrassingly parallel over contiguous row ranges. The engine partitions
 // each answer job's rows into `num_shards` shards, evaluates the job's
-// XOR-share DPF selection blocks over the shard (Dpf::EvalRangeBatched)
-// and XORs the shard's selected rows as one ThreadPool task, and reduces
-// the partial responses into the job's share by XOR.
+// XOR-share DPF selection blocks over each shard and XORs the shard's
+// selected rows into a partial response, and reduces the partials into the
+// job's share by XOR.
 //
 // The shard work itself is the one CPU kernel, MultiqueryTileAnswerRange
-// (src/kernels/cpu_kernel.h): it expands with the batched PRG and walks
-// each storage tile once for every batched query sharing its row range,
-// fusing the selection-block expansion with the scan so the blocks and
-// the tile's rows stay cache-resident (src/pir/table_layout.h). Shard
-// boundaries snap to the tile grid so no tile is split across workers.
-// Row-major tables report an unbounded tile.
+// (src/kernels/cpu_kernel.h): one multi-key DPF walk expands every batched
+// query sharing the shard's row range level by level through the batched
+// PRG, then each storage tile is scanned once for all of them, so the
+// selection blocks and the tile's rows stay cache-resident
+// (src/pir/table_layout.h). Shard boundaries snap to the tile grid so no
+// tile is split across workers. Row-major tables report an unbounded tile.
 //
-// Batching submits every (job, shard) task of a request at once, so the
-// pool stays saturated even when individual jobs are narrow — e.g. the many
-// small per-bin queries of a PBR batched retrieval. Jobs sharing a (table,
-// row range, priority, DPF-params) signature — the common case for PBR
-// bins queried by many concurrent requests, and for whole-table batches —
-// are grouped so each (group, shard) task pays the shard's table traffic
-// once for the whole group. With ShardPlacement::kPinned, shard s of every
-// job is routed to worker s % thread_count (ThreadPool::SubmitTo), so all
-// jobs of a batch — and repeated batches — stream a given row range from
-// the same core's warm cache instead of migrating rows between cores.
+// Jobs sharing a (table, row range, priority, DPF-params) signature — the
+// common case for PBR bins queried by many concurrent requests, and for
+// whole-table batches — form a group with one Dpf evaluator; the unit of
+// work is a (group, shard) pair, which pays the shard's DPF walk and table
+// traffic once for the whole group. A batch runs as one pass: with
+// ShardPlacement::kDynamic, min(threads, units) claim-loop runners per
+// priority class each claim the next unit of their class from a shared
+// cursor (interactive classes first, `jobs` order within a class), reusing
+// one set of kernel buffers, and the partial responses live in one
+// line-padded arena per batch. The sequential path (a one-worker pool) is
+// the same loop on the caller. With ShardPlacement::kPinned, shard s of
+// every group is routed to worker s % thread_count (ThreadPool::SubmitTo),
+// so all jobs of a batch — and repeated batches — stream a given row range
+// from the same core's warm cache instead of migrating rows between cores.
 // XOR is commutative and associative, so any sharding, tiling, grouping,
 // or placement is bit-identical to the sequential reference path.
 //
 // Request lifecycle: a TableJob may carry a JobContext (the serving
-// front-end attaches one per request). Every (job, shard) task re-checks
-// the context at start — and between tiles inside long shards — and skips
-// its DPF-eval + scan work when the request has been cancelled or its
-// deadline has passed: the job completes with an EMPTY response (never
-// assembled downstream), the countdown short-circuits, and the freed
-// worker slots drain the remaining queue, interactive tasks first. For
+// front-end attaches one per request). Every (group, shard) unit
+// re-checks each job's context at start — and between tiles inside long
+// shards — and skips the job's DPF-eval + scan work when the request has
+// been cancelled or its deadline has passed: the job completes with an
+// EMPTY response (never assembled downstream), the countdown
+// short-circuits, and the runners move on to the remaining units. For
 // non-skipped jobs the data plane is bit-identical with or without a
 // context attached.
 //
-// Thread-safety: the engine is stateless per call — all cross-task
-// coordination (per-job shard countdowns, skip counters) lives in
-// per-batch atomics with acq_rel ordering, so there is nothing for the
+// Thread-safety: the engine is stateless per call — all cross-runner
+// coordination (the claim cursors, per-job shard countdowns, skip
+// counters) lives in per-batch atomics, the countdowns with acq_rel
+// ordering, so there is nothing for the
 // Clang -Wthread-safety capability analysis to check here; the lock-based
 // layers it feeds (ThreadPool, ServingFrontEnd) carry the annotations
 // (see src/common/thread_annotations.h). TSan runs the full suite over
@@ -65,8 +70,9 @@ namespace gpudpf {
 // definition; src/pir/protocol.h aliases it.)
 using PirResponse = std::vector<u128>;
 
-// Where a job's shard tasks run.
-//   kDynamic  shared work queue; any worker takes any task (seed behavior).
+// Where a job's shards run.
+//   kDynamic  claim-loop runners on the shared queue; any runner claims
+//             any unit of its class.
 //   kPinned   shard s of every job runs on worker s % thread_count, so a
 //             shard's rows stay resident in one core's cache across the
 //             jobs of a batch and across repeated batches.
@@ -76,9 +82,9 @@ const char* ShardPlacementName(ShardPlacement placement);
 
 struct ShardingOptions {
     // Contiguous row shards each job is split into. 1 = answer each job's
-    // rows in a single task (jobs of a batch still run concurrently).
+    // rows in a single unit (jobs of a batch still run concurrently).
     std::size_t num_shards = 1;
-    // Pool running the shard tasks; nullptr = ThreadPool::Shared().
+    // Pool running the shard work; nullptr = ThreadPool::Shared().
     ThreadPool* pool = nullptr;
     // Shard-to-worker placement policy (see ShardPlacement).
     ShardPlacement placement = ShardPlacement::kDynamic;
@@ -119,8 +125,8 @@ class AnswerEngine {
     PirResponse Answer(const PirTable& table, const DpfKey& key,
                        std::uint64_t row_begin, std::uint64_t num_rows) const;
 
-    // Answers a batch of jobs: all (job, shard) tasks are submitted
-    // together and reduced per job. Returns one response per job,
+    // Answers a batch of jobs in one pass over their (group, shard) units,
+    // reduced per job. Returns one response per job,
     // index-aligned with `jobs`.
     std::vector<PirResponse> AnswerBatch(const PirTable& table,
                                          const std::vector<Job>& jobs) const;
@@ -149,14 +155,14 @@ class AnswerEngine {
 
     // What one AnswerBatch/AnswerBatchNotify call reclaimed from dead
     // requests: jobs completed with an empty (skipped) response, and the
-    // shard tasks those jobs never ran (a shard aborted between tiles
+    // (job, shard) pairs those jobs never ran (a shard aborted between tiles
     // counts too — its remaining tiles were reclaimed).
     struct BatchStats {
         std::size_t jobs_skipped = 0;
         std::size_t shards_skipped = 0;
     };
 
-    // Cross-table batch: answers every (job, shard) task of `jobs`
+    // Cross-table batch: answers every (group, shard) unit of `jobs`
     // concurrently regardless of which table each job reads. Each job's
     // response is reduced independently, so results are bit-identical to
     // answering the jobs one at a time against their own tables. A job
@@ -178,9 +184,9 @@ class AnswerEngine {
     // batch barrier: `done(q, response)` fires the moment job q's shard
     // partials are all in and reduced (in shard order, so each response is
     // still bit-identical to the sequential path). Blocks until every job
-    // has completed and every callback has returned. Jobs are submitted
+    // has completed and every callback has returned. Units are dispatched
     // interactive-before-batch (per their contexts' priorities); within a
-    // class, submission order follows `jobs` order. Returns how much work
+    // class, dispatch order follows `jobs` order. Returns how much work
     // the contexts' kill switches reclaimed.
     BatchStats AnswerBatchNotify(const std::vector<TableJob>& jobs,
                                  const JobDone& done) const;

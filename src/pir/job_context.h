@@ -4,9 +4,9 @@
 // admitted request and threads it — by pointer, through
 // PbrSession::BindJobs — into every AnswerEngine::TableJob the request
 // fans out into. The front-end flips it on Cancel() or deadline expiry;
-// the engine polls it at every (job, shard) task start and between tiles
+// the engine polls it at every (group, shard) unit start and between tiles
 // inside long shards, skipping the DPF-eval + scan work of dead
-// requests so abandoned tasks free the pool early instead of running to
+// requests so abandoned work frees the runners early instead of running to
 // completion (ROADMAP: deadline propagation into the engine).
 //
 // Thread-safety: Cancel()/cancelled() and the deadline are lock-free

@@ -414,8 +414,13 @@ TEST(PrgKindTest, ConstructorRejectsUnknownKind) {
 
 // Every ChaCha20 lane width that is compiled in and supported (the vector
 // ones are skipped under GPUDPF_FORCE_SCALAR) equals scalar Expand bit for
-// bit, tails included, through the accessor and through a Prg pinned to it.
+// bit, through the accessor and through a Prg pinned to it. Every batch
+// size 0-40 covers each tail the vector paths finish: the scalar single
+// seed, the zero-padded 8- and 16-lane steps, and full steps before them.
 TEST(ChachaLanesTest, EveryLaneWidthMatchesScalarExpand) {
+    std::vector<size_t> sizes;
+    for (size_t n = 0; n <= 40; ++n) sizes.push_back(n);
+    sizes.push_back(1000);
     const Prg scalar(PrfKind::kChacha20, ChachaLanes::kScalar);
     EXPECT_NE(GetChachaExpandFn(ChachaLanes::kScalar), nullptr);
     EXPECT_NE(GetChachaExpandFn(WidestChachaLanes()), nullptr);
@@ -429,7 +434,7 @@ TEST(ChachaLanesTest, EveryLaneWidthMatchesScalarExpand) {
         ASSERT_NE(fn, nullptr) << ChachaLanesName(lanes);
         const Prg pinned(PrfKind::kChacha20, lanes);
         Rng rng(23);
-        for (size_t n : kBatchSizes) {
+        for (size_t n : sizes) {
             std::vector<u128> seeds(n);
             for (auto& s : seeds) s = rng.Next128();
             std::vector<u128> lefts(n, 0), rights(n, 0);

@@ -617,6 +617,118 @@ TEST(DpfEvalRangeBatchedTest, MatchesPointEvalBits) {
     }
 }
 
+TEST(DpfEvalRangeBatchedTest, MultiKeyWalkEqualsPerKeyWalk) {
+    // The multi-key walk expands every key's frontier in one
+    // Prg::ExpandBatch call per level and corrects each key's children with
+    // its own correction words; its key-major output must equal the
+    // single-key walk of each key, bit for bit (the edge blocks' bits
+    // outside the range included), for 1-33 keys of both parties over
+    // varied ranges and alphas, 0- and 1-level trees included, under every
+    // PRF and every ChaCha20 lane width.
+    struct Config {
+        PrfKind prf;
+        ChachaLanes lanes;
+    };
+    std::vector<Config> configs;
+    for (const PrfKind prf : AllPrfKinds()) {
+        if (prf != PrfKind::kChacha20) {
+            configs.push_back({prf, ChachaLanes::kScalar});
+        }
+    }
+    for (ChachaLanes lanes : AllChachaLanes()) {
+        if (ChachaLanesSupported(lanes)) {
+            configs.push_back({PrfKind::kChacha20, lanes});
+        }
+    }
+    constexpr std::size_t kMaxKeys = 33;
+    for (const Config& config : configs) {
+        for (int log_domain : {3, 7, 8, 11}) {
+            Rng rng(2000 + log_domain);
+            const Dpf dpf(DpfParams{log_domain, config.prf, 1, ShareKind::kXor},
+                          config.lanes);
+            const std::uint64_t domain = dpf.domain_size();
+            std::vector<std::uint64_t> alphas;
+            for (std::size_t i = 0; i < kMaxKeys; ++i) {
+                alphas.push_back(rng.Next64() % domain);
+            }
+            // Parties alternate, so every call mixes both.
+            std::vector<DpfKey> keys;
+            for (auto& [k0, k1] : dpf.GenIndicatorBatch(alphas, rng)) {
+                keys.push_back(keys.size() % 2 == 0 ? std::move(k0)
+                                                    : std::move(k1));
+            }
+            std::vector<const DpfKey*> ptrs;
+            for (const DpfKey& key : keys) ptrs.push_back(&key);
+            std::vector<LeafRange> ranges = {
+                {0, domain}, {0, 1}, {domain - 1, domain}, {5, 5}};
+            for (int trial = 0; trial < 6; ++trial) {
+                std::uint64_t a = rng.Next64() % (domain + 1);
+                std::uint64_t b = rng.Next64() % (domain + 1);
+                if (a > b) std::swap(a, b);
+                ranges.push_back({a, b});
+            }
+            Dpf::RangeScratch scratch;
+            Dpf::RangeScratch single_scratch;
+            for (const auto& [begin, end] : ranges) {
+                const std::size_t blocks =
+                    begin == end ? 0 : (end - 1) / 128 - begin / 128 + 1;
+                std::vector<u128> want(kMaxKeys * blocks);
+                for (std::size_t k = 0; k < kMaxKeys; ++k) {
+                    dpf.EvalRangeBatched(keys[k], begin, end,
+                                         want.data() + k * blocks,
+                                         &single_scratch);
+                }
+                for (std::size_t n = 1; n <= kMaxKeys; ++n) {
+                    std::vector<u128> got(n * blocks + 1, 7);
+                    dpf.EvalRangeBatched(ptrs.data(), n, begin, end,
+                                         got.data(), &scratch);
+                    ASSERT_EQ(got.back(), 7u);
+                    got.pop_back();
+                    ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                           want.begin()))
+                        << PrfKindName(config.prf) << "/"
+                        << ChachaLanesName(config.lanes)
+                        << " n=" << log_domain << " [" << begin << "," << end
+                        << ") keys=" << n;
+                }
+            }
+        }
+    }
+}
+
+TEST(DpfEvalRangeBatchedTest, MultiKeyWalkRefusesKeysOfAnotherDpf) {
+    // A key whose log_domain, PRF or share kind differs from the Dpf's is
+    // refused before any output word is written, wherever it sits among
+    // the keys.
+    Rng rng(31);
+    const DpfParams params{11, PrfKind::kChacha20, 1, ShareKind::kXor};
+    const Dpf dpf(params);
+    const DpfKey good = dpf.GenIndicator(100, rng).first;
+    DpfParams deeper = params;
+    deeper.log_domain = 12;
+    DpfParams aes = params;
+    aes.prf = PrfKind::kAes128;
+    DpfParams additive = params;
+    additive.share = ShareKind::kAdditive;
+    const DpfKey bad[] = {Dpf(deeper).GenIndicator(100, rng).first,
+                          Dpf(aes).GenIndicator(100, rng).first,
+                          Dpf(additive).GenIndicator(100, rng).first};
+    for (const DpfKey& key : bad) {
+        for (std::size_t at = 0; at < 3; ++at) {
+            std::vector<const DpfKey*> ptrs(3, &good);
+            ptrs[at] = &key;
+            std::vector<u128> out(3 * 16, 7);
+            Dpf::RangeScratch scratch;
+            EXPECT_THROW(dpf.EvalRangeBatched(ptrs.data(), ptrs.size(), 0,
+                                              2'048, out.data(), &scratch),
+                         std::invalid_argument)
+                << "at " << at;
+            EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                                    [](u128 w) { return w == 7; }));
+        }
+    }
+}
+
 // --- Key bytes pinned across key-generation changes ---------------------------
 
 std::string HexDigest(const Sha256Digest& d) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <mutex>
 #include <vector>
 
 #include "src/batchpir/pbr.h"
@@ -29,16 +30,20 @@ constexpr std::size_t kShardCounts[] = {1, 3, 8};
 constexpr std::size_t kBatchSizes[] = {1, 4, 32};
 
 // Independent sequential reference for XOR-share keys: the EvalPoint bit
-// of every row, then the XOR of the rows whose bit is set.
-PirResponse ReferenceAnswer(const PirTable& table, const DpfKey& key) {
+// of every point j of the job's rows [row_begin, row_begin + num_rows)
+// (the whole table by default), then the XOR of the rows whose bit is set.
+PirResponse ReferenceAnswer(const PirTable& table, const DpfKey& key,
+                            std::uint64_t row_begin = 0,
+                            std::uint64_t num_rows = ~std::uint64_t{0}) {
     const Dpf dpf(key.params);
     const std::size_t w = table.words_per_entry();
     PirResponse resp(w, 0);
-    for (std::uint64_t j = 0; j < table.num_entries(); ++j) {
+    num_rows = std::min(num_rows, table.num_entries() - row_begin);
+    for (std::uint64_t j = 0; j < num_rows; ++j) {
         u128 bit;
         dpf.EvalPoint(key, j, &bit);
         if (bit == 0) continue;
-        const u128* row = table.Entry(j);
+        const u128* row = table.Entry(row_begin + j);
         for (std::size_t k = 0; k < w; ++k) resp[k] ^= row[k];
     }
     return resp;
@@ -405,6 +410,90 @@ TEST(AnswerEngineTest, JobContextSkipsDeadJobsAndKeepsLiveOnesBitIdentical) {
                         EXPECT_EQ(out[q], expected[q])
                             << "shards=" << shards << " placement="
                             << ShardPlacementName(placement) << " job=" << q;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(AnswerEngineTest, ClaimLoopDispatchIsBitIdenticalAndInteractiveFirst) {
+    // The dynamic path's claim loop under pool sizes 1, 2 and 4: one batch
+    // mixes interactive and batch jobs over two bins of two tables whose
+    // rows are 3 and 12 words wide (the 3-word partials are padded to a
+    // whole cache line), so groups differ in table, range and class, and
+    // pairs of jobs of both parties share a group (a 2-level tree). Every
+    // job must stay bit-identical to the sequential reference, and with one
+    // worker (the loop on the caller) every interactive job completes
+    // before any batch job.
+    Rng rng(71);
+    PirTable narrow(300, 48, TableLayout::kTiled);
+    PirTable wide(300, 192, TableLayout::kRowMajor);
+    narrow.FillRandom(rng);
+    wide.FillRandom(rng);
+    PirClient client(9, PrfKind::kChacha20, /*seed=*/29);
+    JobContext interactive;
+    JobContext batch(TaskPriority::kBatch);
+
+    constexpr std::size_t kJobs = 16;
+    constexpr std::uint64_t kBinRows = 150;
+    std::vector<DpfKey> keys;
+    std::vector<AnswerEngine::TableJob> jobs;
+    std::vector<PirResponse> expected;
+    std::vector<bool> is_batch;
+    for (std::size_t q = 0; q < kJobs; ++q) {
+        // Both parties' keys, so group members differ in root control bit
+        // and every correction word gets applied somewhere.
+        const PirQuery query = client.Query((q * 37) % kBinRows);
+        const std::vector<std::uint8_t>& bytes =
+            (q / 4) % 2 == 0 ? query.key_for_server0 : query.key_for_server1;
+        keys.push_back(DpfKey::Deserialize(bytes.data(), bytes.size()));
+    }
+    for (std::size_t q = 0; q < kJobs; ++q) {
+        const PirTable* table = q % 2 == 0 ? &narrow : &wide;
+        const std::uint64_t row_begin = (q / 2) % 2 * kBinRows;
+        // Batch jobs come first in `jobs` order and jobs without a context
+        // are interactive, so the class, not the order, must decide.
+        const JobContext* context =
+            q % 3 == 0 ? &batch : (q % 3 == 1 ? &interactive : nullptr);
+        jobs.push_back({table, {&keys[q], row_begin, kBinRows}, {q, context}});
+        expected.push_back(
+            ReferenceAnswer(*table, keys[q], row_begin, kBinRows));
+        is_batch.push_back(context == &batch);
+    }
+
+    for (const std::size_t threads : {1, 2, 4}) {
+        ThreadPool pool(threads);
+        for (const std::size_t shards : {1, 3, 4}) {
+            AnswerEngine engine(
+                ShardingOptions{shards, &pool, ShardPlacement::kDynamic});
+            std::vector<PirResponse> out(kJobs);
+            std::mutex mu;
+            std::vector<std::size_t> completed;
+            const AnswerEngine::BatchStats stats = engine.AnswerBatchNotify(
+                jobs, [&](std::size_t q, PirResponse&& resp) {
+                    out[q] = std::move(resp);
+                    std::lock_guard<std::mutex> lock(mu);
+                    completed.push_back(q);
+                });
+            EXPECT_EQ(stats.jobs_skipped, 0u);
+            EXPECT_EQ(stats.shards_skipped, 0u);
+            ASSERT_EQ(completed.size(), kJobs);
+            for (std::size_t q = 0; q < kJobs; ++q) {
+                EXPECT_EQ(out[q], expected[q]) << "threads=" << threads
+                                               << " shards=" << shards
+                                               << " job=" << q;
+            }
+            if (threads == 1) {
+                std::size_t seen_batch = 0;
+                for (std::size_t i = 0; i < kJobs; ++i) {
+                    if (is_batch[completed[i]]) {
+                        ++seen_batch;
+                    } else {
+                        EXPECT_EQ(seen_batch, 0u)
+                            << "interactive job " << completed[i]
+                            << " completed after a batch job, shards="
+                            << shards;
                     }
                 }
             }
