@@ -96,7 +96,10 @@ BENCHMARK(BM_DpfEvalRangeBatched)
 // answer engine splits it. Items are (row, query) pairs. The walk_share
 // counter is the multi-key DPF walk's share of kernel time: best of 40
 // timed passes of EvalRangeBatched over the kernel's own segments (each
-// shard cut at the tile grid) against best of 40 kernel passes.
+// shard cut at the tile grid) against best of 40 kernel passes. The label
+// names the PRF, the scan path (ScanPathName) and the query count; Q = 1,
+// 2, 8, 16, 32 spans the AVX-512 scan's table thresholds and the ~17 live
+// queries a serving taobao group holds.
 void KernelScanBin(benchmark::State& state, std::uint64_t rows,
                    std::size_t row_bytes, int log_domain, PrfKind prf,
                    std::size_t shards) {
@@ -165,7 +168,7 @@ void KernelScanBin(benchmark::State& state, std::uint64_t rows,
     state.counters["walk_share"] = best_of_40(walk_pass) / best_of_40(kernel_pass);
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(rows * queries));
-    state.SetLabel(std::string(PrfKindName(prf)) +
+    state.SetLabel(std::string(PrfKindName(prf)) + " scan=" + ScanPathName() +
                    " queries=" + std::to_string(queries));
 }
 
@@ -173,16 +176,26 @@ void KernelScanBin(benchmark::State& state, std::uint64_t rows,
 void BM_KernelScanTaobaoBin(benchmark::State& state) {
     KernelScanBin(state, 1u << 16, 64, 16, PrfKind::kAes128, 1);
 }
-BENCHMARK(BM_KernelScanTaobaoBin)->Arg(1)->Arg(2)->Arg(16)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_KernelScanTaobaoBin)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Unit(benchmark::kMillisecond);
 
 // A movielens full-table bin: 1,125 rows x 192 B (2^11 domain),
 // ChaCha20, in 4 row shards — a 4-level tree over 2-3 blocks per shard.
 void BM_KernelScanMovielensBin(benchmark::State& state) {
     KernelScanBin(state, 1'125, 192, 11, PrfKind::kChacha20, 4);
 }
-BENCHMARK(BM_KernelScanMovielensBin)->Arg(1)->Arg(8)->Arg(16)->Unit(
-    benchmark::kMicrosecond);
+BENCHMARK(BM_KernelScanMovielensBin)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_StrategyHostRun(benchmark::State& state) {
     const auto kind = static_cast<StrategyKind>(state.range(0));

@@ -2,11 +2,13 @@
 //
 // The serving hot loop picks its PRG backends (AES-NI vs the table-based
 // software AES; the 16-/8-lane ChaCha20 kernels vs the scalar block) and
-// its default accumulator ISA at process start from these probes.
-// GPUDPF_FORCE_SCALAR=1 masks every SIMD feature, so the scalar fallback
-// paths can be exercised on hardware that would otherwise never take them
-// (the CI forced-scalar leg); the raw probe results stay visible through
-// the `forced_scalar` flag for logging.
+// its scan path (AVX-512 vs SSE2, src/kernels/cpu_kernel.h) at process
+// start from these probes; the unserved u128 accumulator picks its
+// default ISA from them too. GPUDPF_FORCE_SCALAR=1 masks every SIMD
+// feature, so the portable fallback paths can be exercised on hardware
+// that would otherwise never take them (the CI forced-scalar leg); the
+// raw probe results stay visible through the `forced_scalar` flag for
+// logging.
 #pragma once
 
 #include <string>

@@ -15,8 +15,8 @@ const std::vector<GpudpfEnvVar>& GpudpfEnvTable() {
         {"GPUDPF_TABLE_LAYOUT",
          "process-default physical table layout: row_major | tiled"},
         {"GPUDPF_FORCE_SCALAR",
-         "1 = mask the CPU-feature probe (software AES, scalar ChaCha20 and "
-         "accumulate)"},
+         "1 = mask the CPU-feature probe (software AES, scalar ChaCha20, "
+         "SSE2 scan, scalar accumulate)"},
         {"GPUDPF_ACCUMULATE",
          "process-default u128 mat-vec accumulator ISA (AccumulateSegment; "
          "no lookup path calls it): scalar | avx2 | avx512"},

@@ -8,14 +8,14 @@
 #include "src/common/cpuid.h"
 #include "src/common/env.h"
 #include "src/core/serving.h"
-#include "src/kernels/accumulate.h"
+#include "src/kernels/cpu_kernel.h"
 #include "src/kernels/strategy.h"
 
 namespace gpudpf {
 namespace {
 
-// One line per process, on the first service construction: which
-// accumulator ISA the answer engines will run, how many NUMA nodes the
+// One line per process, on the first service construction: which scan
+// path the answer engines' CPU kernel runs, how many NUMA nodes the
 // probe saw, and what the CPU feature probe found — so a deployment can
 // tell from its log whether the AES-NI / AVX paths and first-touch
 // placement are live.
@@ -28,8 +28,8 @@ void LogSelectedCpuPaths() {
         WarnUnrecognizedGpudpfEnv();
         std::fprintf(
             stderr,
-            "gpudpf: accumulate '%s' numa nodes %d (cpu features: %s)\n",
-            AccumulateIsaName(DefaultAccumulateIsa()),
+            "gpudpf: scan '%s' numa nodes %d (cpu features: %s)\n",
+            ScanPathName(),
             GetNumaTopology().num_nodes, CpuFeatureSummary().c_str());
     });
 }

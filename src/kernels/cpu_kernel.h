@@ -14,11 +14,31 @@
 // Dpf::EvalRangeBatched): each tree level of every query goes through one
 // batched PRG call (AES-NI pipelined, ChaCha20 multi-lane), so even a
 // few-block shard of a small bin fills the vector lanes. The scan then
-// keeps each 32-row run of the segment in L1 while every live query's
-// response XORs in the run's selected rows — table traffic is paid per
-// segment, not per query. The selection is branch-free (the bit becomes a
-// mask), and rows outside the range are never read. GPUDPF_FORCE_SCALAR
-// drops the PRG to its scalar paths under this same kernel.
+// walks the segment in 32-row runs, each aligned to 32 rows of the range
+// and kept in L1 while every live query's response takes in the run's
+// selected rows — table traffic is paid per segment, not per query. Rows
+// outside the range are never read.
+//
+// The scan has two paths, which give the same bytes:
+//  - AVX-512 (where GetCpuFeatures().avx512f), on 64-byte columns of the
+//    row; a row's 16-byte remainder words ride one lane-masked column.
+//    Below a live-query threshold (a constant per column count, set by
+//    measurement) each query takes a masked XOR per row, the row's
+//    selection bit driving an 8-lane mask; this replaces the SSE2 loop on
+//    AVX-512 hosts. At or above it, the run's rows are cut into 8 groups
+//    of 4, and a Gray-code walk builds each group's 16-entry table of
+//    every XOR combination of its rows, one store per entry; each query
+//    then XORs one entry per 4 rows, indexed by its 4 selection bits (the
+//    method of Four Russians, as in M4RI). This replaces one masked XOR
+//    per (row, query) with 15 row XORs per group shared by every query.
+//  - SSE2, the x86-64 baseline, on hosts without AVX-512 and under
+//    GPUDPF_FORCE_SCALAR: a branch-free masked XOR per (row, query) on
+//    16-byte lanes.
+// ScanPathName() says which one runs.
+//
+// What the table index reveals: it is the server's own share bits, which
+// are pseudorandom to that server, so the tables' access pattern tells
+// the server nothing its key does not already hold.
 #pragma once
 
 #include <cstddef>
@@ -48,13 +68,31 @@ struct CpuKernelTask {
     bool aborted = false;
 };
 
+// One 64-byte line of the scan's Four-Russians tables.
+struct alignas(64) ScanTableLine {
+    u128 words[4];
+};
+
 // Per-worker reusable buffers, so the kernel allocates only on first use.
 struct CpuKernelScratch {
     std::vector<u128> shares;  // selection blocks, query-major
     Dpf::RangeScratch range;
     std::vector<std::size_t> active;
     std::vector<const DpfKey*> keys;  // the active tasks' keys
+    std::vector<u128*> resps;         // the active tasks' responses
+    // One run's Four-Russians tables, on the AVX-512 path at or above the
+    // table threshold: 8 groups x 16 entries x one line per 64-byte
+    // column, at most 3 (24 KiB).
+    std::vector<ScanTableLine> tables;
 };
+
+// The scan path this process runs: "avx512" or "sse2".
+const char* ScanPathName();
+
+// Live queries from which the AVX-512 path scans a segment of rows of
+// `words_per_entry` 16-byte words through Four-Russians tables instead of
+// by masked XOR (a measured constant per count of 64-byte columns).
+std::size_t ScanTableThreshold(std::size_t words_per_entry);
 
 // Rows answered between context re-checks on untiled (row-major) tables,
 // whose ranges would otherwise be one unbounded segment. Chunking changes

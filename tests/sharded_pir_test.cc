@@ -17,6 +17,7 @@
 #include "src/common/thread_pool.h"
 #include "src/core/service.h"
 #include "src/dpf/dpf.h"
+#include "src/kernels/cpu_kernel.h"
 #include "src/ml/embedding.h"
 #include "src/pir/answer_engine.h"
 #include "src/pir/protocol.h"
@@ -211,59 +212,93 @@ const char* PrgPath() {
     return GetCpuFeatures().forced_scalar ? "scalar" : "widest";
 }
 
+TEST(CpuKernelMatrixTest, ScanPathFollowsCpuFeatures) {
+    // GPUDPF_FORCE_SCALAR=1 (CI's forced-scalar legs) must leave the SSE2
+    // scan; otherwise the AVX-512 scan runs wherever the host has it.
+    const CpuFeatures& features = GetCpuFeatures();
+    if (features.forced_scalar) {
+        EXPECT_STREQ(ScanPathName(), "sse2");
+    }
+    EXPECT_STREQ(ScanPathName(), features.avx512f ? "avx512" : "sse2");
+}
+
 TEST(CpuKernelMatrixTest, BitIdenticalAcrossLayoutsShardsPlacements) {
     // The full acceptance matrix of the CPU kernel: it must be
-    // bit-identical to the sequential reference under PRFs {AES,
-    // ChaCha20} x layouts {row-major, tiled} x shards {1,3,8} x placements
-    // {dynamic, pinned} x batch {1,4,32}. The tables have the movielens
-    // bin sizes (1,125 rows, 2^11 domain; 45 rows, a 0-level tree), and
-    // 1,072-byte rows give 64-row tiles, so bin, shard and tile edges fall
-    // inside a 128-row selection block. XOR commutes, so any segmentation
-    // must reproduce the exact same words.
+    // bit-identical to the sequential reference under row widths {64,
+    // 192, 1,072 B} x PRFs {AES, ChaCha20} x layouts {row-major, tiled} x
+    // shards {1,3,8} x placements {dynamic, pinned} x query counts {1,
+    // T - 1, T, 32}, where T is the AVX-512 scan's table threshold for the
+    // width, so both of its regimes and the switch between them run. The
+    // SSE2 scan runs the same matrix under GPUDPF_FORCE_SCALAR=1. Rows
+    // are one, three, and 16 whole 64-byte columns plus a 16-byte
+    // remainder of three words. The tables have the movielens bin sizes
+    // (1,125 rows, 2^11 domain; 45 rows, a 0-level tree); both bins end
+    // mid-32-row run and mid-4-row group (1,125 = 35 x 32 + 5, 45 = 32 +
+    // 13), and so do the row-major shard edges (at multiples of 375 and
+    // 141 rows, and of 15 and 6). 1,072-byte rows give 64-row tiles, so
+    // bin, shard and tile edges fall inside a 128-row selection block. XOR
+    // commutes, so any segmentation must reproduce the exact same words.
     ThreadPool pool(4);
-    const std::size_t max_batch =
-        *std::max_element(std::begin(kBatchSizes), std::end(kBatchSizes));
-    for (const std::uint64_t n : {std::uint64_t{1'125}, std::uint64_t{45}}) {
-        Rng rng_a(53);
-        Rng rng_b(53);
-        PirTable row_major(n, 1'072, TableLayout::kRowMajor);
-        PirTable tiled(n, 1'072, TableLayout::kTiled);
-        ASSERT_EQ(tiled.rows_per_tile(), 64u);
-        row_major.FillRandom(rng_a);
-        tiled.FillRandom(rng_b);
-        const int log_domain = n > 64 ? 11 : 6;
-        for (const PrfKind prf : {PrfKind::kAes128, PrfKind::kChacha20}) {
-            PirClient client(log_domain, prf, /*seed=*/23);
-            std::vector<std::vector<std::uint8_t>> keys;
-            std::vector<PirResponse> expected;
-            for (std::size_t i = 0; i < max_batch; ++i) {
-                PirQuery q = client.Query((i * 131) % n);
-                expected.push_back(ReferenceAnswer(
-                    row_major, DpfKey::Deserialize(q.key_for_server0.data(),
-                                                   q.key_for_server0.size())));
-                keys.push_back(std::move(q.key_for_server0));
+    constexpr std::size_t kMaxQueries = 32;
+    for (const std::size_t row_bytes : {std::size_t{64}, std::size_t{192},
+                                        std::size_t{1'072}}) {
+        const std::size_t t = ScanTableThreshold(row_bytes / 16);
+        const std::size_t query_counts[] = {1, t - 1, t, kMaxQueries};
+        for (const std::uint64_t n :
+             {std::uint64_t{1'125}, std::uint64_t{45}}) {
+            Rng rng_a(53);
+            Rng rng_b(53);
+            PirTable row_major(n, row_bytes, TableLayout::kRowMajor);
+            PirTable tiled(n, row_bytes, TableLayout::kTiled);
+            if (row_bytes == 1'072) {
+                ASSERT_EQ(tiled.rows_per_tile(), 64u);
             }
-            for (const PirTable* table : {&row_major, &tiled}) {
-                for (const std::size_t shards : kShardCounts) {
-                    for (const ShardPlacement placement :
-                         {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-                        PirServer server(
-                            table, ShardingOptions{shards, &pool, placement});
-                        for (const std::size_t batch : kBatchSizes) {
-                            const std::vector<std::vector<std::uint8_t>>
-                                subset(keys.begin(), keys.begin() + batch);
-                            const auto responses = server.BatchAnswer(subset);
-                            ASSERT_EQ(responses.size(), batch);
-                            for (std::size_t i = 0; i < batch; ++i) {
-                                ASSERT_EQ(responses[i], expected[i])
-                                    << "rows=" << n
-                                    << " prf=" << PrfKindName(prf)
-                                    << " prg=" << PrgPath() << " layout="
-                                    << (table == &tiled ? "tiled"
-                                                        : "row-major")
-                                    << " shards=" << shards << " placement="
-                                    << ShardPlacementName(placement)
-                                    << " batch=" << batch << " query=" << i;
+            row_major.FillRandom(rng_a);
+            tiled.FillRandom(rng_b);
+            const int log_domain = n > 64 ? 11 : 6;
+            for (const PrfKind prf : {PrfKind::kAes128, PrfKind::kChacha20}) {
+                PirClient client(log_domain, prf, /*seed=*/23);
+                std::vector<std::vector<std::uint8_t>> keys;
+                std::vector<PirResponse> expected;
+                for (std::size_t i = 0; i < kMaxQueries; ++i) {
+                    PirQuery q = client.Query((i * 131) % n);
+                    expected.push_back(ReferenceAnswer(
+                        row_major,
+                        DpfKey::Deserialize(q.key_for_server0.data(),
+                                            q.key_for_server0.size())));
+                    keys.push_back(std::move(q.key_for_server0));
+                }
+                for (const PirTable* table : {&row_major, &tiled}) {
+                    for (const std::size_t shards : kShardCounts) {
+                        for (const ShardPlacement placement :
+                             {ShardPlacement::kDynamic,
+                              ShardPlacement::kPinned}) {
+                            PirServer server(table, ShardingOptions{
+                                                        shards, &pool,
+                                                        placement});
+                            for (const std::size_t batch : query_counts) {
+                                const std::vector<std::vector<std::uint8_t>>
+                                    subset(keys.begin(),
+                                           keys.begin() + batch);
+                                const auto responses =
+                                    server.BatchAnswer(subset);
+                                ASSERT_EQ(responses.size(), batch);
+                                for (std::size_t i = 0; i < batch; ++i) {
+                                    ASSERT_EQ(responses[i], expected[i])
+                                        << "row_bytes=" << row_bytes
+                                        << " rows=" << n
+                                        << " prf=" << PrfKindName(prf)
+                                        << " prg=" << PrgPath()
+                                        << " scan=" << ScanPathName()
+                                        << " layout="
+                                        << (table == &tiled ? "tiled"
+                                                            : "row-major")
+                                        << " shards=" << shards
+                                        << " placement="
+                                        << ShardPlacementName(placement)
+                                        << " batch=" << batch
+                                        << " query=" << i;
+                                }
                             }
                         }
                     }
