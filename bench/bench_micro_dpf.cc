@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks: DPF Gen / point Eval / full-domain
-// Eval / the serving range walk and scan kernel, and the parallel kernel
-// strategies on the host.
+// Eval / the serving range walk and scan kernel, the answer engine's batch
+// on the shared pool, and the parallel kernel strategies on the host.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -195,6 +195,44 @@ BENCHMARK(BM_KernelScanMovielensBin)
     ->Arg(8)
     ->Arg(16)
     ->Arg(32)
+    ->Unit(benchmark::kMicrosecond);
+
+// The AnswerEngine layer: back-to-back AnswerBatch calls of
+// state.range(0) taobao-shaped jobs (one 65,536-row x 64 B tiled bin, AES,
+// 4 row shards, so 4 units) on ThreadPool::Shared(), in wall time. Unlike
+// the one-thread kernel rows it includes dispatch: pool runners that wake
+// late and the batch's end. Items are (row, query) pairs.
+void BM_EngineBatchTaobao(benchmark::State& state) {
+    const auto queries = static_cast<std::size_t>(state.range(0));
+    const Dpf dpf(DpfParams{16, PrfKind::kAes128, 1, ShareKind::kXor});
+    Rng rng(7);
+    PirTable table(1u << 16, 64, TableLayout::kTiled);
+    table.FillRandom(rng);
+    std::vector<DpfKey> keys;
+    for (std::size_t q = 0; q < queries; ++q) {
+        keys.push_back(
+            dpf.GenIndicator(rng.UniformInt(table.num_entries()), rng).first);
+    }
+    std::vector<AnswerEngine::Job> jobs;
+    for (const DpfKey& key : keys) {
+        jobs.push_back({&key, 0, table.num_entries()});
+    }
+    const AnswerEngine engine(ShardingOptions{4});
+    for (auto _ : state) {
+        std::vector<PirResponse> out = engine.AnswerBatch(table, jobs);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(table.num_entries() *
+                                                      queries));
+    state.SetLabel("scan=" + std::string(ScanPathName()) +
+                   " queries=" + std::to_string(queries));
+}
+BENCHMARK(BM_EngineBatchTaobao)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(16)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 void BM_StrategyHostRun(benchmark::State& state) {

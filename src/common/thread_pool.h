@@ -28,6 +28,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -45,6 +46,38 @@ namespace gpudpf {
 // kBatch within the shared queue and within each worker's pinned queue;
 // submission order is preserved inside a class.
 enum class TaskPriority { kInteractive, kBatch };
+
+// One-shot countdown: Wait() returns once CountDown() has run `count`
+// times. A submitter waits on one over its own tasks instead of calling
+// ThreadPool::Wait(), which also waits for every unrelated task. The
+// count is one atomic, so only the last CountDown takes the lock. That
+// last CountDown may still touch the latch after Wait() returned, so a
+// latch shared with pool tasks is owned by them too (shared_ptr).
+class Latch {
+  public:
+    explicit Latch(std::size_t count) : left_(count) {}
+    Latch(const Latch&) = delete;
+    Latch& operator=(const Latch&) = delete;
+
+    void CountDown() GPUDPF_EXCLUDES(mu_) {
+        if (left_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+        MutexLock lock(mu_);
+        open_ = true;
+        open_cv_.NotifyAll();
+    }
+
+    void Wait() GPUDPF_EXCLUDES(mu_) {
+        if (left_.load(std::memory_order_acquire) == 0) return;
+        MutexLock lock(mu_);
+        while (!open_) open_cv_.Wait(mu_);
+    }
+
+  private:
+    std::atomic<std::size_t> left_;
+    Mutex mu_;
+    CondVar open_cv_;
+    bool open_ GPUDPF_GUARDED_BY(mu_) = false;
+};
 
 class ThreadPool {
   public:
@@ -85,7 +118,10 @@ class ThreadPool {
                   TaskPriority priority = TaskPriority::kInteractive)
         GPUDPF_EXCLUDES(mu_);
 
-    // Blocks until every submitted task has finished.
+    // Blocks until every submitted task has finished — every caller's
+    // tasks, not only this caller's. The answer engine does not call it:
+    // a batch waits on a Latch over its own units or pinned tasks, so it
+    // never waits for unrelated pool work.
     void Wait() GPUDPF_EXCLUDES(mu_);
 
     // Runs fn(i) for i in [begin, end), split into contiguous chunks across

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <map>
+#include <exception>
 #include <memory>
 #include <new>
 #include <stdexcept>
 #include <tuple>
+
+#include "src/common/mutex.h"
 
 namespace gpudpf {
 namespace {
@@ -60,13 +62,98 @@ void ValidateJob(const PirTable& table, const AnswerEngine::Job& job) {
     }
 }
 
-// Per-worker kernel call state, built once per claim-loop runner (or per
-// (worker, class) pinned task) and reused across its kernel calls.
+// The signature that puts jobs in one group (see AnswerBatchNotify).
+struct GroupKey {
+    const PirTable* table;
+    std::uint64_t row_begin;
+    std::uint64_t num_rows;
+    std::uint64_t eval_begin;
+    std::uint64_t eval_end;
+    TaskPriority cls;
+    int log_domain;
+    PrfKind prf;
+
+    bool operator==(const GroupKey& o) const {
+        return std::tie(table, row_begin, num_rows, eval_begin, eval_end, cls,
+                        log_domain, prf) ==
+               std::tie(o.table, o.row_begin, o.num_rows, o.eval_begin,
+                        o.eval_end, o.cls, o.log_domain, o.prf);
+    }
+};
+
+std::size_t HashGroupKey(const GroupKey& k) {
+    std::uint64_t h = reinterpret_cast<std::uintptr_t>(k.table);
+    for (const std::uint64_t v :
+         {k.row_begin, k.num_rows, k.eval_begin, k.eval_end,
+          static_cast<std::uint64_t>(k.cls) << 40 |
+              static_cast<std::uint64_t>(k.log_domain) << 8 |
+              static_cast<std::uint64_t>(k.prf)}) {
+        h = (h ^ v) * 0x9E3779B97F4A7C15ull;
+        h ^= h >> 29;
+    }
+    return static_cast<std::size_t>(h);
+}
+
+// Kernel call state, one per executing thread (see ThisThreadWorkerState).
 struct WorkerState {
     CpuKernelScratch scratch;
     std::vector<CpuKernelTask> tasks;
     std::vector<std::size_t> task_jobs;
 };
+
+// This thread's kernel buffers, reused across units and batches: one set
+// per pool worker and one per batcher thread, each grown to the largest
+// unit it ran. A unit is done with them when its kernel call returns,
+// before it runs any JobDone callback, so a callback that answers a batch
+// of its own on this thread cannot disturb them.
+WorkerState& ThisThreadWorkerState() {
+    thread_local WorkerState ws;
+    return ws;
+}
+
+// What one batch shares with the pool tasks it submits. Each task holds it
+// by shared_ptr and touches the batch's frame only inside a unit it
+// claimed, which the batch waits for. So a claim-loop runner the OS starts
+// after every unit was claimed finds the cursors spent and returns, and
+// the batch never waits for it.
+struct BatchState {
+    explicit BatchState(std::size_t count) : left(count) {}
+
+    // Runs fn, then counts one down. An exception is kept for the caller
+    // to rethrow rather than unwinding past the count: the batch's frame
+    // must outlive every unit.
+    template <typename Fn>
+    void RunAndCount(const Fn& fn) GPUDPF_EXCLUDES(mu) {
+        try {
+            fn();
+        } catch (...) {
+            MutexLock lock(mu);
+            if (error == nullptr) error = std::current_exception();
+        }
+        left.CountDown();
+    }
+
+    // Per priority class: the next unit to claim, and how many there are.
+    std::array<std::atomic<std::size_t>, 2> cursor{};
+    std::array<std::size_t, 2> units{};
+    // Units (kDynamic) or pinned tasks (kPinned) not yet finished.
+    Latch left;
+    Mutex mu;
+    std::exception_ptr error GPUDPF_GUARDED_BY(mu);
+};
+
+// The claim loop: claims the next unit of class c until the class is
+// drained, groups in `jobs` order and shards innermost, and runs each
+// through run_unit(c, u).
+template <typename RunUnit>
+void Drain(BatchState& state, std::size_t c, const RunUnit& run_unit) {
+    auto& cursor = state.cursor[c];
+    for (std::size_t u = cursor.fetch_add(1, std::memory_order_relaxed);
+         u < state.units[c];
+         u = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        state.RunAndCount([&] { run_unit(c, u); });
+    }
+}
 
 constexpr std::size_t kLineBytes = 64;
 constexpr std::size_t kLineWords = kLineBytes / sizeof(u128);
@@ -163,16 +250,22 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     // order below still follows `jobs` order within a class. The eval
     // window joins the signature via its saturated end, so an unclipped
     // job (eval_end = all-ones) and one explicitly clipped to num_rows land
-    // in the same group.
+    // in the same group. A group's members are members[begin, end), in
+    // `jobs` order: an open-addressed table of group indices (at most half
+    // full) finds each job's group, then a counting sort lays the members
+    // out contiguously.
     struct Group {
-        std::vector<std::size_t> members;  // job indices, in `jobs` order
-        TaskPriority cls;
+        GroupKey key;
         Dpf dpf;
+        std::size_t begin = 0;
+        std::size_t end = 0;
     };
     std::vector<Group> groups;
-    using GroupKey = std::tuple<const PirTable*, std::uint64_t, std::uint64_t,
-                                std::uint64_t, std::uint64_t, int, int, int>;
-    std::map<GroupKey, std::size_t> index;
+    std::vector<std::size_t> group_of(jobs.size());
+    constexpr std::size_t kEmpty = ~std::size_t{0};
+    std::size_t slot_mask = 15;
+    while (slot_mask < 2 * jobs.size()) slot_mask = slot_mask * 2 + 1;
+    std::vector<std::size_t> group_slots(slot_mask + 1, kEmpty);
     for (std::size_t q = 0; q < jobs.size(); ++q) {
         const TableJob& tj = jobs[q];
         const GroupKey key{tj.table,
@@ -180,14 +273,30 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
                            tj.job.num_rows,
                            tj.job.eval_begin,
                            std::min(tj.job.eval_end, tj.job.num_rows),
-                           static_cast<int>(job_class(q)),
+                           job_class(q),
                            tj.job.key->params.log_domain,
-                           static_cast<int>(tj.job.key->params.prf)};
-        auto [it, inserted] = index.emplace(key, groups.size());
-        if (inserted) {
-            groups.push_back(Group{{}, job_class(q), Dpf(tj.job.key->params)});
+                           tj.job.key->params.prf};
+        std::size_t i = HashGroupKey(key) & slot_mask;
+        while (group_slots[i] != kEmpty &&
+               !(groups[group_slots[i]].key == key)) {
+            i = (i + 1) & slot_mask;
         }
-        groups[it->second].members.push_back(q);
+        if (group_slots[i] == kEmpty) {
+            group_slots[i] = groups.size();
+            groups.push_back(Group{key, Dpf(tj.job.key->params)});
+        }
+        group_of[q] = group_slots[i];
+        ++groups[group_of[q]].end;  // the member count, for now
+    }
+    std::size_t next_member = 0;
+    for (Group& grp : groups) {
+        grp.begin = next_member;
+        next_member += grp.end;
+        grp.end = grp.begin;
+    }
+    std::vector<std::size_t> members(jobs.size());
+    for (std::size_t q = 0; q < jobs.size(); ++q) {
+        members[groups[group_of[q]].end++] = q;
     }
 
     // Job q's partial of shard s is the words_per_entry words at
@@ -232,7 +341,7 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     // alone.
     auto run_group = [&](std::size_t g, std::size_t s, WorkerState& ws) {
         const Group& grp = groups[g];
-        const TableJob& tj0 = jobs[grp.members.front()];
+        const TableJob& tj0 = jobs[members[grp.begin]];
         const std::size_t w = tj0.table->words_per_entry();
         const std::uint64_t tile_rows = tj0.table->rows_per_tile();
         // Shard boundaries are computed over the FULL job range (so the
@@ -248,7 +357,8 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
             ShardBoundary(tj0.job, tile_rows, shards, s + 1), win_hi);
         ws.tasks.clear();
         ws.task_jobs.clear();
-        for (const std::size_t q : grp.members) {
+        for (std::size_t m = grp.begin; m < grp.end; ++m) {
+            const std::size_t q = members[m];
             const JobContext* context = jobs[q].binding.context;
             if (context != nullptr && context->ShouldSkip()) {
                 // Dead request: reclaim its slice of this unit without
@@ -283,7 +393,8 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
                 shards_skipped.fetch_add(1, std::memory_order_relaxed);
             }
         }
-        for (const std::size_t q : grp.members) {
+        for (std::size_t m = grp.begin; m < grp.end; ++m) {
+            const std::size_t q = members[m];
             if (remaining[q].fetch_sub(1, std::memory_order_acq_rel) != 1) {
                 continue;
             }
@@ -309,77 +420,92 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     // preserved within a class.
     std::array<std::vector<std::size_t>, 2> by_class;
     for (std::size_t g = 0; g < groups.size(); ++g) {
-        by_class[static_cast<std::size_t>(groups[g].cls)].push_back(g);
+        by_class[static_cast<std::size_t>(groups[g].key.cls)].push_back(g);
     }
     ThreadPool& pool =
         options_.pool != nullptr ? *options_.pool : ThreadPool::Shared();
     const std::size_t threads = pool.thread_count();
-    const std::size_t total = groups.size() * shards;
-    // The claim loop: a runner claims the next (group, shard) unit of its
-    // class from the class's cursor until the class is drained, groups in
-    // `jobs` order and shards innermost. So units run — and jobs complete —
-    // in the order callers put their jobs (what they want streamed first,
-    // first), and a runner that finishes early keeps claiming instead of
-    // being bound to a static chunk. Interactive runners are queued before
-    // batch runners and carry their class, so the pool's two-level dequeue
-    // starts interactive work first, across batches too; a batch-class
-    // runner, once started, drains its class before it yields the worker.
-    std::array<std::atomic<std::size_t>, 2> cursor{};
-    auto drain = [&](std::size_t c, WorkerState& ws) {
-        const std::vector<std::size_t>& class_groups = by_class[c];
-        const std::size_t units = class_groups.size() * shards;
-        for (std::size_t u = cursor[c].fetch_add(1, std::memory_order_relaxed);
-             u < units;
-             u = cursor[c].fetch_add(1, std::memory_order_relaxed)) {
-            run_group(class_groups[u / shards], u % shards, ws);
-        }
+    // Pool tasks reach the batch's frame through run_group, run_unit and
+    // by_class, so all three stay in scope until the latch opens.
+    const auto run_unit = [&](std::size_t c, std::size_t u) {
+        run_group(by_class[c][u / shards], u % shards,
+                  ThisThreadWorkerState());
     };
+    std::shared_ptr<BatchState> state;
     if (options_.placement == ShardPlacement::kPinned && threads > 1) {
         // Route shard s of every group to worker s % threads, groups
         // innermost: consecutive units on one worker re-read the same
         // shard rows, so a batch streams each row range into exactly one
         // core's cache. One pinned pool task per (worker, priority class),
         // so a worker freed by skips still finishes interactive shards
-        // before batch shards.
+        // before batch shards. The latch counts these tasks.
+        const std::size_t workers = std::min(threads, shards);
+        std::size_t tasks = 0;
+        for (const std::vector<std::size_t>& class_groups : by_class) {
+            if (!class_groups.empty()) tasks += workers;
+        }
+        state = std::make_shared<BatchState>(tasks);
         for (std::size_t c = 0; c < by_class.size(); ++c) {
-            const std::vector<std::size_t>& class_groups = by_class[c];
-            if (class_groups.empty()) continue;
-            for (std::size_t w = 0; w < std::min(threads, shards); ++w) {
+            if (by_class[c].empty()) continue;
+            for (std::size_t w = 0; w < workers; ++w) {
                 pool.SubmitTo(
                     w,
-                    [&, w] {
-                        WorkerState ws;
-                        for (std::size_t s = w; s < shards; s += threads) {
-                            for (std::size_t g : class_groups) {
-                                run_group(g, s, ws);
+                    [&, c, w, state] {
+                        state->RunAndCount([&] {
+                            WorkerState& ws = ThisThreadWorkerState();
+                            for (std::size_t s = w; s < shards; s += threads) {
+                                for (std::size_t g : by_class[c]) {
+                                    run_group(g, s, ws);
+                                }
                             }
-                        }
+                        });
                     },
                     static_cast<TaskPriority>(c));
             }
         }
-        pool.Wait();
-    } else if (threads <= 1 || total <= 1) {
-        // The same loop on the caller: groups complete — and notify — in
-        // class-then-`jobs` order.
-        WorkerState ws;
-        for (std::size_t c = 0; c < by_class.size(); ++c) drain(c, ws);
     } else {
-        // One runner per worker the class can keep busy, each with one
-        // WorkerState for all the units it claims.
+        // The claim loop on the caller and on up to one pool runner per
+        // worker for each class: a runner claims the next (group, shard)
+        // unit of its class from the class's cursor until it is drained,
+        // groups in `jobs` order and shards innermost. So units run — and
+        // jobs complete — in the order callers put their jobs (what they
+        // want streamed first, first), and a runner that finishes early
+        // keeps claiming instead of being bound to a static chunk.
+        // Interactive runners are queued before batch runners and carry
+        // their class, so the pool's two-level dequeue starts interactive
+        // work first, across batches too; a batch-class runner, once
+        // started, drains its class before it yields the worker. The
+        // caller drains interactive then batch, so with a one-worker pool
+        // (no runners) groups complete in class-then-`jobs` order. The
+        // latch counts units: the batch ends when its own units are done,
+        // whether or not every runner has started.
+        state = std::make_shared<BatchState>(groups.size() * shards);
         for (std::size_t c = 0; c < by_class.size(); ++c) {
+            state->units[c] = by_class[c].size() * shards;
+        }
+        for (std::size_t c = 0; c < by_class.size(); ++c) {
+            // The caller claims units too, so a class of one unit needs no
+            // runner. A runner per worker beside the caller measured faster
+            // than one fewer on perfbench taobao (4-vCPU VM, median 6,705
+            // against 6,027 q/s): a worker woken late leaves the class
+            // short-handed.
+            const std::size_t units = state->units[c];
             const std::size_t runners =
-                std::min(threads, by_class[c].size() * shards);
+                threads > 1 && units > 1 ? std::min(threads, units - 1) : 0;
             for (std::size_t r = 0; r < runners; ++r) {
                 pool.Submit(
-                    [&, c] {
-                        WorkerState ws;
-                        drain(c, ws);
-                    },
+                    [state, c, &run_unit] { Drain(*state, c, run_unit); },
                     static_cast<TaskPriority>(c));
             }
         }
-        pool.Wait();
+        for (std::size_t c = 0; c < by_class.size(); ++c) {
+            Drain(*state, c, run_unit);
+        }
+    }
+    state->left.Wait();
+    {
+        MutexLock lock(state->mu);
+        if (state->error != nullptr) std::rethrow_exception(state->error);
     }
     return BatchStats{jobs_skipped.load(std::memory_order_relaxed),
                       shards_skipped.load(std::memory_order_relaxed)};

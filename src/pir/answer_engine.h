@@ -21,15 +21,21 @@
 // whole-table batches — form a group with one Dpf evaluator; the unit of
 // work is a (group, shard) pair, which pays the shard's DPF walk and table
 // traffic once for the whole group. A batch runs as one pass: with
-// ShardPlacement::kDynamic, min(threads, units) claim-loop runners per
-// priority class each claim the next unit of their class from a shared
-// cursor (interactive classes first, `jobs` order within a class), reusing
-// one set of kernel buffers, and the partial responses live in one
-// line-padded arena per batch. The sequential path (a one-worker pool) is
-// the same loop on the caller. With ShardPlacement::kPinned, shard s of
-// every group is routed to worker s % thread_count (ThreadPool::SubmitTo),
-// so all jobs of a batch — and repeated batches — stream a given row range
-// from the same core's warm cache instead of migrating rows between cores.
+// ShardPlacement::kDynamic the caller and up to one pool runner per
+// worker for each priority class run a claim loop, each claiming the next
+// unit of its class from a shared cursor (interactive classes first,
+// `jobs` order within a class), and the partial responses live in one
+// line-padded arena per batch. The batch ends on a count of its own finished units: a runner
+// the pool starts after every unit was claimed finds the cursors spent and
+// returns, and nothing waits for it. A one-worker pool submits no runners,
+// so its batches run the loop on the caller alone. With
+// ShardPlacement::kPinned, shard s of every group is routed to worker
+// s % thread_count (ThreadPool::SubmitTo), so all jobs of a batch — and
+// repeated batches — stream a given row range from the same core's warm
+// cache instead of migrating rows between cores; the batch waits on a
+// count of its own pinned tasks. No path calls ThreadPool::Wait(), so
+// batches of callers sharing a pool never wait on each other. Every
+// executing thread keeps one set of kernel buffers across batches.
 // XOR is commutative and associative, so any sharding, tiling, grouping,
 // or placement is bit-identical to the sequential reference path.
 //
@@ -43,14 +49,14 @@
 // non-skipped jobs the data plane is bit-identical with or without a
 // context attached.
 //
-// Thread-safety: the engine is stateless per call — all cross-runner
-// coordination (the claim cursors, per-job shard countdowns, skip
-// counters) lives in per-batch atomics, the countdowns with acq_rel
-// ordering, so there is nothing for the
-// Clang -Wthread-safety capability analysis to check here; the lock-based
-// layers it feeds (ThreadPool, ServingFrontEnd) carry the annotations
-// (see src/common/thread_annotations.h). TSan runs the full suite over
-// this file's countdown protocol in CI.
+// Thread-safety: the engine keeps no state across calls besides each
+// thread's kernel buffers. All cross-runner coordination (the claim
+// cursors, the unit latch, per-job shard countdowns, skip counters) lives
+// in per-batch atomics, the countdowns with acq_rel ordering; the one
+// lock, over a batch's first exception, carries the Clang
+// -Wthread-safety annotations like the layers the engine feeds
+// (ThreadPool, ServingFrontEnd; see src/common/thread_annotations.h).
+// TSan runs the full suite over this file's countdown protocol in CI.
 #pragma once
 
 #include <cstddef>
@@ -172,10 +178,11 @@ class AnswerEngine {
 
     // Called once per job with the job's index in the submitted batch and
     // its reduced response, as soon as that job's last shard finishes —
-    // i.e. before the rest of the batch completes. Runs on whichever pool
-    // worker finished the job (or inline on the caller for the sequential
-    // path), so it may fire concurrently for different jobs: it must be
-    // thread-safe, must not throw, and must not block on other pool work.
+    // i.e. before the rest of the batch completes. Runs on whichever thread
+    // finished the job — a pool worker, or the calling thread, which runs
+    // units itself in every dynamic-placement batch — so it may fire
+    // concurrently for different jobs: it must be thread-safe, must not
+    // throw, and must not block on other pool work.
     // A skipped job (its context flipped to cancelled/expired) delivers an
     // EMPTY response — callers must not assemble it.
     using JobDone = std::function<void(std::size_t, PirResponse&&)>;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -182,6 +183,25 @@ TEST(ThreadPoolTest, SubmitAndWait) {
     for (int i = 0; i < 20; ++i) pool.Submit([&] { ++total; });
     pool.Wait();
     EXPECT_EQ(total.load(), 20);
+}
+
+TEST(LatchTest, OpensOnTheLastCountDown) {
+    Latch empty(0);
+    empty.Wait();  // a zero count is already open
+
+    // The latch is owned by its counters, as the answer engine shares it
+    // with pool tasks: the last CountDown may still run after Wait().
+    auto latch = std::make_shared<Latch>(8);
+    std::atomic<int> counted{0};
+    ThreadPool pool(3);
+    for (int i = 0; i < 8; ++i) {
+        pool.Submit([latch, &counted] {
+            counted.fetch_add(1, std::memory_order_relaxed);
+            latch->CountDown();
+        });
+    }
+    latch->Wait();
+    EXPECT_EQ(counted.load(std::memory_order_relaxed), 8);
 }
 
 // Single worker, gated so every task below queues up while it is blocked:

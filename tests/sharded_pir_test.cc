@@ -7,7 +7,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <mutex>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/batchpir/pbr.h"
@@ -532,6 +535,104 @@ TEST(AnswerEngineTest, ClaimLoopDispatchIsBitIdenticalAndInteractiveFirst) {
                     }
                 }
             }
+        }
+    }
+}
+
+// Keys for `count` queries of a 2^9-domain client against `table`,
+// alternating parties, with their sequential-reference answers.
+struct EngineBatch {
+    std::vector<DpfKey> keys;
+    std::vector<AnswerEngine::Job> jobs;
+    std::vector<PirResponse> expected;
+};
+
+EngineBatch MakeEngineBatch(const PirTable& table, std::size_t count,
+                            std::uint64_t seed) {
+    PirClient client(9, PrfKind::kChacha20, seed);
+    EngineBatch batch;
+    for (std::size_t q = 0; q < count; ++q) {
+        const PirQuery query =
+            client.Query((q * 53 + seed) % table.num_entries());
+        const std::vector<std::uint8_t>& bytes =
+            q % 2 == 0 ? query.key_for_server0 : query.key_for_server1;
+        batch.keys.push_back(DpfKey::Deserialize(bytes.data(), bytes.size()));
+    }
+    for (const DpfKey& key : batch.keys) {
+        batch.jobs.push_back({&key, 0, table.num_entries()});
+        batch.expected.push_back(ReferenceAnswer(table, key));
+    }
+    return batch;
+}
+
+TEST(AnswerEngineTest, BatchReturnsWhileUnrelatedPoolTaskRuns) {
+    // A batch ends when its own units are done: with worker 1 of a
+    // 2-worker pool held by an unrelated task, AnswerBatch must return
+    // (bit-identical) before that task is released. A batch that waited
+    // for the whole pool would block until the 10 s timeout, which
+    // releases the blocker and fails instead of hanging. Pinned placement
+    // runs one shard, so its only task goes to worker 0.
+    Rng rng(81);
+    PirTable table(400, 96, TableLayout::kTiled);
+    table.FillRandom(rng);
+    const EngineBatch batch = MakeEngineBatch(table, 6, 31);
+    for (const auto& [placement, shards] :
+         {std::pair{ShardPlacement::kDynamic, std::size_t{4}},
+          std::pair{ShardPlacement::kPinned, std::size_t{1}}}) {
+        ThreadPool pool(2);
+        std::promise<void> release;
+        std::shared_future<void> released = release.get_future().share();
+        std::promise<void> blocking;
+        pool.SubmitTo(1, [&blocking, released] {
+            blocking.set_value();
+            released.wait();
+        });
+        blocking.get_future().wait();
+        const AnswerEngine engine(ShardingOptions{shards, &pool, placement});
+        auto answered = std::async(std::launch::async, [&] {
+            return engine.AnswerBatch(table, batch.jobs);
+        });
+        const bool returned = answered.wait_for(std::chrono::seconds(10)) ==
+                              std::future_status::ready;
+        release.set_value();
+        ASSERT_TRUE(returned) << "placement=" << ShardPlacementName(placement)
+                              << ": the batch waited for an unrelated task";
+        EXPECT_EQ(answered.get(), batch.expected)
+            << "placement=" << ShardPlacementName(placement);
+    }
+}
+
+TEST(AnswerEngineTest, ConcurrentBatchesOnOnePoolAreBitIdentical) {
+    // Two callers answer batches on one pool at the same time (two
+    // front-ends sharing ThreadPool::Shared()): each batch's claim cursors
+    // and latch are its own, so every answer stays bit-identical under
+    // both placements.
+    Rng rng(82);
+    PirTable table(400, 96, TableLayout::kTiled);
+    table.FillRandom(rng);
+    const EngineBatch batches[2] = {MakeEngineBatch(table, 9, 41),
+                                    MakeEngineBatch(table, 4, 43)};
+    ThreadPool pool(3);
+    for (const ShardPlacement placement :
+         {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
+        const AnswerEngine engine(ShardingOptions{4, &pool, placement});
+        int mismatches[2] = {0, 0};
+        std::vector<std::thread> callers;
+        for (std::size_t t = 0; t < 2; ++t) {
+            callers.emplace_back([&, t] {
+                for (int round = 0; round < 20; ++round) {
+                    if (engine.AnswerBatch(table, batches[t].jobs) !=
+                        batches[t].expected) {
+                        ++mismatches[t];
+                    }
+                }
+            });
+        }
+        for (std::thread& caller : callers) caller.join();
+        for (std::size_t t = 0; t < 2; ++t) {
+            EXPECT_EQ(mismatches[t], 0)
+                << "placement=" << ShardPlacementName(placement)
+                << " caller=" << t;
         }
     }
 }
