@@ -235,6 +235,63 @@ BENCHMARK(BM_EngineBatchTaobao)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
+// The AnswerEngine layer on movielens geometry: one AnswerBatch call holds
+// state.range(0) jobs on each of the 60 hot bins (45 rows) and 24 full bins
+// (1,125 rows) of two tiled 192 B-row tables, ChaCha20, num_shards = 4, on
+// ThreadPool::Shared(), in wall time. The engine sizes each bin's shards by
+// its rows (AnswerEngine::ShardsFor), so this row times many small groups
+// where BM_EngineBatchTaobao times one large one. Items are (row, query)
+// pairs.
+void BM_EngineBatchMovielens(benchmark::State& state) {
+    const auto queries = static_cast<std::size_t>(state.range(0));
+    struct Bins {
+        std::uint64_t count;
+        std::uint64_t rows;
+        int log_domain;
+    };
+    const Bins shapes[] = {{60, 45, 6}, {24, 1'125, 11}};
+    Rng rng(8);
+    std::vector<PirTable> tables;
+    std::vector<DpfKey> keys;
+    for (const Bins& bins : shapes) {
+        tables.emplace_back(bins.count * bins.rows, 192, TableLayout::kTiled);
+        tables.back().FillRandom(rng);
+        const Dpf dpf(
+            DpfParams{bins.log_domain, PrfKind::kChacha20, 1, ShareKind::kXor});
+        for (std::uint64_t k = 0; k < bins.count * queries; ++k) {
+            keys.push_back(dpf.GenIndicator(rng.UniformInt(bins.rows), rng).first);
+        }
+    }
+    std::vector<AnswerEngine::TableJob> jobs;
+    std::size_t next_key = 0;
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+        for (std::uint64_t b = 0; b < shapes[t].count; ++b) {
+            for (std::size_t q = 0; q < queries; ++q) {
+                jobs.push_back({&tables[t],
+                                {&keys[next_key++], b * shapes[t].rows,
+                                 shapes[t].rows}});
+            }
+        }
+    }
+    const AnswerEngine engine(ShardingOptions{4});
+    for (auto _ : state) {
+        std::vector<PirResponse> out = engine.AnswerBatch(jobs);
+        benchmark::DoNotOptimize(out.data());
+    }
+    std::uint64_t rows = 0;
+    for (const PirTable& table : tables) rows += table.num_entries();
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(rows * queries));
+    state.SetLabel("scan=" + std::string(ScanPathName()) +
+                   " queries=" + std::to_string(queries));
+}
+BENCHMARK(BM_EngineBatchMovielens)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(16)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_StrategyHostRun(benchmark::State& state) {
     const auto kind = static_cast<StrategyKind>(state.range(0));
     const int n = 12;

@@ -18,7 +18,8 @@ std::size_t PbrSession::Request::UploadBytesPerServer() const {
     return total;
 }
 
-PbrSession::Request PbrSession::BuildRequest(const Pbr::Plan& plan) {
+std::vector<std::pair<DpfKey, DpfKey>> PbrSession::GenKeys(
+    const Pbr::Plan& plan) {
     if (plan.queries.size() != pbr_->num_bins()) {
         throw std::invalid_argument("PbrSession: plan/bin count mismatch");
     }
@@ -27,14 +28,43 @@ PbrSession::Request PbrSession::BuildRequest(const Pbr::Plan& plan) {
     std::vector<std::uint64_t> alphas;
     alphas.reserve(plan.queries.size());
     for (const auto& q : plan.queries) alphas.push_back(q.local_index);
+    return bin_dpf_.GenIndicatorBatch(alphas, rng_);
+}
+
+void PbrSession::BindKeys(BinJobs* jobs) const {
+    jobs->jobs.resize(jobs->keys.size());
+    for (std::uint64_t b = 0; b < jobs->keys.size(); ++b) {
+        jobs->jobs[b] = {&jobs->keys[b], b * pbr_->bin_size(),
+                         pbr_->BinEntries(b)};
+    }
+}
+
+PbrSession::Request PbrSession::BuildRequest(const Pbr::Plan& plan) {
     Request req;
-    req.keys_for_server0.reserve(alphas.size());
-    req.keys_for_server1.reserve(alphas.size());
-    for (const auto& [k0, k1] : bin_dpf_.GenIndicatorBatch(alphas, rng_)) {
+    for (const auto& [k0, k1] : GenKeys(plan)) {
         req.keys_for_server0.push_back(k0.Serialize());
         req.keys_for_server1.push_back(k1.Serialize());
     }
     return req;
+}
+
+PbrSession::PreparedJobs PbrSession::PrepareJobs(const Pbr::Plan& plan,
+                                                 Request* wire) {
+    std::vector<std::pair<DpfKey, DpfKey>> keys = GenKeys(plan);
+    PreparedJobs out;
+    out.server0.keys.reserve(keys.size());
+    out.server1.keys.reserve(keys.size());
+    for (auto& [k0, k1] : keys) {
+        if (wire != nullptr) {
+            wire->keys_for_server0.push_back(k0.Serialize());
+            wire->keys_for_server1.push_back(k1.Serialize());
+        }
+        out.server0.keys.push_back(std::move(k0));
+        out.server1.keys.push_back(std::move(k1));
+    }
+    BindKeys(&out.server0);
+    BindKeys(&out.server1);
+    return out;
 }
 
 PbrSession::BinJobs PbrSession::ParseJobs(
@@ -44,7 +74,6 @@ PbrSession::BinJobs PbrSession::ParseJobs(
     }
     BinJobs parsed;
     parsed.keys.resize(keys.size());
-    parsed.jobs.resize(keys.size());
     for (std::uint64_t b = 0; b < keys.size(); ++b) {
         parsed.keys[b] = DpfKey::Deserialize(keys[b].data(), keys[b].size());
         // A key must name exactly the session's DPF: a valid header for
@@ -63,9 +92,8 @@ PbrSession::BinJobs PbrSession::ParseJobs(
         if (params.out_words != bin_dpf_.params().out_words) {
             throw std::invalid_argument("PbrSession: key out_words mismatch");
         }
-        parsed.jobs[b] = {&parsed.keys[b], b * pbr_->bin_size(),
-                          pbr_->BinEntries(b)};
     }
+    BindKeys(&parsed);
     return parsed;
 }
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/batchpir/pbr.h"
@@ -20,11 +21,11 @@ class PbrSession {
   public:
     // `sharding` configures the server-side answer engine: every per-bin
     // query of a batched retrieval becomes one engine job (further split
-    // into num_shards row shards, placed per ShardPlacement), so the whole
-    // batch is answered in one pool submission. The engine's shard kernel
-    // follows the table's storage layout (row-major or tiled) at answer
-    // time, so one session serves tables of any layout. Defaults keep the
-    // sequential reference behavior.
+    // into at most num_shards row shards, placed per ShardPlacement), so
+    // the whole batch is answered in one pool submission. The engine's
+    // shard kernel follows the table's storage layout (row-major or tiled)
+    // at answer time, so one session serves tables of any layout. Defaults
+    // keep the sequential reference behavior.
     PbrSession(const Pbr* pbr, PrfKind prf, std::uint64_t client_seed = 1,
                ShardingOptions sharding = {});
 
@@ -40,12 +41,23 @@ class PbrSession {
     // dummy alike).
     Request BuildRequest(const Pbr::Plan& plan);
 
-    // One server's parsed per-bin answer jobs. `jobs` point into `keys`, so
-    // the struct is movable but the keys vector must not be resized.
+    // One server's per-bin answer jobs. `jobs` point into `keys`, so the
+    // struct is movable but the keys vector must not be resized.
     struct BinJobs {
         std::vector<DpfKey> keys;
         std::vector<AnswerEngine::Job> jobs;
     };
+
+    // Client, in-process: the keys BuildRequest would serialize (the same
+    // RNG draws, so the two calls advance one stream alike), moved straight
+    // into both servers' bin jobs with no serialize/parse round trip. With
+    // `wire` non-null it also receives their serialized bytes, exactly what
+    // BuildRequest returns.
+    struct PreparedJobs {
+        BinJobs server0;
+        BinJobs server1;
+    };
+    PreparedJobs PrepareJobs(const Pbr::Plan& plan, Request* wire = nullptr);
 
     // Server: deserializes and validates one key per bin, binding each to
     // its bin's row range. Throws std::invalid_argument on a key count
@@ -85,6 +97,11 @@ class PbrSession {
     const AnswerEngine& engine() const { return engine_; }
 
   private:
+    // Both servers' keys for every bin query in the plan, in bin order.
+    std::vector<std::pair<DpfKey, DpfKey>> GenKeys(const Pbr::Plan& plan);
+    // Points jobs->jobs at jobs->keys, bin b reading its bin's rows.
+    void BindKeys(BinJobs* jobs) const;
+
     const Pbr* pbr_;
     Dpf bin_dpf_;
     Rng rng_;

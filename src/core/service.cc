@@ -1,9 +1,11 @@
 #include "src/core/service.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 
 #include "src/common/cpuid.h"
 #include "src/common/env.h"
@@ -184,26 +186,27 @@ PrivateEmbeddingService::Client::Prepare(
     prep.wanted = wanted;
     prep.plan = service_->planner_.Plan(wanted, rng_);
 
-    PbrSession::Request full_req =
-        full_session_.BuildRequest(prep.plan.full_plan);
-    prep.upload_bytes += full_req.UploadBytesPerServer();
-    prep.full_server0 = full_session_.ParseJobs(full_req.keys_for_server0);
-    prep.full_server1 = full_session_.ParseJobs(full_req.keys_for_server1);
-    if (keep_wire_keys) {
-        prep.wire_full_keys0 = std::move(full_req.keys_for_server0);
-        prep.wire_full_keys1 = std::move(full_req.keys_for_server1);
-    }
+    // Keys go straight into the bin jobs; only a networked upload
+    // (keep_wire_keys) serializes them. Every key of a table has the size
+    // DpfKey::SerializedSizeFor gives, so the upload is accounted per bin.
+    PbrSession::Request full_wire;
+    PbrSession::PreparedJobs full = full_session_.PrepareJobs(
+        prep.plan.full_plan, keep_wire_keys ? &full_wire : nullptr);
+    prep.upload_bytes += service_->full_pbr_.UploadBytesPerServer();
+    prep.full_server0 = std::move(full.server0);
+    prep.full_server1 = std::move(full.server1);
+    prep.wire_full_keys0 = std::move(full_wire.keys_for_server0);
+    prep.wire_full_keys1 = std::move(full_wire.keys_for_server1);
 
     if (hot_session_ != nullptr) {
-        PbrSession::Request hot_req =
-            hot_session_->BuildRequest(prep.plan.hot_plan);
-        prep.upload_bytes += hot_req.UploadBytesPerServer();
-        prep.hot_server0 = hot_session_->ParseJobs(hot_req.keys_for_server0);
-        prep.hot_server1 = hot_session_->ParseJobs(hot_req.keys_for_server1);
-        if (keep_wire_keys) {
-            prep.wire_hot_keys0 = std::move(hot_req.keys_for_server0);
-            prep.wire_hot_keys1 = std::move(hot_req.keys_for_server1);
-        }
+        PbrSession::Request hot_wire;
+        PbrSession::PreparedJobs hot = hot_session_->PrepareJobs(
+            prep.plan.hot_plan, keep_wire_keys ? &hot_wire : nullptr);
+        prep.upload_bytes += service_->hot_pbr_->UploadBytesPerServer();
+        prep.hot_server0 = std::move(hot.server0);
+        prep.hot_server1 = std::move(hot.server1);
+        prep.wire_hot_keys0 = std::move(hot_wire.keys_for_server0);
+        prep.wire_hot_keys1 = std::move(hot_wire.keys_for_server1);
     }
     return prep;
 }
@@ -248,16 +251,28 @@ PrivateEmbeddingService::AssembleTablePartial(
     partial.served.assign(wanted.size(), false);
     partial.embeddings.assign(wanted.size(), std::vector<float>(dim_, 0.0f));
 
+    // The retrieved positions of each wanted index, sorted by index, so a
+    // slot finds its positions by binary search instead of a scan of
+    // `wanted`. Dropped positions are absent and stay zero.
+    std::vector<std::pair<std::uint64_t, std::size_t>> positions;
+    positions.reserve(wanted.size());
+    for (std::size_t i = 0; i < wanted.size(); ++i) {
+        if (prep.plan.retrieved[i]) positions.emplace_back(wanted[i], i);
+    }
+    std::sort(positions.begin(), positions.end());
+
     // Positions served per owner index: a row's base slot holds its owner's
     // embedding and the following slots the co-located partners'.
     auto deliver_row = [&](std::uint64_t owner,
                            const std::vector<std::uint8_t>& row) {
         auto copy_slot = [&](std::uint64_t index, std::size_t slot) {
-            for (std::size_t i = 0; i < wanted.size(); ++i) {
-                if (wanted[i] != index || !prep.plan.retrieved[i]) continue;
-                std::memcpy(partial.embeddings[i].data(),
+            auto it = std::lower_bound(
+                positions.begin(), positions.end(),
+                std::pair<std::uint64_t, std::size_t>{index, 0});
+            for (; it != positions.end() && it->first == index; ++it) {
+                std::memcpy(partial.embeddings[it->second].data(),
                             row.data() + slot * base, base);
-                partial.served[i] = true;
+                partial.served[it->second] = true;
             }
         };
         copy_slot(owner, 0);

@@ -69,10 +69,12 @@ struct ServiceConfig {
     ClientDeviceSpec client_device = ClientDeviceSpec::CoreI3();
     // FLOPs of the on-device model, for the latency breakdown.
     std::uint64_t dnn_flops = 0;
-    // Server-side answer parallelism: each per-bin query is split into
-    // `server_shards` contiguous row shards evaluated on a thread pool of
-    // `server_threads` workers (0 = the process-wide shared pool sized to
-    // the host). server_shards == 1 keeps the sequential reference path.
+    // Server-side answer parallelism: each per-bin query is split into at
+    // most `server_shards` contiguous row shards (dynamic placement sizes
+    // them by the bin's rows, AnswerEngine::ShardsFor; pinned runs all
+    // `server_shards`) evaluated on a thread pool of `server_threads`
+    // workers (0 = the process-wide shared pool sized to the host).
+    // server_shards == 1 keeps the sequential reference path.
     std::size_t server_shards = 1;
     std::size_t server_threads = 0;
     // Physical layout of the full/hot PIR tables (src/pir/table_layout.h):
@@ -189,11 +191,11 @@ class PrivateEmbeddingService {
         PbrSession::BinJobs full_server1;
         PbrSession::BinJobs hot_server0;
         PbrSession::BinJobs hot_server1;
-        // The exact serialized per-bin keys the BinJobs above were parsed
-        // from, retained only when prepared with keep_wire_keys: the
-        // networked client (src/net/remote_client.h) uploads these to a
-        // server node; the in-process path parses and drops them.
-        // Index-aligned with the corresponding jobs.
+        // The serialized bytes of the BinJobs' keys, filled only when
+        // prepared with keep_wire_keys: the networked client
+        // (src/net/remote_client.h) uploads these to a server node; the
+        // in-process path never serializes its keys. Index-aligned with the
+        // corresponding jobs.
         std::vector<std::vector<std::uint8_t>> wire_full_keys0;
         std::vector<std::vector<std::uint8_t>> wire_full_keys1;
         std::vector<std::vector<std::uint8_t>> wire_hot_keys0;
@@ -213,7 +215,7 @@ class PrivateEmbeddingService {
 
         // Client-side phase of one lookup, split out for callers that ship
         // the keys somewhere other than the in-process front-end: plans
-        // the inference and generates/parses both servers' keys, advancing
+        // the inference and generates both servers' keys, advancing
         // this client's RNG (hence: one thread at a time). The RNG
         // consumption is identical either way, so a client that alternates
         // local and networked lookups stays on one deterministic stream.

@@ -14,17 +14,6 @@
 namespace gpudpf {
 namespace {
 
-// Job-relative boundary of shard s out of `shards`. The tile-snapping
-// partition lives in table_layout (ShardRowBoundary) because the NUMA
-// first-touch pass must reproduce it exactly: the worker that zeroed a
-// tile at load time is the worker the answer engine hands that tile to.
-std::uint64_t ShardBoundary(const AnswerEngine::Job& job,
-                            std::uint64_t tile_rows, std::size_t shards,
-                            std::size_t s) {
-    return ShardRowBoundary(job.row_begin, job.num_rows, tile_rows, shards,
-                            s);
-}
-
 void ValidateJob(const PirTable& table, const AnswerEngine::Job& job) {
     if (job.key == nullptr) {
         throw std::invalid_argument("AnswerEngine: null key in job");
@@ -195,6 +184,15 @@ AnswerEngine::AnswerEngine(ShardingOptions options)
     if (options_.num_shards == 0) options_.num_shards = 1;
 }
 
+std::size_t AnswerEngine::ShardsFor(std::uint64_t rows,
+                                    std::size_t num_shards) {
+    const std::uint64_t by_rows =
+        std::max<std::uint64_t>(1, rows / kMinShardRows);
+    return static_cast<std::size_t>(
+        std::max<std::uint64_t>(1, std::min<std::uint64_t>(num_shards,
+                                                           by_rows)));
+}
+
 PirResponse AnswerEngine::Answer(const PirTable& table, const DpfKey& key,
                                  std::uint64_t row_begin,
                                  std::uint64_t num_rows) const {
@@ -230,7 +228,11 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
         ValidateJob(*tj.table, tj.job);
     }
 
-    const std::size_t shards = options_.num_shards;
+    ThreadPool& pool =
+        options_.pool != nullptr ? *options_.pool : ThreadPool::Shared();
+    const std::size_t threads = pool.thread_count();
+    const bool pinned =
+        options_.placement == ShardPlacement::kPinned && threads > 1;
 
     // Scheduling class per job: a job with no context is interactive.
     auto job_class = [&jobs](std::size_t q) {
@@ -254,11 +256,25 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     // `jobs` order: an open-addressed table of group indices (at most half
     // full) finds each job's group, then a counting sort lays the members
     // out contiguously.
+    //
+    // A group's shards partition a job-relative row range [part_lo,
+    // part_lo + part_rows), and each shard is then intersected with the eval
+    // window. Dynamic placement partitions the window itself into
+    // ShardsFor(window rows) shards, so a bin of a few blocks is one unit
+    // and a fleet node's half-bin is sized as half a bin. Pinned placement
+    // keeps num_shards shards over the FULL job range: its shard-to-worker
+    // map (s % threads) is the point of that placement, and the NUMA
+    // first-touch pass (BuildPhysicalTable -> ShardRowBoundary) mirrors
+    // exactly that partition, independent of any clip; clipped-away shards
+    // still count down.
     struct Group {
         GroupKey key;
         Dpf dpf;
         std::size_t begin = 0;
         std::size_t end = 0;
+        std::uint64_t part_lo = 0;
+        std::uint64_t part_rows = 0;
+        std::size_t shards = 1;
     };
     std::vector<Group> groups;
     std::vector<std::size_t> group_of(jobs.size());
@@ -283,7 +299,16 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
         }
         if (group_slots[i] == kEmpty) {
             group_slots[i] = groups.size();
-            groups.push_back(Group{key, Dpf(tj.job.key->params)});
+            Group grp{key, Dpf(tj.job.key->params)};
+            if (pinned) {
+                grp.part_rows = tj.job.num_rows;
+                grp.shards = options_.num_shards;
+            } else {
+                grp.part_lo = key.eval_begin;
+                grp.part_rows = key.eval_end - key.eval_begin;
+                grp.shards = ShardsFor(grp.part_rows, options_.num_shards);
+            }
+            groups.push_back(std::move(grp));
         }
         group_of[q] = group_slots[i];
         ++groups[group_of[q]].end;  // the member count, for now
@@ -299,11 +324,12 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
         members[groups[group_of[q]].end++] = q;
     }
 
-    // Job q's partial of shard s is the words_per_entry words at
-    // partials.at(slot[q] + s * stride(q)), stride(q) being its row width
-    // rounded up to whole lines. Each (group, shard) unit zeroes the slots
-    // of its live jobs before answering, so a slot is read only after its
-    // own unit wrote it; a skipped job's slots are never read.
+    // Job q's partial of shard s (of its group's shards) is the
+    // words_per_entry words at partials.at(slot[q] + s * stride(q)),
+    // stride(q) being its row width rounded up to whole lines. Each (group,
+    // shard) unit zeroes the slots of its live jobs before answering, so a
+    // slot is read only after its own unit wrote it; a skipped job's slots
+    // are never read.
     auto stride = [&jobs](std::size_t q) {
         const std::size_t w = jobs[q].table->words_per_entry();
         return (w + kLineWords - 1) / kLineWords * kLineWords;
@@ -312,7 +338,7 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     std::size_t arena_words = 0;
     for (std::size_t q = 0; q < jobs.size(); ++q) {
         slot[q] = arena_words;
-        arena_words += shards * stride(q);
+        arena_words += groups[group_of[q]].shards * stride(q);
     }
     const PartialArena partials(arena_words);
     // Shards left per job; the worker that takes a job's count to zero
@@ -329,7 +355,8 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     std::unique_ptr<std::atomic<bool>[]> job_skipped(
         new std::atomic<bool>[jobs.size()]);
     for (std::size_t q = 0; q < jobs.size(); ++q) {
-        remaining[q].store(shards, std::memory_order_relaxed);
+        remaining[q].store(groups[group_of[q]].shards,
+                           std::memory_order_relaxed);
         job_skipped[q].store(false, std::memory_order_relaxed);
     }
     std::atomic<std::size_t> shards_skipped{0};
@@ -343,18 +370,18 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
         const Group& grp = groups[g];
         const TableJob& tj0 = jobs[members[grp.begin]];
         const std::size_t w = tj0.table->words_per_entry();
-        const std::uint64_t tile_rows = tj0.table->rows_per_tile();
-        // Shard boundaries are computed over the FULL job range (so the
-        // tile-snapped partition — and the NUMA first-touch pass that
-        // mirrors it — is independent of any clip), then intersected with
-        // the job's eval window. Clipped-away shards still count down.
-        const std::uint64_t win_lo = tj0.job.eval_begin;
-        const std::uint64_t win_hi =
-            std::min(tj0.job.eval_end, tj0.job.num_rows);
-        const std::uint64_t lo = std::max(
-            ShardBoundary(tj0.job, tile_rows, shards, s), win_lo);
-        const std::uint64_t hi = std::min(
-            ShardBoundary(tj0.job, tile_rows, shards, s + 1), win_hi);
+        // The tile-snapping partition lives in table_layout
+        // (ShardRowBoundary) because the NUMA first-touch pass must
+        // reproduce the pinned one exactly: the worker that zeroed a tile at
+        // load time is the worker the answer engine hands that tile to.
+        const auto boundary = [&](std::size_t b) {
+            return grp.part_lo +
+                   ShardRowBoundary(tj0.job.row_begin + grp.part_lo,
+                                    grp.part_rows, tj0.table->rows_per_tile(),
+                                    grp.shards, b);
+        };
+        const std::uint64_t lo = std::max(boundary(s), grp.key.eval_begin);
+        const std::uint64_t hi = std::min(boundary(s + 1), grp.key.eval_end);
         ws.tasks.clear();
         ws.task_jobs.clear();
         for (std::size_t m = grp.begin; m < grp.end; ++m) {
@@ -409,7 +436,7 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
             // Last shard in: reduce in shard order. XOR commutes, so the
             // result is bit-identical to the sequential path.
             PirResponse reduced(w, 0);
-            for (std::size_t ps = 0; ps < shards; ++ps) {
+            for (std::size_t ps = 0; ps < grp.shards; ++ps) {
                 const u128* part = partials.at(slot[q] + ps * stride(q));
                 for (std::size_t k = 0; k < w; ++k) reduced[k] ^= part[k];
             }
@@ -422,23 +449,29 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     for (std::size_t g = 0; g < groups.size(); ++g) {
         by_class[static_cast<std::size_t>(groups[g].key.cls)].push_back(g);
     }
-    ThreadPool& pool =
-        options_.pool != nullptr ? *options_.pool : ThreadPool::Shared();
-    const std::size_t threads = pool.thread_count();
-    // Pool tasks reach the batch's frame through run_group, run_unit and
-    // by_class, so all three stay in scope until the latch opens.
+    // The claim loop's (group, shard) units per class, groups in `jobs`
+    // order and shards innermost; the pinned path does not use them. Pool
+    // runners reach the batch's frame through run_unit, units and
+    // run_group, so all three stay in scope until the latch opens.
+    struct Unit {
+        std::size_t group;
+        std::size_t shard;
+    };
+    std::array<std::vector<Unit>, 2> units;
     const auto run_unit = [&](std::size_t c, std::size_t u) {
-        run_group(by_class[c][u / shards], u % shards,
+        run_group(units[c][u].group, units[c][u].shard,
                   ThisThreadWorkerState());
     };
     std::shared_ptr<BatchState> state;
-    if (options_.placement == ShardPlacement::kPinned && threads > 1) {
+    if (pinned) {
         // Route shard s of every group to worker s % threads, groups
         // innermost: consecutive units on one worker re-read the same
         // shard rows, so a batch streams each row range into exactly one
         // core's cache. One pinned pool task per (worker, priority class),
         // so a worker freed by skips still finishes interactive shards
-        // before batch shards. The latch counts these tasks.
+        // before batch shards. The latch counts these tasks, and the tasks
+        // reach the batch's frame through run_group and by_class.
+        const std::size_t shards = options_.num_shards;
         const std::size_t workers = std::min(threads, shards);
         std::size_t tasks = 0;
         for (const std::vector<std::size_t>& class_groups : by_class) {
@@ -450,7 +483,7 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
             for (std::size_t w = 0; w < workers; ++w) {
                 pool.SubmitTo(
                     w,
-                    [&, c, w, state] {
+                    [&, c, w, shards, state] {
                         state->RunAndCount([&] {
                             WorkerState& ws = ThisThreadWorkerState();
                             for (std::size_t s = w; s < shards; s += threads) {
@@ -479,26 +512,33 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
         // (no runners) groups complete in class-then-`jobs` order. The
         // latch counts units: the batch ends when its own units are done,
         // whether or not every runner has started.
-        state = std::make_shared<BatchState>(groups.size() * shards);
         for (std::size_t c = 0; c < by_class.size(); ++c) {
-            state->units[c] = by_class[c].size() * shards;
+            for (const std::size_t g : by_class[c]) {
+                for (std::size_t s = 0; s < groups[g].shards; ++s) {
+                    units[c].push_back({g, s});
+                }
+            }
         }
-        for (std::size_t c = 0; c < by_class.size(); ++c) {
+        state = std::make_shared<BatchState>(units[0].size() + units[1].size());
+        for (std::size_t c = 0; c < units.size(); ++c) {
+            state->units[c] = units[c].size();
+        }
+        for (std::size_t c = 0; c < units.size(); ++c) {
             // The caller claims units too, so a class of one unit needs no
             // runner. A runner per worker beside the caller measured faster
             // than one fewer on perfbench taobao (4-vCPU VM, median 6,705
             // against 6,027 q/s): a worker woken late leaves the class
             // short-handed.
-            const std::size_t units = state->units[c];
+            const std::size_t count = state->units[c];
             const std::size_t runners =
-                threads > 1 && units > 1 ? std::min(threads, units - 1) : 0;
+                threads > 1 && count > 1 ? std::min(threads, count - 1) : 0;
             for (std::size_t r = 0; r < runners; ++r) {
                 pool.Submit(
                     [state, c, &run_unit] { Drain(*state, c, run_unit); },
                     static_cast<TaskPriority>(c));
             }
         }
-        for (std::size_t c = 0; c < by_class.size(); ++c) {
+        for (std::size_t c = 0; c < units.size(); ++c) {
             Drain(*state, c, run_unit);
         }
     }

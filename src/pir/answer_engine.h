@@ -3,10 +3,13 @@
 // The dominant server cost in two-server DPF-PIR is the full-domain DPF
 // expansion plus the table scan (paper Section 3), and both are
 // embarrassingly parallel over contiguous row ranges. The engine partitions
-// each answer job's rows into `num_shards` shards, evaluates the job's
-// XOR-share DPF selection blocks over each shard and XORs the shard's
-// selected rows into a partial response, and reduces the partials into the
-// job's share by XOR.
+// each answer job's rows into shards sized by work — under dynamic
+// placement ShardsFor(rows scanned, num_shards), at most num_shards and no
+// more than one per kMinShardRows rows, so a bin of a few 128-row blocks
+// is one unit; under pinned placement exactly num_shards — evaluates the
+// job's XOR-share DPF selection blocks over each shard and XORs the
+// shard's selected rows into a partial response, and reduces the partials
+// into the job's share by XOR.
 //
 // The shard work itself is the one CPU kernel, MultiqueryTileAnswerRange
 // (src/kernels/cpu_kernel.h): one multi-key DPF walk expands every batched
@@ -87,8 +90,12 @@ enum class ShardPlacement { kDynamic, kPinned };
 const char* ShardPlacementName(ShardPlacement placement);
 
 struct ShardingOptions {
-    // Contiguous row shards each job is split into. 1 = answer each job's
-    // rows in a single unit (jobs of a batch still run concurrently).
+    // Upper bound on the contiguous row shards each job is split into.
+    // kDynamic gives a group AnswerEngine::ShardsFor(rows it scans,
+    // num_shards) shards; kPinned runs exactly num_shards, the partition
+    // its shard-to-worker map and NUMA first touch are built on. 1 = answer
+    // each job's rows in a single unit (jobs of a batch still run
+    // concurrently).
     std::size_t num_shards = 1;
     // Pool running the shard work; nullptr = ThreadPool::Shared().
     ThreadPool* pool = nullptr;
@@ -102,6 +109,31 @@ class AnswerEngine {
     explicit AnswerEngine(ShardingOptions options);
 
     const ShardingOptions& options() const { return options_; }
+
+    // Fewest rows a dynamic-placement shard is given: below twice this a
+    // group runs as one unit, since every shard repeats the top of each
+    // key's DPF walk and zeroes, reduces and counts down a partial of its
+    // own. Swept with perfbench saturation q/s (4-vCPU AVX-512 Xeon VM,
+    // 10 s runs alternated with the fixed 4-shard split; medians of 5
+    // movielens / 4 fleet runs):
+    //   rows/shard   movielens   fleet    movielens full bin  fleet half-bin
+    //   fixed 4      4,626       1,834    4 shards            4 (2 empty)
+    //   256          5,898       2,058    4                   2
+    //   512          5,698       2,178    2                   1
+    //   1,024        6,743       2,214    1                   1
+    //   2,048        5,875       2,325    1                   1
+    // 1,024 and 2,048 give every movielens and fleet bin the same split, so
+    // their spread is run-to-run noise. 1,024 is the smallest value that
+    // keeps a movielens full bin (1,125 rows) whole, and it leaves taobao's
+    // 65,536-row bins at 4 shards.
+    static constexpr std::uint64_t kMinShardRows = 1'024;
+
+    // Shards a group scanning `rows` rows (its clipped eval window) runs
+    // under dynamic placement: min(num_shards, max(1, rows /
+    // kMinShardRows)), and at least 1. Pinned placement on a pool of more
+    // than one worker runs num_shards (a one-worker pool runs the claim
+    // loop, sized by this).
+    static std::size_t ShardsFor(std::uint64_t rows, std::size_t num_shards);
 
     // One answer job: evaluate `key` (an XOR-share key; any other kind is
     // refused with std::invalid_argument before a row is read) against the

@@ -59,7 +59,8 @@ class PirServer {
   public:
     // With default sharding (num_shards == 1) Answer runs the engine's one
     // kernel inline; num_shards > 1 splits the DPF expansion + scan into
-    // row-range shards evaluated on the sharding pool, bit-identical.
+    // up to num_shards row-range shards (AnswerEngine::ShardsFor) evaluated
+    // on the sharding pool, bit-identical.
     explicit PirServer(const PirTable* table, ShardingOptions sharding = {})
         : table_(table), engine_(sharding) {}
 

@@ -61,6 +61,19 @@ ServiceConfig BaseConfig() {
 
 using LookupResult = PrivateEmbeddingService::LookupResult;
 
+// Shards the answer engine runs for one server's full-table bin jobs,
+// summed over the bins: AnswerEngine::ShardsFor of each bin's rows (a
+// one-worker pool runs the claim loop whatever the placement).
+std::uint64_t FullTableShards(const PrivateEmbeddingService& service) {
+    const Pbr& pbr = service.full_pbr();
+    std::uint64_t shards = 0;
+    for (std::uint64_t b = 0; b < pbr.num_bins(); ++b) {
+        shards += AnswerEngine::ShardsFor(pbr.BinEntries(b),
+                                          service.config().server_shards);
+    }
+    return shards;
+}
+
 void ExpectSameResult(const LookupResult& a, const LookupResult& b,
                       std::size_t client, std::size_t lookup) {
     EXPECT_EQ(a.retrieved, b.retrieved)
@@ -427,7 +440,7 @@ TEST(RequestHandleTest, CancelMidBatchCompletesWithoutDanglingState) {
 // first (hot) partial blocks the batch until the main thread has cancelled
 // it. Every one of the victim's full-table jobs is still pending at that
 // point, so the skip counters are exact: 2 servers x full-table bins jobs,
-// each of server_shards shard tasks. The survivor in the same batch must
+// each of the shards the engine gives its bin (FullTableShards). The survivor in the same batch must
 // stay bit-identical to the sequential reference. (The CI layout matrix
 // covers both table layouts; the multi-thread dynamic/pinned skip paths
 // have exact-counter coverage in sharded_pir_test's engine-level context
@@ -485,7 +498,8 @@ TEST(RequestHandleTest, MidBatchCancelSkipsRemainingShardWork) {
     const std::uint64_t full_jobs = 2 * world.service->full_pbr().num_bins();
     const ServingFrontEnd::Counters counters = fe.counters();
     EXPECT_EQ(counters.jobs_skipped, full_jobs);
-    EXPECT_EQ(counters.shards_skipped, full_jobs * config.server_shards);
+    EXPECT_EQ(counters.shards_skipped,
+              2 * FullTableShards(*world.service));
     EXPECT_EQ(counters.cancelled, 1u);
     EXPECT_EQ(counters.completed, 1u);
 }
@@ -558,7 +572,8 @@ TEST(RequestHandleTest, MidBatchExpirySkipsRemainingShardWork) {
         const std::uint64_t full_jobs =
             2 * world.service->full_pbr().num_bins();
         EXPECT_EQ(counters.jobs_skipped, full_jobs);
-        EXPECT_EQ(counters.shards_skipped, full_jobs * config.server_shards);
+        EXPECT_EQ(counters.shards_skipped,
+                  2 * FullTableShards(*world.service));
     }
 }
 

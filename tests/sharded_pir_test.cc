@@ -9,6 +9,7 @@
 #include <cstring>
 #include <future>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -34,16 +35,15 @@ constexpr std::size_t kShardCounts[] = {1, 3, 8};
 constexpr std::size_t kBatchSizes[] = {1, 4, 32};
 
 // Independent sequential reference for XOR-share keys: the EvalPoint bit
-// of every point j of the job's rows [row_begin, row_begin + num_rows)
-// (the whole table by default), then the XOR of the rows whose bit is set.
-PirResponse ReferenceAnswer(const PirTable& table, const DpfKey& key,
-                            std::uint64_t row_begin = 0,
-                            std::uint64_t num_rows = ~std::uint64_t{0}) {
+// of every point j in [lo, hi) of a job anchored at row_begin, then the
+// XOR of the rows row_begin + j whose bit is set.
+PirResponse ReferenceWindow(const PirTable& table, const DpfKey& key,
+                            std::uint64_t row_begin, std::uint64_t lo,
+                            std::uint64_t hi) {
     const Dpf dpf(key.params);
     const std::size_t w = table.words_per_entry();
     PirResponse resp(w, 0);
-    num_rows = std::min(num_rows, table.num_entries() - row_begin);
-    for (std::uint64_t j = 0; j < num_rows; ++j) {
+    for (std::uint64_t j = lo; j < hi; ++j) {
         u128 bit;
         dpf.EvalPoint(key, j, &bit);
         if (bit == 0) continue;
@@ -51,6 +51,16 @@ PirResponse ReferenceAnswer(const PirTable& table, const DpfKey& key,
         for (std::size_t k = 0; k < w; ++k) resp[k] ^= row[k];
     }
     return resp;
+}
+
+// The reference over all of the job's rows [row_begin, row_begin +
+// num_rows) (the whole table by default).
+PirResponse ReferenceAnswer(const PirTable& table, const DpfKey& key,
+                            std::uint64_t row_begin = 0,
+                            std::uint64_t num_rows = ~std::uint64_t{0}) {
+    return ReferenceWindow(
+        table, key, row_begin, 0,
+        std::min(num_rows, table.num_entries() - row_begin));
 }
 
 class ShardedAnswerTest : public ::testing::TestWithParam<std::size_t> {};
@@ -437,9 +447,16 @@ TEST(AnswerEngineTest, JobContextSkipsDeadJobsAndKeepsLiveOnesBitIdentical) {
                     jobs, [&out](std::size_t q, PirResponse&& resp) {
                         out[q] = std::move(resp);
                     });
+                // Pinned placement runs num_shards shards per job, dynamic
+                // placement as many as the job's rows warrant.
+                const std::size_t job_shards =
+                    placement == ShardPlacement::kPinned
+                        ? shards
+                        : AnswerEngine::ShardsFor(n, shards);
                 EXPECT_EQ(stats.jobs_skipped, kDeadJobs) << "shards=" << shards;
-                EXPECT_EQ(stats.shards_skipped, kDeadJobs * shards)
-                    << "shards=" << shards;
+                EXPECT_EQ(stats.shards_skipped, kDeadJobs * job_shards)
+                    << "shards=" << shards << " placement="
+                    << ShardPlacementName(placement);
                 for (std::size_t q = 0; q < kJobs; ++q) {
                     if (dead[q]) {
                         EXPECT_TRUE(out[q].empty())
@@ -451,6 +468,122 @@ TEST(AnswerEngineTest, JobContextSkipsDeadJobsAndKeepsLiveOnesBitIdentical) {
                     }
                 }
             }
+        }
+    }
+}
+
+TEST(AnswerEngineTest, ShardsForSizesShardsByRows) {
+    constexpr std::uint64_t kMin = AnswerEngine::kMinShardRows;
+    const auto shards_for = &AnswerEngine::ShardsFor;
+    EXPECT_EQ(shards_for(0, 4), 1u);
+    EXPECT_EQ(shards_for(1, 4), 1u);
+    EXPECT_EQ(shards_for(45, 4), 1u);  // a movielens hot bin
+    EXPECT_EQ(shards_for(1'125, 4), 1u);  // a movielens full bin
+    EXPECT_EQ(shards_for(kMin - 1, 4), 1u);
+    EXPECT_EQ(shards_for(kMin, 4), 1u);
+    EXPECT_EQ(shards_for(kMin + 1, 4), 1u);
+    EXPECT_EQ(shards_for(2 * kMin - 1, 4), 1u);
+    EXPECT_EQ(shards_for(2 * kMin, 4), 2u);
+    EXPECT_EQ(shards_for(2 * kMin + 1, 4), 2u);
+    EXPECT_EQ(shards_for(65'536, 4), 4u);  // a taobao bin keeps 4 shards
+    // num_shards caps the count, and 0 behaves as 1.
+    EXPECT_EQ(shards_for(65'536, 1), 1u);
+    EXPECT_EQ(shards_for(65'536, 3), 3u);
+    EXPECT_EQ(shards_for(65'536, 1'000), 65'536 / kMin);
+    EXPECT_EQ(shards_for(std::uint64_t{1} << 40, 8), 8u);
+    EXPECT_EQ(shards_for(65'536, 0), 1u);
+}
+
+TEST(AnswerEngineTest, MixedBinsAndWindowsAreBitIdenticalUnderBothPlacements) {
+    // One batch over three bins: a movielens hot bin (45 rows) and full bin
+    // (1,125 rows), 192 B rows and ChaCha20, and a taobao bin (65,536 rows
+    // x 64 B, AES). Each bin is queried unclipped, as both halves of a
+    // fleet node's K = 2 split, through a window smaller than one shard and
+    // through one of 2.5 shards, so dynamic placement gives its groups 1, 2
+    // and 4 shards over partitions of their windows, while pinned placement
+    // gives every group num_shards shards over the full bin. Each group also
+    // holds a cancelled job, whose skipped shards count the shards its group
+    // ran. Every live job must match the sequential reference.
+    constexpr std::size_t kShards = 4;
+    constexpr std::uint64_t kAll = ~std::uint64_t{0};
+    Rng rng(97);
+    PirTable hot(45, 192, TableLayout::kTiled);
+    PirTable full(1'125, 192, TableLayout::kTiled);
+    PirTable big(std::uint64_t{1} << 16, 64, TableLayout::kTiled);
+    hot.FillRandom(rng);
+    full.FillRandom(rng);
+    big.FillRandom(rng);
+    struct Bin {
+        const PirTable* table;
+        int log_domain;
+        PrfKind prf;
+    };
+    const Bin bins[] = {{&hot, 6, PrfKind::kChacha20},
+                        {&full, 11, PrfKind::kChacha20},
+                        {&big, 16, PrfKind::kAes128}};
+    JobContext cancelled;
+    cancelled.Cancel();
+
+    std::vector<DpfKey> keys;
+    keys.reserve(3 * 5 * 2);  // jobs point into it: bins x windows x parties
+    std::vector<AnswerEngine::TableJob> jobs;
+    std::vector<PirResponse> expected;
+    std::size_t groups = 0;
+    std::size_t dynamic_shards = 0;
+    std::set<std::size_t> shard_counts;
+    for (const Bin& bin : bins) {
+        const std::uint64_t n = bin.table->num_entries();
+        PirClient client(bin.log_domain, bin.prf, /*seed=*/n);
+        const std::pair<std::uint64_t, std::uint64_t> windows[] = {
+            {0, kAll},
+            {0, n / 2},
+            {n / 2, kAll},
+            {n / 3, std::min(n, n / 3 + AnswerEngine::kMinShardRows / 2)},
+            {n / 4, std::min(n, n / 4 + AnswerEngine::kMinShardRows * 5 / 2)}};
+        for (const auto& [lo, hi] : windows) {
+            const std::uint64_t end = std::min(hi, n);
+            const PirQuery q = client.Query((lo + end) / 2);
+            const std::size_t first = keys.size();
+            for (const auto* bytes : {&q.key_for_server0, &q.key_for_server1}) {
+                keys.push_back(DpfKey::Deserialize(bytes->data(), bytes->size()));
+            }
+            for (std::size_t k = first; k < keys.size(); ++k) {
+                jobs.push_back({bin.table, {&keys[k], 0, n, lo, hi}, {}});
+                expected.push_back(
+                    ReferenceWindow(*bin.table, keys[k], 0, lo, end));
+            }
+            jobs.push_back(
+                {bin.table, {&keys[first], 0, n, lo, hi}, {0, &cancelled}});
+            expected.push_back({});
+            ++groups;
+            const std::size_t shards =
+                AnswerEngine::ShardsFor(end - lo, kShards);
+            dynamic_shards += shards;
+            shard_counts.insert(shards);
+        }
+    }
+    EXPECT_EQ(shard_counts, (std::set<std::size_t>{1, 2, 4}));
+
+    ThreadPool pool(4);
+    for (const ShardPlacement placement :
+         {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
+        const AnswerEngine engine(ShardingOptions{kShards, &pool, placement});
+        std::vector<PirResponse> out(jobs.size());
+        const AnswerEngine::BatchStats stats = engine.AnswerBatchNotify(
+            jobs, [&out](std::size_t q, PirResponse&& resp) {
+                out[q] = std::move(resp);
+            });
+        EXPECT_EQ(stats.jobs_skipped, groups);
+        EXPECT_EQ(stats.shards_skipped,
+                  placement == ShardPlacement::kPinned ? groups * kShards
+                                                       : dynamic_shards)
+            << ShardPlacementName(placement);
+        for (std::size_t q = 0; q < jobs.size(); ++q) {
+            EXPECT_EQ(out[q], expected[q])
+                << ShardPlacementName(placement) << " job=" << q << " rows="
+                << jobs[q].job.num_rows << " window=["
+                << jobs[q].job.eval_begin << ", " << jobs[q].job.eval_end
+                << ")";
         }
     }
 }
