@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace gpudpf {
 
@@ -18,19 +19,6 @@ std::size_t PbrSession::Request::UploadBytesPerServer() const {
     return total;
 }
 
-std::vector<std::pair<DpfKey, DpfKey>> PbrSession::GenKeys(
-    const Pbr::Plan& plan) {
-    if (plan.queries.size() != pbr_->num_bins()) {
-        throw std::invalid_argument("PbrSession: plan/bin count mismatch");
-    }
-    // Every bin's keys in one level-synchronous pass: each tree level
-    // expands all bins' seeds through one batched PRG call.
-    std::vector<std::uint64_t> alphas;
-    alphas.reserve(plan.queries.size());
-    for (const auto& q : plan.queries) alphas.push_back(q.local_index);
-    return bin_dpf_.GenIndicatorBatch(alphas, rng_);
-}
-
 void PbrSession::BindKeys(BinJobs* jobs) const {
     jobs->jobs.resize(jobs->keys.size());
     for (std::uint64_t b = 0; b < jobs->keys.size(); ++b) {
@@ -41,16 +29,22 @@ void PbrSession::BindKeys(BinJobs* jobs) const {
 
 PbrSession::Request PbrSession::BuildRequest(const Pbr::Plan& plan) {
     Request req;
-    for (const auto& [k0, k1] : GenKeys(plan)) {
-        req.keys_for_server0.push_back(k0.Serialize());
-        req.keys_for_server1.push_back(k1.Serialize());
-    }
+    PrepareJobs(plan, &req);
     return req;
 }
 
 PbrSession::PreparedJobs PbrSession::PrepareJobs(const Pbr::Plan& plan,
                                                  Request* wire) {
-    std::vector<std::pair<DpfKey, DpfKey>> keys = GenKeys(plan);
+    if (plan.queries.size() != pbr_->num_bins()) {
+        throw std::invalid_argument("PbrSession: plan/bin count mismatch");
+    }
+    // Every bin's keys in one level-synchronous pass: each tree level
+    // expands all bins' seeds through one batched PRG call.
+    std::vector<std::uint64_t> alphas;
+    alphas.reserve(plan.queries.size());
+    for (const auto& q : plan.queries) alphas.push_back(q.local_index);
+    std::vector<std::pair<DpfKey, DpfKey>> keys =
+        bin_dpf_.GenIndicatorBatch(alphas, rng_);
     PreparedJobs out;
     out.server0.keys.reserve(keys.size());
     out.server1.keys.reserve(keys.size());

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/batchpir/pbr.h"
@@ -37,8 +36,8 @@ class PbrSession {
         std::size_t UploadBytesPerServer() const;
     };
 
-    // Client: XOR-share keys for every bin query in the plan (real and
-    // dummy alike).
+    // Client: the serialized keys of PrepareJobs(plan, &request) (it draws
+    // the same keys from the session's RNG stream).
     Request BuildRequest(const Pbr::Plan& plan);
 
     // One server's per-bin answer jobs. `jobs` point into `keys`, so the
@@ -48,11 +47,10 @@ class PbrSession {
         std::vector<AnswerEngine::Job> jobs;
     };
 
-    // Client, in-process: the keys BuildRequest would serialize (the same
-    // RNG draws, so the two calls advance one stream alike), moved straight
-    // into both servers' bin jobs with no serialize/parse round trip. With
-    // `wire` non-null it also receives their serialized bytes, exactly what
-    // BuildRequest returns.
+    // Client: XOR-share keys for every bin query in the plan (real and
+    // dummy alike), moved straight into both servers' bin jobs with no
+    // serialize/parse round trip. With `wire` non-null their serialized
+    // bytes are also appended to it, one key per bin per server.
     struct PreparedJobs {
         BinJobs server0;
         BinJobs server1;
@@ -97,8 +95,6 @@ class PbrSession {
     const AnswerEngine& engine() const { return engine_; }
 
   private:
-    // Both servers' keys for every bin query in the plan, in bin order.
-    std::vector<std::pair<DpfKey, DpfKey>> GenKeys(const Pbr::Plan& plan);
     // Points jobs->jobs at jobs->keys, bin b reading its bin's rows.
     void BindKeys(BinJobs* jobs) const;
 

@@ -244,21 +244,27 @@ TEST(CpuKernelMatrixTest, BitIdenticalAcrossLayoutsShardsPlacements) {
     // width, so both of its regimes and the switch between them run. The
     // SSE2 scan runs the same matrix under GPUDPF_FORCE_SCALAR=1. Rows
     // are one, three, and 16 whole 64-byte columns plus a 16-byte
-    // remainder of three words. The tables have the movielens bin sizes
-    // (1,125 rows, 2^11 domain; 45 rows, a 0-level tree); both bins end
-    // mid-32-row run and mid-4-row group (1,125 = 35 x 32 + 5, 45 = 32 +
-    // 13), and so do the row-major shard edges (at multiples of 375 and
-    // 141 rows, and of 15 and 6). 1,072-byte rows give 64-row tiles, so
-    // bin, shard and tile edges fall inside a 128-row selection block. XOR
-    // commutes, so any segmentation must reproduce the exact same words.
+    // remainder of three words. Two tables have the movielens bin sizes
+    // (1,125 rows, 2^11 domain; 45 rows, a 0-level tree), which dynamic
+    // placement answers as one shard per group (AnswerEngine::ShardsFor);
+    // the third (4,539 rows, 2^13 domain) is over four kMinShardRows, so
+    // dynamic placement splits it into 3 and 4 shards as well. All three
+    // end mid-32-row run and mid-4-row group (1,125 = 35 x 32 + 5, 45 = 32
+    // + 13, 4,539 = 141 x 32 + 27), and so do the row-major shard edges
+    // (pinned at multiples of 375 and 141 rows, and of 15 and 6; dynamic
+    // on 4,539 rows at multiples of 1,513 and 1,135). 1,072-byte rows give
+    // 64-row tiles, so bin, shard and tile edges fall inside a 128-row
+    // selection block. XOR commutes, so any segmentation must reproduce
+    // the exact same words.
     ThreadPool pool(4);
     constexpr std::size_t kMaxQueries = 32;
+    ASSERT_EQ(AnswerEngine::ShardsFor(4'539, 8), 4u);
     for (const std::size_t row_bytes : {std::size_t{64}, std::size_t{192},
                                         std::size_t{1'072}}) {
         const std::size_t t = ScanTableThreshold(row_bytes / 16);
         const std::size_t query_counts[] = {1, t - 1, t, kMaxQueries};
-        for (const std::uint64_t n :
-             {std::uint64_t{1'125}, std::uint64_t{45}}) {
+        for (const std::uint64_t n : {std::uint64_t{1'125}, std::uint64_t{45},
+                                      std::uint64_t{4'539}}) {
             Rng rng_a(53);
             Rng rng_b(53);
             PirTable row_major(n, row_bytes, TableLayout::kRowMajor);
@@ -268,7 +274,7 @@ TEST(CpuKernelMatrixTest, BitIdenticalAcrossLayoutsShardsPlacements) {
             }
             row_major.FillRandom(rng_a);
             tiled.FillRandom(rng_b);
-            const int log_domain = n > 64 ? 11 : 6;
+            const int log_domain = n > 2'048 ? 13 : (n > 64 ? 11 : 6);
             for (const PrfKind prf : {PrfKind::kAes128, PrfKind::kChacha20}) {
                 PirClient client(log_domain, prf, /*seed=*/23);
                 std::vector<std::vector<std::uint8_t>> keys;
@@ -503,87 +509,99 @@ TEST(AnswerEngineTest, MixedBinsAndWindowsAreBitIdenticalUnderBothPlacements) {
     // and 4 shards over partitions of their windows, while pinned placement
     // gives every group num_shards shards over the full bin. Each group also
     // holds a cancelled job, whose skipped shards count the shards its group
-    // ran. Every live job must match the sequential reference.
+    // ran. Every live job must match the sequential reference, on row-major
+    // tables (plain row shard edges) and tiled ones (tile-snapped edges).
     constexpr std::size_t kShards = 4;
     constexpr std::uint64_t kAll = ~std::uint64_t{0};
-    Rng rng(97);
-    PirTable hot(45, 192, TableLayout::kTiled);
-    PirTable full(1'125, 192, TableLayout::kTiled);
-    PirTable big(std::uint64_t{1} << 16, 64, TableLayout::kTiled);
-    hot.FillRandom(rng);
-    full.FillRandom(rng);
-    big.FillRandom(rng);
-    struct Bin {
-        const PirTable* table;
-        int log_domain;
-        PrfKind prf;
-    };
-    const Bin bins[] = {{&hot, 6, PrfKind::kChacha20},
-                        {&full, 11, PrfKind::kChacha20},
-                        {&big, 16, PrfKind::kAes128}};
-    JobContext cancelled;
-    cancelled.Cancel();
+    constexpr std::uint64_t kMin = AnswerEngine::kMinShardRows;
+    for (const TableLayout layout :
+         {TableLayout::kRowMajor, TableLayout::kTiled}) {
+        Rng rng(97);
+        PirTable hot(45, 192, layout);
+        PirTable full(1'125, 192, layout);
+        PirTable big(std::uint64_t{1} << 16, 64, layout);
+        hot.FillRandom(rng);
+        full.FillRandom(rng);
+        big.FillRandom(rng);
+        struct Bin {
+            const PirTable* table;
+            int log_domain;
+            PrfKind prf;
+        };
+        const Bin bins[] = {{&hot, 6, PrfKind::kChacha20},
+                            {&full, 11, PrfKind::kChacha20},
+                            {&big, 16, PrfKind::kAes128}};
+        JobContext cancelled;
+        cancelled.Cancel();
 
-    std::vector<DpfKey> keys;
-    keys.reserve(3 * 5 * 2);  // jobs point into it: bins x windows x parties
-    std::vector<AnswerEngine::TableJob> jobs;
-    std::vector<PirResponse> expected;
-    std::size_t groups = 0;
-    std::size_t dynamic_shards = 0;
-    std::set<std::size_t> shard_counts;
-    for (const Bin& bin : bins) {
-        const std::uint64_t n = bin.table->num_entries();
-        PirClient client(bin.log_domain, bin.prf, /*seed=*/n);
-        const std::pair<std::uint64_t, std::uint64_t> windows[] = {
-            {0, kAll},
-            {0, n / 2},
-            {n / 2, kAll},
-            {n / 3, std::min(n, n / 3 + AnswerEngine::kMinShardRows / 2)},
-            {n / 4, std::min(n, n / 4 + AnswerEngine::kMinShardRows * 5 / 2)}};
-        for (const auto& [lo, hi] : windows) {
-            const std::uint64_t end = std::min(hi, n);
-            const PirQuery q = client.Query((lo + end) / 2);
-            const std::size_t first = keys.size();
-            for (const auto* bytes : {&q.key_for_server0, &q.key_for_server1}) {
-                keys.push_back(DpfKey::Deserialize(bytes->data(), bytes->size()));
+        std::vector<DpfKey> keys;
+        // Jobs point into `keys`: bins x windows x parties.
+        keys.reserve(3 * 5 * 2);
+        std::vector<AnswerEngine::TableJob> jobs;
+        std::vector<PirResponse> expected;
+        std::size_t groups = 0;
+        std::size_t dynamic_shards = 0;
+        std::set<std::size_t> shard_counts;
+        for (const Bin& bin : bins) {
+            const std::uint64_t n = bin.table->num_entries();
+            PirClient client(bin.log_domain, bin.prf, /*seed=*/n);
+            const std::pair<std::uint64_t, std::uint64_t> windows[] = {
+                {0, kAll},
+                {0, n / 2},
+                {n / 2, kAll},
+                {n / 3, std::min(n, n / 3 + kMin / 2)},
+                {n / 4, std::min(n, n / 4 + kMin * 5 / 2)}};
+            for (const auto& [lo, hi] : windows) {
+                const std::uint64_t end = std::min(hi, n);
+                const PirQuery q = client.Query((lo + end) / 2);
+                const std::size_t first = keys.size();
+                for (const auto* bytes :
+                     {&q.key_for_server0, &q.key_for_server1}) {
+                    keys.push_back(
+                        DpfKey::Deserialize(bytes->data(), bytes->size()));
+                }
+                for (std::size_t k = first; k < keys.size(); ++k) {
+                    jobs.push_back({bin.table, {&keys[k], 0, n, lo, hi}, {}});
+                    expected.push_back(
+                        ReferenceWindow(*bin.table, keys[k], 0, lo, end));
+                }
+                jobs.push_back({bin.table,
+                                {&keys[first], 0, n, lo, hi},
+                                {0, &cancelled}});
+                expected.push_back({});
+                ++groups;
+                const std::size_t shards =
+                    AnswerEngine::ShardsFor(end - lo, kShards);
+                dynamic_shards += shards;
+                shard_counts.insert(shards);
             }
-            for (std::size_t k = first; k < keys.size(); ++k) {
-                jobs.push_back({bin.table, {&keys[k], 0, n, lo, hi}, {}});
-                expected.push_back(
-                    ReferenceWindow(*bin.table, keys[k], 0, lo, end));
-            }
-            jobs.push_back(
-                {bin.table, {&keys[first], 0, n, lo, hi}, {0, &cancelled}});
-            expected.push_back({});
-            ++groups;
-            const std::size_t shards =
-                AnswerEngine::ShardsFor(end - lo, kShards);
-            dynamic_shards += shards;
-            shard_counts.insert(shards);
         }
-    }
-    EXPECT_EQ(shard_counts, (std::set<std::size_t>{1, 2, 4}));
+        EXPECT_EQ(shard_counts, (std::set<std::size_t>{1, 2, 4}));
 
-    ThreadPool pool(4);
-    for (const ShardPlacement placement :
-         {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-        const AnswerEngine engine(ShardingOptions{kShards, &pool, placement});
-        std::vector<PirResponse> out(jobs.size());
-        const AnswerEngine::BatchStats stats = engine.AnswerBatchNotify(
-            jobs, [&out](std::size_t q, PirResponse&& resp) {
-                out[q] = std::move(resp);
-            });
-        EXPECT_EQ(stats.jobs_skipped, groups);
-        EXPECT_EQ(stats.shards_skipped,
-                  placement == ShardPlacement::kPinned ? groups * kShards
-                                                       : dynamic_shards)
-            << ShardPlacementName(placement);
-        for (std::size_t q = 0; q < jobs.size(); ++q) {
-            EXPECT_EQ(out[q], expected[q])
-                << ShardPlacementName(placement) << " job=" << q << " rows="
-                << jobs[q].job.num_rows << " window=["
-                << jobs[q].job.eval_begin << ", " << jobs[q].job.eval_end
-                << ")";
+        ThreadPool pool(4);
+        for (const ShardPlacement placement :
+             {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
+            const AnswerEngine engine(
+                ShardingOptions{kShards, &pool, placement});
+            std::vector<PirResponse> out(jobs.size());
+            const AnswerEngine::BatchStats stats = engine.AnswerBatchNotify(
+                jobs, [&out](std::size_t q, PirResponse&& resp) {
+                    out[q] = std::move(resp);
+                });
+            const char* layout_name = TableLayoutName(layout);
+            EXPECT_EQ(stats.jobs_skipped, groups);
+            EXPECT_EQ(stats.shards_skipped,
+                      placement == ShardPlacement::kPinned ? groups * kShards
+                                                           : dynamic_shards)
+                << layout_name << " " << ShardPlacementName(placement);
+            for (std::size_t q = 0; q < jobs.size(); ++q) {
+                EXPECT_EQ(out[q], expected[q])
+                    << layout_name << " " << ShardPlacementName(placement)
+                    << " job=" << q << " rows=" << jobs[q].job.num_rows
+                    << " window=["
+                    << jobs[q].job.eval_begin << ", " << jobs[q].job.eval_end
+                    << ")";
+            }
         }
     }
 }
@@ -672,8 +690,9 @@ TEST(AnswerEngineTest, ClaimLoopDispatchIsBitIdenticalAndInteractiveFirst) {
     }
 }
 
-// Keys for `count` queries of a 2^9-domain client against `table`,
-// alternating parties, with their sequential-reference answers.
+// Keys for `count` queries of a client over the smallest power-of-two
+// domain holding `table`, alternating parties, with their
+// sequential-reference answers.
 struct EngineBatch {
     std::vector<DpfKey> keys;
     std::vector<AnswerEngine::Job> jobs;
@@ -682,7 +701,9 @@ struct EngineBatch {
 
 EngineBatch MakeEngineBatch(const PirTable& table, std::size_t count,
                             std::uint64_t seed) {
-    PirClient client(9, PrfKind::kChacha20, seed);
+    int log_domain = 0;
+    while ((std::uint64_t{1} << log_domain) < table.num_entries()) ++log_domain;
+    PirClient client(log_domain, PrfKind::kChacha20, seed);
     EngineBatch batch;
     for (std::size_t q = 0; q < count; ++q) {
         const PirQuery query =
@@ -703,11 +724,15 @@ TEST(AnswerEngineTest, BatchReturnsWhileUnrelatedPoolTaskRuns) {
     // 2-worker pool held by an unrelated task, AnswerBatch must return
     // (bit-identical) before that task is released. A batch that waited
     // for the whole pool would block until the 10 s timeout, which
-    // releases the blocker and fails instead of hanging. Pinned placement
+    // releases the blocker and fails instead of hanging. The table is four
+    // kMinShardRows shards, so the dynamic leg runs four units and submits
+    // two runners; with worker 1 held, one of them starts only once the
+    // units are drained and must find its cursors spent. Pinned placement
     // runs one shard, so its only task goes to worker 0.
     Rng rng(81);
-    PirTable table(400, 96, TableLayout::kTiled);
+    PirTable table(4 * AnswerEngine::kMinShardRows, 96, TableLayout::kTiled);
     table.FillRandom(rng);
+    ASSERT_EQ(AnswerEngine::ShardsFor(table.num_entries(), 4), 4u);
     const EngineBatch batch = MakeEngineBatch(table, 6, 31);
     for (const auto& [placement, shards] :
          {std::pair{ShardPlacement::kDynamic, std::size_t{4}},
@@ -739,10 +764,13 @@ TEST(AnswerEngineTest, ConcurrentBatchesOnOnePoolAreBitIdentical) {
     // Two callers answer batches on one pool at the same time (two
     // front-ends sharing ThreadPool::Shared()): each batch's claim cursors
     // and latch are its own, so every answer stays bit-identical under
-    // both placements.
+    // both placements. The table is four kMinShardRows shards, so both
+    // placements split the batch into four units and runners of the two
+    // batches share the pool's workers.
     Rng rng(82);
-    PirTable table(400, 96, TableLayout::kTiled);
+    PirTable table(4 * AnswerEngine::kMinShardRows, 96, TableLayout::kTiled);
     table.FillRandom(rng);
+    ASSERT_EQ(AnswerEngine::ShardsFor(table.num_entries(), 4), 4u);
     const EngineBatch batches[2] = {MakeEngineBatch(table, 9, 41),
                                     MakeEngineBatch(table, 4, 43)};
     ThreadPool pool(3);
