@@ -107,7 +107,7 @@ void KernelScanBin(benchmark::State& state, std::uint64_t rows,
     const auto queries = static_cast<std::size_t>(state.range(0));
     const Dpf dpf(DpfParams{log_domain, prf, 1, ShareKind::kXor});
     Rng rng(6);
-    PirTable table(rows, row_bytes, TableLayout::kTiled);
+    PirTable table(rows, row_bytes);
     table.FillRandom(rng);
     std::vector<DpfKey> keys;
     std::vector<const DpfKey*> key_ptrs;
@@ -206,7 +206,7 @@ void BM_EngineBatchTaobao(benchmark::State& state) {
     const auto queries = static_cast<std::size_t>(state.range(0));
     const Dpf dpf(DpfParams{16, PrfKind::kAes128, 1, ShareKind::kXor});
     Rng rng(7);
-    PirTable table(1u << 16, 64, TableLayout::kTiled);
+    PirTable table(1u << 16, 64);
     table.FillRandom(rng);
     std::vector<DpfKey> keys;
     for (std::size_t q = 0; q < queries; ++q) {
@@ -254,7 +254,7 @@ void BM_EngineBatchMovielens(benchmark::State& state) {
     std::vector<PirTable> tables;
     std::vector<DpfKey> keys;
     for (const Bins& bins : shapes) {
-        tables.emplace_back(bins.count * bins.rows, 192, TableLayout::kTiled);
+        tables.emplace_back(bins.count * bins.rows, 192);
         tables.back().FillRandom(rng);
         const Dpf dpf(
             DpfParams{bins.log_domain, PrfKind::kChacha20, 1, ShareKind::kXor});

@@ -20,11 +20,9 @@ class PbrSession {
   public:
     // `sharding` configures the server-side answer engine: every per-bin
     // query of a batched retrieval becomes one engine job (further split
-    // into at most num_shards row shards, placed per ShardPlacement), so
-    // the whole batch is answered in one pool submission. The engine's
-    // shard kernel follows the table's storage layout (row-major or tiled)
-    // at answer time, so one session serves tables of any layout. Defaults
-    // keep the sequential reference behavior.
+    // into at most num_shards row shards, AnswerEngine::ShardsFor), so the
+    // whole batch is answered in one engine pass. Defaults keep the
+    // sequential reference behavior.
     PbrSession(const Pbr* pbr, PrfKind prf, std::uint64_t client_seed = 1,
                ShardingOptions sharding = {});
 

@@ -12,16 +12,12 @@ namespace gpudpf {
 
 const std::vector<GpudpfEnvVar>& GpudpfEnvTable() {
     static const std::vector<GpudpfEnvVar> kTable = {
-        {"GPUDPF_TABLE_LAYOUT",
-         "process-default physical table layout: row_major | tiled"},
         {"GPUDPF_FORCE_SCALAR",
          "1 = mask the CPU-feature probe (software AES, scalar ChaCha20, "
          "SSE2 scan, scalar accumulate)"},
         {"GPUDPF_ACCUMULATE",
          "process-default u128 mat-vec accumulator ISA (AccumulateSegment; "
          "no lookup path calls it): scalar | avx2 | avx512"},
-        {"GPUDPF_NUMA",
-         "NUMA first-touch tile placement: auto | on | off"},
         // The frame header's payload length is a u32, so 4095 MiB is the
         // largest cap that can bind.
         {"GPUDPF_NET_MAX_FRAME_MB",

@@ -1,17 +1,15 @@
 // Central registry of every GPUDPF_* environment knob.
 //
-// The process-default selections scattered across the tree (table layout,
-// accumulator ISA, NUMA mode, feature-probe mask, networked serving) all
-// read their env overrides through GpudpfEnv(), which only accepts names
-// registered in the table below. That gives one documented
-// list (`GpudpfEnvTable()`, mirrored in the README), and lets service
-// startup warn about GPUDPF_* variables the process will silently ignore —
-// the classic "typo'd knob looked applied" failure.
+// The process-default selections scattered across the tree (accumulator
+// ISA, feature-probe mask, networked serving) all read their env
+// overrides through GpudpfEnv(), which only accepts names registered in
+// the table below. That gives one documented list (`GpudpfEnvTable()`,
+// mirrored in the README), and lets service startup warn about GPUDPF_*
+// variables the process will silently ignore — the classic "typo'd knob
+// looked applied" failure.
 //
-//   GPUDPF_TABLE_LAYOUT            row_major | tiled
 //   GPUDPF_FORCE_SCALAR            1 = mask the CPU-feature probe
 //   GPUDPF_ACCUMULATE              scalar | avx2 | avx512
-//   GPUDPF_NUMA                    auto | on | off
 //   GPUDPF_NET_MAX_FRAME_MB        frame payload cap MiB, [1, 4095] = 64
 //   GPUDPF_NET_REQUEST_TIMEOUT_MS  router request timeout, [1, 3600000] = 10000
 //   GPUDPF_NET_HEALTH_PERIOD_MS    router health period, [1, 3600000] = 100

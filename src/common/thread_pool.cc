@@ -1,41 +1,26 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
+#include <memory>
 
 namespace gpudpf {
-
-namespace {
-
-template <typename TwoLevel>
-bool Empty(const TwoLevel& q) {
-    return q[0].empty() && q[1].empty();
-}
-
-}  // namespace
 
 // Pops the highest-priority task: interactive before batch, FIFO within a
 // class — unless the batch head has waited past the promotion bound, in
 // which case it goes first (the aging rule in the header comment).
-// Pre: !Empty(q).
-std::function<void()> ThreadPool::PopTwoLevel(TwoLevelQueue& q) {
-    auto* level = q[0].empty() ? &q[1] : &q[0];
-    if (!q[0].empty() && !q[1].empty() &&
-        std::chrono::steady_clock::now() - q[1].front().enqueued >=
+std::function<void()> ThreadPool::PopTwoLevel() {
+    auto* level = tasks_[0].empty() ? &tasks_[1] : &tasks_[0];
+    if (!tasks_[0].empty() && !tasks_[1].empty() &&
+        std::chrono::steady_clock::now() - tasks_[1].front().enqueued >=
             batch_promote_age_) {
-        level = &q[1];
+        level = &tasks_[1];
     }
     std::function<void()> task = std::move(level->front().fn);
     level->pop();
     return task;
 }
 
-ThreadPool::ThreadPool(std::size_t threads, bool pin_to_cores,
-                       std::uint64_t batch_promote_age_us)
+ThreadPool::ThreadPool(std::size_t threads, std::uint64_t batch_promote_age_us)
     : batch_promote_age_(
           batch_promote_age_us == kNeverPromoteBatch
               ? std::chrono::steady_clock::duration::max()
@@ -43,33 +28,10 @@ ThreadPool::ThreadPool(std::size_t threads, bool pin_to_cores,
                     std::chrono::steady_clock::duration>(
                     std::chrono::microseconds(batch_promote_age_us))) {
     if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-    {
-        // No worker exists yet; the lock is for the analysis (pinned_ is
-        // guarded by mu_) and costs one uncontended acquire.
-        MutexLock lock(mu_);
-        pinned_.resize(threads);
-    }
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i) {
-        workers_.emplace_back([this, i] { WorkerLoop(i); });
+        workers_.emplace_back([this] { WorkerLoop(); });
     }
-#ifdef __linux__
-    if (pin_to_cores) {
-        const unsigned cores =
-            std::max(1u, std::thread::hardware_concurrency());
-        for (std::size_t i = 0; i < workers_.size(); ++i) {
-            cpu_set_t set;
-            CPU_ZERO(&set);
-            CPU_SET(i % cores, &set);
-            // Best effort: a restricted cpuset just leaves the worker
-            // unpinned.
-            (void)pthread_setaffinity_np(workers_[i].native_handle(),
-                                         sizeof(set), &set);
-        }
-    }
-#else
-    (void)pin_to_cores;
-#endif
 }
 
 ThreadPool::~ThreadPool() {
@@ -86,28 +48,8 @@ void ThreadPool::Submit(std::function<void()> fn, TaskPriority priority) {
         MutexLock lock(mu_);
         tasks_[static_cast<std::size_t>(priority)].push(
             {std::move(fn), std::chrono::steady_clock::now()});
-        ++in_flight_;
     }
     task_cv_.NotifyOne();
-}
-
-void ThreadPool::SubmitTo(std::size_t worker, std::function<void()> fn,
-                          TaskPriority priority) {
-    worker %= workers_.size();
-    {
-        MutexLock lock(mu_);
-        pinned_[worker][static_cast<std::size_t>(priority)].push(
-            {std::move(fn), std::chrono::steady_clock::now()});
-        ++in_flight_;
-    }
-    // The single condition variable is shared by all workers, so wake them
-    // all; the non-target workers re-check their predicates and sleep.
-    task_cv_.NotifyAll();
-}
-
-void ThreadPool::Wait() {
-    MutexLock lock(mu_);
-    while (in_flight_ != 0) done_cv_.Wait(mu_);
 }
 
 void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
@@ -122,40 +64,35 @@ void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
     }
     const std::size_t n = end - begin;
     const std::size_t chunk = (n + width - 1) / width;
-    for (std::size_t w = 0; w < width; ++w) {
-        const std::size_t lo = begin + w * chunk;
+    const std::size_t chunks = (n + chunk - 1) / chunk;
+    // Shared with the chunks: the last CountDown may still touch the latch
+    // after Wait() returned.
+    const auto left = std::make_shared<Latch>(chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const std::size_t lo = begin + c * chunk;
         const std::size_t hi = std::min(end, lo + chunk);
-        if (lo >= hi) break;
-        Submit([lo, hi, &fn] {
+        Submit([lo, hi, &fn, left] {
             for (std::size_t i = lo; i < hi; ++i) fn(i);
+            left->CountDown();
         });
     }
-    Wait();
+    left->Wait();
 }
 
-void ThreadPool::WorkerLoop(std::size_t index) {
+void ThreadPool::WorkerLoop() {
     for (;;) {
         std::function<void()> task;
         {
             MutexLock lock(mu_);
-            while (!stop_ && Empty(tasks_) && Empty(pinned_[index])) {
+            while (!stop_ && tasks_[0].empty() && tasks_[1].empty()) {
                 task_cv_.Wait(mu_);
             }
-            // Pinned work first (shard residency), shared work second;
-            // interactive before batch inside each.
-            if (!Empty(pinned_[index])) {
-                task = PopTwoLevel(pinned_[index]);
-            } else if (!Empty(tasks_)) {
-                task = PopTwoLevel(tasks_);
-            } else {
-                return;  // stop_ and nothing left for this worker
+            if (tasks_[0].empty() && tasks_[1].empty()) {
+                return;  // stop_ and nothing left
             }
+            task = PopTwoLevel();
         }
         task();
-        {
-            MutexLock lock(mu_);
-            if (--in_flight_ == 0) done_cv_.NotifyAll();
-        }
     }
 }
 

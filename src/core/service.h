@@ -49,7 +49,6 @@
 #include "src/batchpir/pbr_session.h"
 #include "src/codesign/layout.h"
 #include "src/codesign/planner.h"
-#include "src/common/numa.h"
 #include "src/ml/embedding.h"
 #include "src/net/comm_model.h"
 #include "src/pir/answer_engine.h"
@@ -61,6 +60,9 @@ namespace gpudpf {
 
 class ServingFrontEnd;
 
+// See ServiceConfig::numa.
+enum class NumaMode { kOff };
+
 struct ServiceConfig {
     PrfKind prf = PrfKind::kChacha20;
     CodesignConfig codesign;
@@ -70,36 +72,34 @@ struct ServiceConfig {
     // FLOPs of the on-device model, for the latency breakdown.
     std::uint64_t dnn_flops = 0;
     // Server-side answer parallelism: each per-bin query is split into at
-    // most `server_shards` contiguous row shards (dynamic placement sizes
-    // them by the bin's rows, AnswerEngine::ShardsFor; pinned runs all
-    // `server_shards`) evaluated on a thread pool of `server_threads`
-    // workers (0 = the process-wide shared pool sized to the host).
+    // most `server_shards` contiguous row shards (sized by the bin's rows,
+    // AnswerEngine::ShardsFor) evaluated on a thread pool of
+    // `server_threads` workers (0 = the process-wide shared pool sized to
+    // the host).
     // server_shards == 1 keeps the sequential reference path.
     std::size_t server_shards = 1;
     std::size_t server_threads = 0;
-    // Physical layout of the full/hot PIR tables (src/pir/table_layout.h):
-    // row-major (the reference) or tiled cache-aware blocks. Defaults to
-    // the process default, which honors GPUDPF_TABLE_LAYOUT.
-    TableLayout table_layout = DefaultTableLayout();
-    // Shard-to-worker placement (src/pir/answer_engine.h): kPinned keeps
-    // each table shard's rows on a stable worker (and, with a dedicated
-    // server pool, pins workers to cores), so repeated batches reuse warm
-    // caches. kDynamic is the seed's work-sharing behavior.
+    // The PIR tables' physical layout (src/pir/table_layout.h). Every table
+    // is tiled, so this field selects nothing; it stays only because the
+    // serving benchmark (perfbench/src/workload.cc) assigns it, and goes
+    // when that benchmark next changes.
+    TableLayout table_layout = TableLayout::kTiled;
+    // Where the answer engines run their shards (src/pir/answer_engine.h).
+    // Every shard runs on the engine's claim loop, so this field selects
+    // nothing; it stays only because the serving benchmark
+    // (perfbench/src/workload.cc) assigns it, and goes when that benchmark
+    // next changes.
     ShardPlacement shard_placement = ShardPlacement::kDynamic;
     // The answer engines' CPU kernel (src/kernels/cpu_kernel.h). There is
     // one kernel, so this field selects nothing; it stays only because the
     // serving benchmark (perfbench/src/workload.cc) assigns it, and goes
     // when that benchmark next changes.
     CpuKernelKind cpu_kernel = CpuKernelKind::kMultiqueryTile;
-    // NUMA first-touch tile placement (src/common/numa.h): with tiled
-    // layout, pinned shard placement and a dedicated multi-worker server
-    // pool, each pinned worker zeroes (first-touches) its own shard's
-    // tiles at table build time, so tile pages land on the worker's node.
-    // kAuto enables this only on multi-node hosts; kOn forces the
-    // placement code path even single-node; kOff keeps the seed's
-    // loader-thread zeroing. Defaults to the process default, which
-    // honors GPUDPF_NUMA.
-    NumaMode numa = DefaultNumaMode();
+    // NUMA placement of the tables' pages. The tables are zeroed by the
+    // thread that builds them, so this field selects nothing; it stays
+    // only because the serving benchmark (perfbench/src/workload.cc)
+    // assigns it, and goes when that benchmark next changes.
+    NumaMode numa = NumaMode::kOff;
     // Serving front-end admission control: requests admitted but not yet
     // completed are capped at `max_inflight_requests`; beyond that,
     // ServingFrontEnd::Submit rejects with kQueueFull (backpressure).
@@ -259,8 +259,7 @@ class PrivateEmbeddingService {
 
     // Sharding configuration handed to the server-side answer engines.
     ShardingOptions server_sharding() const {
-        return ShardingOptions{config_.server_shards, server_pool_.get(),
-                               config_.shard_placement};
+        return ShardingOptions{config_.server_shards, server_pool_.get()};
     }
     const EmbeddingLayout& layout() const { return layout_; }
     const Pbr& full_pbr() const { return full_pbr_; }
@@ -309,10 +308,7 @@ class PrivateEmbeddingService {
     std::unique_ptr<Pbr> hot_pbr_;
     QueryPlanner planner_;
     // Dedicated answer pool when config.server_threads > 0; the engines
-    // fall back to ThreadPool::Shared() otherwise. Declared (and thus
-    // constructed) before the tables: BuildPhysicalTable routes the tiled
-    // layout's first-touch zeroing pass through this pool's pinned
-    // workers when NUMA placement is on.
+    // fall back to ThreadPool::Shared() otherwise.
     std::unique_ptr<ThreadPool> server_pool_;
     // Tables are logically replicated on two non-colluding servers; both
     // "servers" answer from the same in-process copy here. Null on a

@@ -30,23 +30,14 @@ constexpr std::size_t kTableChunk = 3;
 
 // End of the segment starting at job-relative row `lo`: clipped to the
 // range end, the table's tile grid (so the scan never crosses a tile's
-// storage gap), the row cap, and — when a kill switch is attached — the
-// context re-check cadence.
+// storage gap) and the row cap.
 std::uint64_t SegmentEnd(const PirTable& table, std::uint64_t row_begin,
                          std::uint64_t lo, std::uint64_t hi,
-                         std::uint64_t cap, bool has_context) {
-    std::uint64_t seg_end = hi;
+                         std::uint64_t cap) {
     const std::uint64_t tile_rows = table.rows_per_tile();
-    if (tile_rows > 0) {
-        const std::uint64_t abs = row_begin + lo;
-        const std::uint64_t tile_end = (abs / tile_rows + 1) * tile_rows;
-        seg_end = std::min<std::uint64_t>(seg_end, tile_end - row_begin);
-    }
-    seg_end = std::min<std::uint64_t>(seg_end, lo + cap);
-    if (has_context) {
-        seg_end = std::min<std::uint64_t>(seg_end, lo + kContextCheckRows);
-    }
-    return seg_end;
+    const std::uint64_t tile_end =
+        ((row_begin + lo) / tile_rows + 1) * tile_rows;
+    return std::min({hi, tile_end - row_begin, lo + cap});
 }
 
 // One segment's scan: job-relative rows [lo, hi), stored `w` words apart
@@ -357,7 +348,6 @@ void MultiqueryTileAnswerRange(const PirTable& table, const Dpf& dpf,
     std::uint64_t cur = lo;
     bool first = true;
     while (cur < hi && !active.empty()) {
-        bool has_context = false;
         if (!first) {
             std::size_t kept = 0;
             for (const std::size_t t : active) {
@@ -375,7 +365,6 @@ void MultiqueryTileAnswerRange(const PirTable& table, const Dpf& dpf,
         scratch->keys.clear();
         scratch->resps.clear();
         for (const std::size_t t : active) {
-            has_context |= tasks[t].context != nullptr;
             scratch->keys.push_back(tasks[t].key);
             scratch->resps.push_back(tasks[t].resp);
         }
@@ -383,7 +372,7 @@ void MultiqueryTileAnswerRange(const PirTable& table, const Dpf& dpf,
             kMinSegmentRows,
             (kShareBudgetWords / active.size()) << kXorBlockLog);
         const std::uint64_t seg_end =
-            SegmentEnd(table, row_begin, cur, hi, cap, has_context);
+            SegmentEnd(table, row_begin, cur, hi, cap);
         const std::size_t blocks = static_cast<std::size_t>(
             ((seg_end - 1) >> kXorBlockLog) - (cur >> kXorBlockLog) + 1);
         if (scratch->shares.size() < active.size() * blocks) {

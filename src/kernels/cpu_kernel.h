@@ -94,21 +94,14 @@ const char* ScanPathName();
 // by masked XOR (a measured constant per count of 64-byte columns).
 std::size_t ScanTableThreshold(std::size_t words_per_entry);
 
-// Rows answered between context re-checks on untiled (row-major) tables,
-// whose ranges would otherwise be one unbounded segment. Chunking changes
-// neither the selection bits nor the rows XORed, so results stay
-// bit-identical; it only bounds how long a dead request's shard can keep
-// running. Tiled tables re-check at their natural tile boundaries.
-constexpr std::uint64_t kContextCheckRows = 1u << 14;
-
 // Answers job-relative rows [lo, hi) for every task: task t's DPF point j
 // selects table row row_begin + j, and the XOR of its selected rows
 // accumulates (XOR) into task t's resp. All tasks share row_begin, the
 // range and `dpf` — the engine groups queries by (table, row range, DPF
 // params). The caller has already checked each task's context at call
-// start; the kernel re-checks between internal segments (at most
-// kContextCheckRows rows apart) and marks dead tasks aborted.
-// Bit-identical for every layout and task count: segmentation only
+// start; the kernel re-checks between internal segments (which never
+// cross a storage tile) and marks dead tasks aborted.
+// Bit-identical for every tile height and task count: segmentation only
 // reorders commutative XORs. Keys must be XOR-share keys of `dpf`'s
 // log_domain and PRF (EvalRangeBatched throws otherwise).
 void MultiqueryTileAnswerRange(const PirTable& table, const Dpf& dpf,

@@ -125,7 +125,7 @@ struct BatchState {
     // Per priority class: the next unit to claim, and how many there are.
     std::array<std::atomic<std::size_t>, 2> cursor{};
     std::array<std::size_t, 2> units{};
-    // Units (kDynamic) or pinned tasks (kPinned) not yet finished.
+    // Units not yet finished.
     Latch left;
     Mutex mu;
     std::exception_ptr error GPUDPF_GUARDED_BY(mu);
@@ -168,16 +168,6 @@ class PartialArena {
 };
 
 }  // namespace
-
-const char* ShardPlacementName(ShardPlacement placement) {
-    switch (placement) {
-        case ShardPlacement::kDynamic:
-            return "dynamic";
-        case ShardPlacement::kPinned:
-            return "pinned";
-    }
-    return "unknown";
-}
 
 AnswerEngine::AnswerEngine(ShardingOptions options)
     : options_(options) {
@@ -231,8 +221,6 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     ThreadPool& pool =
         options_.pool != nullptr ? *options_.pool : ThreadPool::Shared();
     const std::size_t threads = pool.thread_count();
-    const bool pinned =
-        options_.placement == ShardPlacement::kPinned && threads > 1;
 
     // Scheduling class per job: a job with no context is interactive.
     auto job_class = [&jobs](std::size_t q) {
@@ -257,23 +245,14 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     // full) finds each job's group, then a counting sort lays the members
     // out contiguously.
     //
-    // A group's shards partition a job-relative row range [part_lo,
-    // part_lo + part_rows), and each shard is then intersected with the eval
-    // window. Dynamic placement partitions the window itself into
-    // ShardsFor(window rows) shards, so a bin of a few blocks is one unit
-    // and a fleet node's half-bin is sized as half a bin. Pinned placement
-    // keeps num_shards shards over the FULL job range: its shard-to-worker
-    // map (s % threads) is the point of that placement, and the NUMA
-    // first-touch pass (BuildPhysicalTable -> ShardRowBoundary) mirrors
-    // exactly that partition, independent of any clip; clipped-away shards
-    // still count down.
+    // A group's shards partition its eval window into ShardsFor(window
+    // rows) shards, so a bin of a few blocks is one unit and a fleet node's
+    // half-bin is sized as half a bin.
     struct Group {
         GroupKey key;
         Dpf dpf;
         std::size_t begin = 0;
         std::size_t end = 0;
-        std::uint64_t part_lo = 0;
-        std::uint64_t part_rows = 0;
         std::size_t shards = 1;
     };
     std::vector<Group> groups;
@@ -300,14 +279,8 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
         if (group_slots[i] == kEmpty) {
             group_slots[i] = groups.size();
             Group grp{key, Dpf(tj.job.key->params)};
-            if (pinned) {
-                grp.part_rows = tj.job.num_rows;
-                grp.shards = options_.num_shards;
-            } else {
-                grp.part_lo = key.eval_begin;
-                grp.part_rows = key.eval_end - key.eval_begin;
-                grp.shards = ShardsFor(grp.part_rows, options_.num_shards);
-            }
+            grp.shards = ShardsFor(key.eval_end - key.eval_begin,
+                                   options_.num_shards);
             groups.push_back(std::move(grp));
         }
         group_of[q] = group_slots[i];
@@ -370,18 +343,16 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
         const Group& grp = groups[g];
         const TableJob& tj0 = jobs[members[grp.begin]];
         const std::size_t w = tj0.table->words_per_entry();
-        // The tile-snapping partition lives in table_layout
-        // (ShardRowBoundary) because the NUMA first-touch pass must
-        // reproduce the pinned one exactly: the worker that zeroed a tile at
-        // load time is the worker the answer engine hands that tile to.
+        // Shard s of the eval window, its interior ends snapped to the
+        // table's tile grid (ShardRowBoundary).
         const auto boundary = [&](std::size_t b) {
-            return grp.part_lo +
-                   ShardRowBoundary(tj0.job.row_begin + grp.part_lo,
-                                    grp.part_rows, tj0.table->rows_per_tile(),
-                                    grp.shards, b);
+            return grp.key.eval_begin +
+                   ShardRowBoundary(tj0.job.row_begin + grp.key.eval_begin,
+                                    grp.key.eval_end - grp.key.eval_begin,
+                                    tj0.table->rows_per_tile(), grp.shards, b);
         };
-        const std::uint64_t lo = std::max(boundary(s), grp.key.eval_begin);
-        const std::uint64_t hi = std::min(boundary(s + 1), grp.key.eval_end);
+        const std::uint64_t lo = boundary(s);
+        const std::uint64_t hi = boundary(s + 1);
         ws.tasks.clear();
         ws.task_jobs.clear();
         for (std::size_t m = grp.begin; m < grp.end; ++m) {
@@ -450,97 +421,59 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
         by_class[static_cast<std::size_t>(groups[g].key.cls)].push_back(g);
     }
     // The claim loop's (group, shard) units per class, groups in `jobs`
-    // order and shards innermost; the pinned path does not use them. Pool
-    // runners reach the batch's frame through run_unit, units and
-    // run_group, so all three stay in scope until the latch opens.
+    // order and shards innermost. Pool runners reach the batch's frame
+    // through run_unit, units and run_group, so all three stay in scope
+    // until the latch opens.
     struct Unit {
         std::size_t group;
         std::size_t shard;
     };
     std::array<std::vector<Unit>, 2> units;
+    for (std::size_t c = 0; c < by_class.size(); ++c) {
+        for (const std::size_t g : by_class[c]) {
+            for (std::size_t s = 0; s < groups[g].shards; ++s) {
+                units[c].push_back({g, s});
+            }
+        }
+    }
     const auto run_unit = [&](std::size_t c, std::size_t u) {
         run_group(units[c][u].group, units[c][u].shard,
                   ThisThreadWorkerState());
     };
-    std::shared_ptr<BatchState> state;
-    if (pinned) {
-        // Route shard s of every group to worker s % threads, groups
-        // innermost: consecutive units on one worker re-read the same
-        // shard rows, so a batch streams each row range into exactly one
-        // core's cache. One pinned pool task per (worker, priority class),
-        // so a worker freed by skips still finishes interactive shards
-        // before batch shards. The latch counts these tasks, and the tasks
-        // reach the batch's frame through run_group and by_class.
-        const std::size_t shards = options_.num_shards;
-        const std::size_t workers = std::min(threads, shards);
-        std::size_t tasks = 0;
-        for (const std::vector<std::size_t>& class_groups : by_class) {
-            if (!class_groups.empty()) tasks += workers;
+    // The claim loop on the caller and on up to one pool runner per worker
+    // for each class: a runner claims the next (group, shard) unit of its
+    // class from the class's cursor until it is drained. So units run — and
+    // jobs complete — in the order callers put their jobs (what they want
+    // streamed first, first), and a runner that finishes early keeps
+    // claiming instead of being bound to a static chunk. Interactive
+    // runners are queued before batch runners and carry their class, so
+    // the pool's two-level dequeue starts interactive work first, across
+    // batches too; a batch-class runner, once started, drains its class
+    // before it yields the worker. The caller drains interactive then
+    // batch, so with a one-worker pool (no runners) groups complete in
+    // class-then-`jobs` order. The latch counts units: the batch ends when
+    // its own units are done, whether or not every runner has started.
+    const auto state =
+        std::make_shared<BatchState>(units[0].size() + units[1].size());
+    for (std::size_t c = 0; c < units.size(); ++c) {
+        state->units[c] = units[c].size();
+    }
+    for (std::size_t c = 0; c < units.size(); ++c) {
+        // The caller claims units too, so a class of one unit needs no
+        // runner. A runner per worker beside the caller measured faster
+        // than one fewer on perfbench taobao (4-vCPU VM, median 6,705
+        // against 6,027 q/s): a worker woken late leaves the class
+        // short-handed.
+        const std::size_t count = state->units[c];
+        const std::size_t runners =
+            threads > 1 && count > 1 ? std::min(threads, count - 1) : 0;
+        for (std::size_t r = 0; r < runners; ++r) {
+            pool.Submit([state, c, &run_unit] { Drain(*state, c, run_unit); },
+                        static_cast<TaskPriority>(c));
         }
-        state = std::make_shared<BatchState>(tasks);
-        for (std::size_t c = 0; c < by_class.size(); ++c) {
-            if (by_class[c].empty()) continue;
-            for (std::size_t w = 0; w < workers; ++w) {
-                pool.SubmitTo(
-                    w,
-                    [&, c, w, shards, state] {
-                        state->RunAndCount([&] {
-                            WorkerState& ws = ThisThreadWorkerState();
-                            for (std::size_t s = w; s < shards; s += threads) {
-                                for (std::size_t g : by_class[c]) {
-                                    run_group(g, s, ws);
-                                }
-                            }
-                        });
-                    },
-                    static_cast<TaskPriority>(c));
-            }
-        }
-    } else {
-        // The claim loop on the caller and on up to one pool runner per
-        // worker for each class: a runner claims the next (group, shard)
-        // unit of its class from the class's cursor until it is drained,
-        // groups in `jobs` order and shards innermost. So units run — and
-        // jobs complete — in the order callers put their jobs (what they
-        // want streamed first, first), and a runner that finishes early
-        // keeps claiming instead of being bound to a static chunk.
-        // Interactive runners are queued before batch runners and carry
-        // their class, so the pool's two-level dequeue starts interactive
-        // work first, across batches too; a batch-class runner, once
-        // started, drains its class before it yields the worker. The
-        // caller drains interactive then batch, so with a one-worker pool
-        // (no runners) groups complete in class-then-`jobs` order. The
-        // latch counts units: the batch ends when its own units are done,
-        // whether or not every runner has started.
-        for (std::size_t c = 0; c < by_class.size(); ++c) {
-            for (const std::size_t g : by_class[c]) {
-                for (std::size_t s = 0; s < groups[g].shards; ++s) {
-                    units[c].push_back({g, s});
-                }
-            }
-        }
-        state = std::make_shared<BatchState>(units[0].size() + units[1].size());
-        for (std::size_t c = 0; c < units.size(); ++c) {
-            state->units[c] = units[c].size();
-        }
-        for (std::size_t c = 0; c < units.size(); ++c) {
-            // The caller claims units too, so a class of one unit needs no
-            // runner. A runner per worker beside the caller measured faster
-            // than one fewer on perfbench taobao (4-vCPU VM, median 6,705
-            // against 6,027 q/s): a worker woken late leaves the class
-            // short-handed.
-            const std::size_t count = state->units[c];
-            const std::size_t runners =
-                threads > 1 && count > 1 ? std::min(threads, count - 1) : 0;
-            for (std::size_t r = 0; r < runners; ++r) {
-                pool.Submit(
-                    [state, c, &run_unit] { Drain(*state, c, run_unit); },
-                    static_cast<TaskPriority>(c));
-            }
-        }
-        for (std::size_t c = 0; c < units.size(); ++c) {
-            Drain(*state, c, run_unit);
-        }
+    }
+    for (std::size_t c = 0; c < units.size(); ++c) {
+        Drain(*state, c, run_unit);
     }
     state->left.Wait();
     {

@@ -3,13 +3,12 @@
 // The dominant server cost in two-server DPF-PIR is the full-domain DPF
 // expansion plus the table scan (paper Section 3), and both are
 // embarrassingly parallel over contiguous row ranges. The engine partitions
-// each answer job's rows into shards sized by work — under dynamic
-// placement ShardsFor(rows scanned, num_shards), at most num_shards and no
-// more than one per kMinShardRows rows, so a bin of a few 128-row blocks
-// is one unit; under pinned placement exactly num_shards — evaluates the
-// job's XOR-share DPF selection blocks over each shard and XORs the
-// shard's selected rows into a partial response, and reduces the partials
-// into the job's share by XOR.
+// each answer job's eval window into ShardsFor(rows scanned, num_shards)
+// shards — at most num_shards and no more than one per kMinShardRows rows,
+// so a bin of a few 128-row blocks is one unit — evaluates the job's
+// XOR-share DPF selection blocks over each shard and XORs the shard's
+// selected rows into a partial response, and reduces the partials into the
+// job's share by XOR.
 //
 // The shard work itself is the one CPU kernel, MultiqueryTileAnswerRange
 // (src/kernels/cpu_kernel.h): one multi-key DPF walk expands every batched
@@ -17,30 +16,25 @@
 // PRG, then each storage tile is scanned once for all of them, so the
 // selection blocks and the tile's rows stay cache-resident
 // (src/pir/table_layout.h). Shard boundaries snap to the tile grid so no
-// tile is split across workers. Row-major tables report an unbounded tile.
+// tile is split across workers.
 //
 // Jobs sharing a (table, row range, priority, DPF-params) signature — the
 // common case for PBR bins queried by many concurrent requests, and for
 // whole-table batches — form a group with one Dpf evaluator; the unit of
 // work is a (group, shard) pair, which pays the shard's DPF walk and table
-// traffic once for the whole group. A batch runs as one pass: with
-// ShardPlacement::kDynamic the caller and up to one pool runner per
-// worker for each priority class run a claim loop, each claiming the next
-// unit of its class from a shared cursor (interactive classes first,
-// `jobs` order within a class), and the partial responses live in one
-// line-padded arena per batch. The batch ends on a count of its own finished units: a runner
-// the pool starts after every unit was claimed finds the cursors spent and
-// returns, and nothing waits for it. A one-worker pool submits no runners,
-// so its batches run the loop on the caller alone. With
-// ShardPlacement::kPinned, shard s of every group is routed to worker
-// s % thread_count (ThreadPool::SubmitTo), so all jobs of a batch — and
-// repeated batches — stream a given row range from the same core's warm
-// cache instead of migrating rows between cores; the batch waits on a
-// count of its own pinned tasks. No path calls ThreadPool::Wait(), so
-// batches of callers sharing a pool never wait on each other. Every
-// executing thread keeps one set of kernel buffers across batches.
-// XOR is commutative and associative, so any sharding, tiling, grouping,
-// or placement is bit-identical to the sequential reference path.
+// traffic once for the whole group. A batch runs as one pass: the caller
+// and up to one pool runner per worker for each priority class run a
+// claim loop, each claiming the next unit of its class from a shared
+// cursor (interactive classes first, `jobs` order within a class), and the
+// partial responses live in one line-padded arena per batch. The batch
+// ends on a count of its own finished units: a runner the pool starts
+// after every unit was claimed finds the cursors spent and returns, and
+// nothing waits for it, so batches of callers sharing a pool never wait on
+// each other. A one-worker pool submits no runners, so its batches run the
+// loop on the caller alone. Every executing thread keeps one set of kernel
+// buffers across batches. XOR is commutative and associative, so any
+// sharding, tiling or grouping is bit-identical to the sequential
+// reference path.
 //
 // Request lifecycle: a TableJob may carry a JobContext (the serving
 // front-end attaches one per request). Every (group, shard) unit
@@ -79,28 +73,20 @@ namespace gpudpf {
 // definition; src/pir/protocol.h aliases it.)
 using PirResponse = std::vector<u128>;
 
-// Where a job's shards run.
-//   kDynamic  claim-loop runners on the shared queue; any runner claims
-//             any unit of its class.
-//   kPinned   shard s of every job runs on worker s % thread_count, so a
-//             shard's rows stay resident in one core's cache across the
-//             jobs of a batch and across repeated batches.
-enum class ShardPlacement { kDynamic, kPinned };
-
-const char* ShardPlacementName(ShardPlacement placement);
+// Where a job's shards run. Every shard runs on the claim loop, so there
+// is one value; the enum stays only because the serving benchmark
+// (perfbench/src/workload.cc) assigns ServiceConfig::shard_placement, and
+// goes when that benchmark next changes.
+enum class ShardPlacement { kDynamic };
 
 struct ShardingOptions {
-    // Upper bound on the contiguous row shards each job is split into.
-    // kDynamic gives a group AnswerEngine::ShardsFor(rows it scans,
-    // num_shards) shards; kPinned runs exactly num_shards, the partition
-    // its shard-to-worker map and NUMA first touch are built on. 1 = answer
-    // each job's rows in a single unit (jobs of a batch still run
-    // concurrently).
+    // Upper bound on the contiguous row shards each job is split into: a
+    // group gets AnswerEngine::ShardsFor(rows it scans, num_shards) shards.
+    // 1 = answer each job's rows in a single unit (jobs of a batch still
+    // run concurrently).
     std::size_t num_shards = 1;
     // Pool running the shard work; nullptr = ThreadPool::Shared().
     ThreadPool* pool = nullptr;
-    // Shard-to-worker placement policy (see ShardPlacement).
-    ShardPlacement placement = ShardPlacement::kDynamic;
 };
 
 class AnswerEngine {
@@ -110,10 +96,9 @@ class AnswerEngine {
 
     const ShardingOptions& options() const { return options_; }
 
-    // Fewest rows a dynamic-placement shard is given: below twice this a
-    // group runs as one unit, since every shard repeats the top of each
-    // key's DPF walk and zeroes, reduces and counts down a partial of its
-    // own. Swept with perfbench saturation q/s (4-vCPU AVX-512 Xeon VM,
+    // Fewest rows a shard is given: below twice this a group runs as one
+    // unit, since every shard repeats the top of each key's DPF walk and
+    // zeroes, reduces and counts down a partial of its own. Swept with perfbench saturation q/s (4-vCPU AVX-512 Xeon VM,
     // 10 s runs alternated with the fixed 4-shard split; medians of 5
     // movielens / 4 fleet runs):
     //   rows/shard   movielens   fleet    movielens full bin  fleet half-bin
@@ -128,11 +113,8 @@ class AnswerEngine {
     // 65,536-row bins at 4 shards.
     static constexpr std::uint64_t kMinShardRows = 1'024;
 
-    // Shards a group scanning `rows` rows (its clipped eval window) runs
-    // under dynamic placement: min(num_shards, max(1, rows /
-    // kMinShardRows)), and at least 1. Pinned placement on a pool of more
-    // than one worker runs num_shards (a one-worker pool runs the claim
-    // loop, sized by this).
+    // Shards a group scanning `rows` rows (its clipped eval window) runs:
+    // min(num_shards, max(1, rows / kMinShardRows)), and at least 1.
     static std::size_t ShardsFor(std::uint64_t rows, std::size_t num_shards);
 
     // One answer job: evaluate `key` (an XOR-share key; any other kind is
@@ -212,9 +194,9 @@ class AnswerEngine {
     // its reduced response, as soon as that job's last shard finishes —
     // i.e. before the rest of the batch completes. Runs on whichever thread
     // finished the job — a pool worker, or the calling thread, which runs
-    // units itself in every dynamic-placement batch — so it may fire
-    // concurrently for different jobs: it must be thread-safe, must not
-    // throw, and must not block on other pool work.
+    // units itself in every batch — so it may fire concurrently for
+    // different jobs: it must be thread-safe, must not throw, and must not
+    // block on other pool work.
     // A skipped job (its context flipped to cancelled/expired) delivers an
     // EMPTY response — callers must not assemble it.
     using JobDone = std::function<void(std::size_t, PirResponse&&)>;

@@ -1,15 +1,9 @@
 #include "src/pir/table_layout.h"
 
-#include "src/common/env.h"
-
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 #include <stdexcept>
-#include <vector>
-
-#include "src/common/thread_pool.h"
 
 #ifdef __linux__
 #include <sys/mman.h>
@@ -22,7 +16,7 @@ namespace {
 // the shard's DPF shares buffer and response accumulator.
 constexpr std::size_t kTileTargetBytes = 128 * 1024;
 
-// Alignment of the tiled allocation: cache-line by default, 2 MiB once the
+// Alignment of the allocation: cache-line by default, 2 MiB once the
 // table is large enough that transparent hugepages can map it.
 constexpr std::size_t kCacheLineBytes = 64;
 constexpr std::size_t kHugePageBytes = 2 * 1024 * 1024;
@@ -33,153 +27,47 @@ int FloorLog2(std::uint64_t v) {
     return log;
 }
 
-class RowMajorStorage final : public TableStorage {
-  public:
-    RowMajorStorage(std::uint64_t num_entries, std::size_t words_per_entry)
-        : TableStorage(num_entries, words_per_entry),
-          data_(num_entries * words_per_entry, 0) {
-        geometry_.base = data_.data();
-        geometry_.words_per_entry = words_per_entry;
-        geometry_.log_rows_per_tile = 63;  // every row in "tile 0"
-        geometry_.tile_stride_words = 0;
-        rows_per_tile_ = 0;
-    }
-
-    TableLayout layout() const override { return TableLayout::kRowMajor; }
-    std::size_t size_bytes() const override {
-        return data_.size() * sizeof(u128);
-    }
-
-  private:
-    std::vector<u128> data_;
-};
-
-class TiledStorage final : public TableStorage {
-  public:
-    TiledStorage(std::uint64_t num_entries, std::size_t words_per_entry,
-                 const TilePlacement* placement)
-        : TableStorage(num_entries, words_per_entry) {
-        const std::size_t row_bytes = words_per_entry * sizeof(u128);
-        // Power-of-two tile height so row addressing is a shift, at least
-        // one row per tile for entries wider than the tile target.
-        const std::uint64_t fit =
-            std::max<std::uint64_t>(1, kTileTargetBytes / row_bytes);
-        const int log = FloorLog2(fit);
-        rows_per_tile_ = std::uint64_t{1} << log;
-        // Pad each tile up to a whole cache line so consecutive tiles never
-        // share a line (tiles are the unit of worker ownership).
-        const std::size_t line_words = kCacheLineBytes / sizeof(u128);
-        const std::size_t tile_words = rows_per_tile_ * words_per_entry;
-        tile_stride_words_ =
-            (tile_words + line_words - 1) / line_words * line_words;
-        num_tiles_ = (num_entries + rows_per_tile_ - 1) / rows_per_tile_;
-
-        bytes_ = num_tiles_ * tile_stride_words_ * sizeof(u128);
-        alignment_ = bytes_ >= kHugePageBytes ? kHugePageBytes
-                                              : kCacheLineBytes;
-        data_ = static_cast<u128*>(
-            ::operator new(bytes_, std::align_val_t(alignment_)));
-#ifdef __linux__
-        if (alignment_ == kHugePageBytes) {
-            // Best effort: fewer TLB misses while streaming tiles. Advised
-            // before the zeroing pass below so pages can be formed as huge
-            // at first-touch fault time rather than collapsed later.
-            (void)madvise(data_, bytes_, MADV_HUGEPAGE);
-        }
-#endif
-        ZeroFill(placement);
-        geometry_.base = data_;
-        geometry_.words_per_entry = words_per_entry;
-        geometry_.log_rows_per_tile = log;
-        geometry_.tile_stride_words = tile_stride_words_;
-    }
-
-    ~TiledStorage() override {
-        ::operator delete(data_, std::align_val_t(alignment_));
-    }
-
-    TableLayout layout() const override { return TableLayout::kTiled; }
-    std::size_t size_bytes() const override { return bytes_; }
-
-  private:
-    // Zeroes the allocation. With a valid placement, pinned worker s of the
-    // pool first-touches exactly the tiles of shard s under the same
-    // partition ShardRowBoundary hands the answer engine over the full
-    // table, so each tile's pages fault in on the NUMA node of the core
-    // that will stream them. Shard s owns tiles
-    // [ceil(b_s / T), ceil(b_{s+1} / T)): boundaries are tile-aligned
-    // whenever shards span full tiles, and the ceilings assign a split
-    // tile to the shard containing its first row — together the ranges
-    // cover [0, num_tiles_) exactly once. Padding words inside each tile
-    // stride are zeroed along with the tile. Falls back to a plain
-    // loader-thread memset when the placement can't help (null, no pool,
-    // or a single-threaded pool).
-    void ZeroFill(const TilePlacement* placement) {
-        ThreadPool* pool = placement != nullptr ? placement->pool : nullptr;
-        const std::size_t shards =
-            placement != nullptr ? placement->num_shards : 0;
-        if (pool == nullptr || pool->thread_count() <= 1 || shards == 0) {
-            std::memset(data_, 0, bytes_);
-            return;
-        }
-        const std::uint64_t tile_rows = rows_per_tile_;
-        std::uint64_t prev_tile_end = 0;
-        for (std::size_t s = 0; s < shards; ++s) {
-            const std::uint64_t row_end = ShardRowBoundary(
-                0, num_entries_, tile_rows, shards, s + 1);
-            const std::uint64_t tile_end =
-                (row_end + tile_rows - 1) / tile_rows;
-            if (tile_end <= prev_tile_end) continue;  // empty shard
-            u128* begin = data_ + prev_tile_end * tile_stride_words_;
-            const std::size_t words =
-                (tile_end - prev_tile_end) * tile_stride_words_;
-            pool->SubmitTo(s, [begin, words] {
-                std::memset(begin, 0, words * sizeof(u128));
-            });
-            prev_tile_end = tile_end;
-        }
-        pool->Wait();
-    }
-
-    std::uint64_t num_tiles_ = 0;
-    std::size_t tile_stride_words_ = 0;
-    std::size_t bytes_ = 0;
-    std::size_t alignment_ = kCacheLineBytes;
-    u128* data_ = nullptr;
-};
-
 }  // namespace
 
-const char* TableLayoutName(TableLayout layout) {
-    switch (layout) {
-        case TableLayout::kRowMajor:
-            return "row_major";
-        case TableLayout::kTiled:
-            return "tiled";
-    }
-    return "unknown";
+void TableStorage::AlignedDelete::operator()(u128* p) const {
+    ::operator delete(p, std::align_val_t(alignment));
 }
 
-bool ParseTableLayout(const std::string& name, TableLayout* out) {
-    if (name == "row_major") {
-        *out = TableLayout::kRowMajor;
-        return true;
+TableStorage::TableStorage(std::uint64_t num_entries,
+                           std::size_t words_per_entry)
+    : num_entries_(num_entries), words_per_entry_(words_per_entry) {
+    if (num_entries == 0 || words_per_entry == 0) {
+        throw std::invalid_argument("TableStorage: empty dimensions");
     }
-    if (name == "tiled") {
-        *out = TableLayout::kTiled;
-        return true;
-    }
-    return false;
-}
+    const std::size_t row_bytes = words_per_entry * sizeof(u128);
+    // Power-of-two tile height so row addressing is a shift, at least one
+    // row per tile for entries wider than the tile target.
+    log_rows_per_tile_ = FloorLog2(
+        std::max<std::uint64_t>(1, kTileTargetBytes / row_bytes));
+    // Pad each tile up to a whole cache line so consecutive tiles never
+    // share a line (tiles are the unit of worker ownership).
+    const std::size_t line_words = kCacheLineBytes / sizeof(u128);
+    const std::size_t tile_words = rows_per_tile() * words_per_entry;
+    tile_stride_words_ =
+        (tile_words + line_words - 1) / line_words * line_words;
+    const std::uint64_t num_tiles =
+        (num_entries + rows_per_tile() - 1) / rows_per_tile();
 
-TableLayout DefaultTableLayout() {
-    static const TableLayout layout = [] {
-        TableLayout parsed = TableLayout::kRowMajor;
-        const char* env = GpudpfEnv("GPUDPF_TABLE_LAYOUT");
-        if (env != nullptr) ParseTableLayout(env, &parsed);
-        return parsed;
-    }();
-    return layout;
+    bytes_ = num_tiles * tile_stride_words_ * sizeof(u128);
+    const std::size_t alignment =
+        bytes_ >= kHugePageBytes ? kHugePageBytes : kCacheLineBytes;
+    data_ = std::unique_ptr<u128, AlignedDelete>(
+        static_cast<u128*>(::operator new(bytes_, std::align_val_t(alignment))),
+        AlignedDelete{alignment});
+#ifdef __linux__
+    if (alignment == kHugePageBytes) {
+        // Best effort: fewer TLB misses while streaming tiles. Advised
+        // before the zeroing below so pages can be formed as huge at
+        // fault time rather than collapsed later.
+        (void)madvise(data_.get(), bytes_, MADV_HUGEPAGE);
+    }
+#endif
+    std::memset(data_.get(), 0, bytes_);
 }
 
 std::uint64_t ShardRowBoundary(std::uint64_t row_begin,
@@ -196,24 +84,6 @@ std::uint64_t ShardRowBoundary(std::uint64_t row_begin,
         b = snapped > row_begin ? snapped - row_begin : 0;
     }
     return b;
-}
-
-std::unique_ptr<TableStorage> TableStorage::Create(
-    TableLayout layout, std::uint64_t num_entries,
-    std::size_t words_per_entry, const TilePlacement* placement) {
-    if (num_entries == 0 || words_per_entry == 0) {
-        throw std::invalid_argument("TableStorage: empty dimensions");
-    }
-    switch (layout) {
-        case TableLayout::kRowMajor:
-            return std::make_unique<RowMajorStorage>(num_entries,
-                                                     words_per_entry);
-        case TableLayout::kTiled:
-            return std::make_unique<TiledStorage>(num_entries,
-                                                  words_per_entry,
-                                                  placement);
-    }
-    throw std::invalid_argument("TableStorage: unknown layout");
 }
 
 }  // namespace gpudpf

@@ -2,9 +2,11 @@
 // statistics, table printing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <future>
 #include <memory>
 #include <set>
@@ -156,6 +158,19 @@ TEST(ZipfTest, ZeroExponentIsUniform) {
     for (std::size_t k = 0; k < 10; ++k) EXPECT_NEAR(zipf.Pmf(k), 0.1, 1e-9);
 }
 
+// Submits fn, then counts `latch` down: a test drains the pool by waiting
+// on a Latch over its own tasks, as every caller of the pool does.
+void SubmitCounted(ThreadPool& pool, const std::shared_ptr<Latch>& latch,
+                   std::function<void()> fn,
+                   TaskPriority priority = TaskPriority::kInteractive) {
+    pool.Submit(
+        [latch, fn = std::move(fn)] {
+            fn();
+            latch->CountDown();
+        },
+        priority);
+}
+
 TEST(ThreadPoolTest, ParallelForCoversRange) {
     ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(100);
@@ -177,11 +192,36 @@ TEST(ThreadPoolTest, MaxParallelismOne) {
     EXPECT_EQ(total.load(), 10);
 }
 
+// ParallelFor waits for its own chunks only. The CPU DPF baseline calls it
+// on ThreadPool::Shared(), the pool the serving engine's runners use, so a
+// long task of another caller must not hold it up. At the 5 s bound a
+// ParallelFor that waits for the whole pool is still blocked.
+TEST(ThreadPoolTest, ParallelForReturnsWhileUnrelatedTaskRuns) {
+    ThreadPool pool(2);
+    std::promise<void> gate;
+    std::shared_future<void> released = gate.get_future().share();
+    auto unrelated = std::make_shared<Latch>(1);
+    SubmitCounted(pool, unrelated, [released] { released.wait(); });
+
+    std::atomic<int> total{0};
+    auto parallel = std::async(std::launch::async, [&] {
+        pool.ParallelFor(0, 64, [&](std::size_t) { ++total; });
+    });
+    const bool returned = parallel.wait_for(std::chrono::seconds(5)) ==
+                          std::future_status::ready;
+    gate.set_value();
+    parallel.wait();
+    unrelated->Wait();
+    EXPECT_TRUE(returned);
+    EXPECT_EQ(total.load(), 64);
+}
+
 TEST(ThreadPoolTest, SubmitAndWait) {
     ThreadPool pool(3);
     std::atomic<int> total{0};
-    for (int i = 0; i < 20; ++i) pool.Submit([&] { ++total; });
-    pool.Wait();
+    auto done = std::make_shared<Latch>(20);
+    for (int i = 0; i < 20; ++i) SubmitCounted(pool, done, [&] { ++total; });
+    done->Wait();
     EXPECT_EQ(total.load(), 20);
 }
 
@@ -210,72 +250,25 @@ TEST(LatchTest, OpensOnTheLastCountDown) {
 // (TSan, loaded CI) can't age a batch task past the default bound and
 // flip the expected strict order.
 TEST(ThreadPoolTest, SharedQueueDequeuesInteractiveBeforeBatch) {
-    ThreadPool pool(1, false, ThreadPool::kNeverPromoteBatch);
+    ThreadPool pool(1, ThreadPool::kNeverPromoteBatch);
     std::promise<void> gate;
     std::shared_future<void> released = gate.get_future().share();
-    pool.Submit([released] { released.wait(); });
+    auto done = std::make_shared<Latch>(6);
+    SubmitCounted(pool, done, [released] { released.wait(); });
 
     std::vector<int> order;  // only the worker writes it
     for (int t = 0; t < 3; ++t) {
-        pool.Submit([&order, t] { order.push_back(100 + t); },
-                    TaskPriority::kBatch);
-    }
-    for (int t = 0; t < 2; ++t) {
-        pool.Submit([&order, t] { order.push_back(t); });
-    }
-    gate.set_value();
-    pool.Wait();
-    // Interactive tasks first even though they were submitted last; FIFO
-    // within each class — and nothing starves, everything ran.
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 100, 101, 102}));
-}
-
-TEST(ThreadPoolTest, PinnedQueueIsTwoLevelAndFifoWithinClass) {
-    ThreadPool pool(2, false, ThreadPool::kNeverPromoteBatch);
-    std::promise<void> gate;
-    std::shared_future<void> released = gate.get_future().share();
-    std::thread::id worker0;
-    pool.SubmitTo(0, [&worker0, released] {
-        worker0 = std::this_thread::get_id();
-        released.wait();
-    });
-
-    std::vector<int> order;
-    std::vector<std::thread::id> ran_on;
-    auto record = [&order, &ran_on](int t) {
-        order.push_back(t);
-        ran_on.push_back(std::this_thread::get_id());
-    };
-    for (int t = 0; t < 2; ++t) {
-        pool.SubmitTo(0, [&record, t] { record(100 + t); },
+        SubmitCounted(pool, done, [&order, t] { order.push_back(100 + t); },
                       TaskPriority::kBatch);
     }
     for (int t = 0; t < 2; ++t) {
-        pool.SubmitTo(0, [&record, t] { record(t); });
+        SubmitCounted(pool, done, [&order, t] { order.push_back(t); });
     }
     gate.set_value();
-    pool.Wait();
-    // Interactive-before-batch within the pinned queue, FIFO within each
-    // class, all on worker 0 (worker 1 never touches pinned_[0]).
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 100, 101}));
-    for (const std::thread::id& id : ran_on) EXPECT_EQ(id, worker0);
-}
-
-TEST(ThreadPoolTest, PinnedTasksStillRunBeforeSharedTasks) {
-    // A pinned batch-class task beats a shared interactive task on its
-    // worker: the pinned queue keeps absolute precedence (shard cache
-    // residency), and priority only orders classes inside each queue.
-    ThreadPool pool(1, false, ThreadPool::kNeverPromoteBatch);
-    std::promise<void> gate;
-    std::shared_future<void> released = gate.get_future().share();
-    pool.Submit([released] { released.wait(); });
-
-    std::vector<int> order;
-    pool.Submit([&order] { order.push_back(2); });  // shared interactive
-    pool.SubmitTo(0, [&order] { order.push_back(1); }, TaskPriority::kBatch);
-    gate.set_value();
-    pool.Wait();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    done->Wait();
+    // Interactive tasks first even though they were submitted last; FIFO
+    // within each class — and nothing starves, everything ran.
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 100, 101, 102}));
 }
 
 // Aging: a batch task that has waited past batch_promote_age_us is
@@ -285,51 +278,38 @@ TEST(ThreadPoolTest, PinnedTasksStillRunBeforeSharedTasks) {
 // 1 ms bound by the time the gated worker dequeues — deterministic
 // regardless of scheduling.
 TEST(ThreadPoolTest, AgedBatchTaskPromotedOverInteractive) {
-    ThreadPool pool(1, false, /*batch_promote_age_us=*/1'000);
+    ThreadPool pool(1, /*batch_promote_age_us=*/1'000);
     std::promise<void> gate;
     std::shared_future<void> released = gate.get_future().share();
-    pool.Submit([released] { released.wait(); });
+    auto done = std::make_shared<Latch>(3);
+    SubmitCounted(pool, done, [released] { released.wait(); });
 
     std::vector<int> order;  // only the worker writes it
-    pool.Submit([&order] { order.push_back(100); }, TaskPriority::kBatch);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    pool.Submit([&order] { order.push_back(0); });
-    gate.set_value();
-    pool.Wait();
-    EXPECT_EQ(order, (std::vector<int>{100, 0}));
-}
-
-// The same aging rule applies inside a worker's pinned queue.
-TEST(ThreadPoolTest, PinnedQueuePromotesAgedBatchTask) {
-    ThreadPool pool(1, false, /*batch_promote_age_us=*/1'000);
-    std::promise<void> gate;
-    std::shared_future<void> released = gate.get_future().share();
-    pool.SubmitTo(0, [released] { released.wait(); });
-
-    std::vector<int> order;
-    pool.SubmitTo(0, [&order] { order.push_back(100); },
+    SubmitCounted(pool, done, [&order] { order.push_back(100); },
                   TaskPriority::kBatch);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    pool.SubmitTo(0, [&order] { order.push_back(0); });
+    SubmitCounted(pool, done, [&order] { order.push_back(0); });
     gate.set_value();
-    pool.Wait();
+    done->Wait();
     EXPECT_EQ(order, (std::vector<int>{100, 0}));
 }
 
 // kNeverPromoteBatch restores strict priority: the same aged batch task
 // still dequeues after the interactive one.
 TEST(ThreadPoolTest, NeverPromoteKeepsStrictPriorityForAgedBatch) {
-    ThreadPool pool(1, false, ThreadPool::kNeverPromoteBatch);
+    ThreadPool pool(1, ThreadPool::kNeverPromoteBatch);
     std::promise<void> gate;
     std::shared_future<void> released = gate.get_future().share();
-    pool.Submit([released] { released.wait(); });
+    auto done = std::make_shared<Latch>(3);
+    SubmitCounted(pool, done, [released] { released.wait(); });
 
     std::vector<int> order;
-    pool.Submit([&order] { order.push_back(100); }, TaskPriority::kBatch);
+    SubmitCounted(pool, done, [&order] { order.push_back(100); },
+                  TaskPriority::kBatch);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    pool.Submit([&order] { order.push_back(0); });
+    SubmitCounted(pool, done, [&order] { order.push_back(0); });
     gate.set_value();
-    pool.Wait();
+    done->Wait();
     EXPECT_EQ(order, (std::vector<int>{0, 100}));
 }
 
@@ -339,12 +319,14 @@ TEST(ThreadPoolTest, BatchTasksDoNotStarveUnderInteractiveLoad) {
     ThreadPool pool(3);
     std::atomic<int> interactive{0};
     std::atomic<int> batch{0};
+    auto done = std::make_shared<Latch>(3 * 64);
     for (int t = 0; t < 64; ++t) {
-        pool.Submit([&] { ++interactive; });
-        pool.Submit([&] { ++batch; }, TaskPriority::kBatch);
-        pool.SubmitTo(t % 3, [&] { ++batch; }, TaskPriority::kBatch);
+        SubmitCounted(pool, done, [&] { ++interactive; });
+        for (int b = 0; b < 2; ++b) {
+            SubmitCounted(pool, done, [&] { ++batch; }, TaskPriority::kBatch);
+        }
     }
-    pool.Wait();
+    done->Wait();
     EXPECT_EQ(interactive.load(), 64);
     EXPECT_EQ(batch.load(), 128);
 }
@@ -449,21 +431,36 @@ TEST(EnvRegistryTest, U64ParseAndFallback) {
     ::unsetenv("GPUDPF_NET_REQUEST_TIMEOUT_MS");
 }
 
+// A typo, and two knobs removed with the behaviour they selected (the
+// row-major table layout and NUMA first touch): each is reported as
+// unrecognized, so a deployment that still sets one is told at startup,
+// and reading one through the registry is a logic error.
 TEST(EnvRegistryTest, FlagsUnrecognizedGpudpfVariables) {
-    ::setenv("GPUDPF_CPU_KERNAL", "scalar", 1);  // the classic typo
-    const auto unknown = UnrecognizedGpudpfEnv();
-    bool found = false;
-    for (const auto& name : unknown) {
-        if (name == "GPUDPF_CPU_KERNAL") found = true;
-        // Registered knobs never show up as unrecognized.
-        for (const auto& var : GpudpfEnvTable()) {
-            EXPECT_NE(name, var.name);
-        }
+    const struct {
+        const char* name;
+        const char* value;
+    } kUnknown[] = {
+        {"GPUDPF_CPU_KERNAL", "scalar"},  // the classic typo
+        {"GPUDPF_TABLE_LAYOUT", "row_major"},
+        {"GPUDPF_NUMA", "on"},
+    };
+    for (const auto& k : kUnknown) {
+        ::setenv(k.name, k.value, 1);
+        EXPECT_THROW(GpudpfEnv(k.name), std::logic_error) << k.name;
     }
-    EXPECT_TRUE(found);
-    ::unsetenv("GPUDPF_CPU_KERNAL");
+    const auto unknown = UnrecognizedGpudpfEnv();
+    for (const auto& k : kUnknown) {
+        EXPECT_NE(std::find(unknown.begin(), unknown.end(), k.name),
+                  unknown.end())
+            << k.name;
+    }
+    // Registered knobs never show up as unrecognized.
+    for (const auto& name : unknown) {
+        for (const auto& var : GpudpfEnvTable()) EXPECT_NE(name, var.name);
+    }
+    for (const auto& k : kUnknown) ::unsetenv(k.name);
     for (const auto& name : UnrecognizedGpudpfEnv()) {
-        EXPECT_NE(name, "GPUDPF_CPU_KERNAL");
+        for (const auto& k : kUnknown) EXPECT_NE(name, k.name);
     }
 }
 

@@ -16,13 +16,10 @@ TEST(PirTableTest, DimensionsAndPadding) {
     EXPECT_EQ(t.num_entries(), 100u);
     EXPECT_EQ(t.entry_bytes(), 100u);
     EXPECT_EQ(t.words_per_entry(), 7u);
-    // Row-major storage is exactly rows x padded words; tiled storage may
-    // add per-tile padding on top (asserted in table_layout_test).
-    if (t.layout() == TableLayout::kRowMajor) {
-        EXPECT_EQ(t.size_bytes(), 100u * 7 * 16);
-    } else {
-        EXPECT_GE(t.size_bytes(), 100u * 7 * 16);
-    }
+    // The 100 rows fit in one tile, and a tile of 7-word rows fills whole
+    // cache lines, so the storage is exactly one tile of padded rows.
+    ASSERT_GE(t.rows_per_tile(), 100u);
+    EXPECT_EQ(t.size_bytes(), t.rows_per_tile() * 7 * 16);
 }
 
 TEST(PirTableTest, SetAndGetEntry) {

@@ -62,8 +62,7 @@ ServiceConfig BaseConfig() {
 using LookupResult = PrivateEmbeddingService::LookupResult;
 
 // Shards the answer engine runs for one server's full-table bin jobs,
-// summed over the bins: AnswerEngine::ShardsFor of each bin's rows (a
-// one-worker pool runs the claim loop whatever the placement).
+// summed over the bins: AnswerEngine::ShardsFor of each bin's rows.
 std::uint64_t FullTableShards(const PrivateEmbeddingService& service) {
     const Pbr& pbr = service.full_pbr();
     std::uint64_t shards = 0;
@@ -440,11 +439,11 @@ TEST(RequestHandleTest, CancelMidBatchCompletesWithoutDanglingState) {
 // first (hot) partial blocks the batch until the main thread has cancelled
 // it. Every one of the victim's full-table jobs is still pending at that
 // point, so the skip counters are exact: 2 servers x full-table bins jobs,
-// each of the shards the engine gives its bin (FullTableShards). The survivor in the same batch must
-// stay bit-identical to the sequential reference. (The CI layout matrix
-// covers both table layouts; the multi-thread dynamic/pinned skip paths
-// have exact-counter coverage in sharded_pir_test's engine-level context
-// matrix and racy serving coverage in CancelHeavyLoad below.)
+// each of the shards the engine gives its bin (FullTableShards). The
+// survivor in the same batch must stay bit-identical to the sequential
+// reference. (The multi-thread skip path has exact-counter coverage in
+// sharded_pir_test's engine-level context matrix and racy serving
+// coverage in CancelHeavyLoad below.)
 TEST(RequestHandleTest, MidBatchCancelSkipsRemainingShardWork) {
     const std::vector<std::uint64_t> victim_wanted{7, 100, 300, 511};
     const std::vector<std::uint64_t> survivor_wanted{11, 200};
@@ -577,7 +576,7 @@ TEST(RequestHandleTest, MidBatchExpirySkipsRemainingShardWork) {
     }
 }
 
-// Cancel-heavy concurrent load across both shard placements, with the
+// Cancel-heavy concurrent load on a 4-worker answer pool, with the
 // engine-level skip of abandoned work on and off: half the requests are
 // cancelled right after their first partial while the rest must remain
 // bit-identical to the serialized sequential reference. This is the racy
@@ -614,52 +613,46 @@ TEST(RequestHandleTest, CancelHeavyLoadKeepsSurvivorsBitIdentical) {
     }
 
     for (const bool skip : {true, false}) {
-        for (const ShardPlacement placement :
-             {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-            SCOPED_TRACE(std::string(ShardPlacementName(placement)) +
-                         (skip ? " skip" : " no-skip"));
-            ServiceConfig config = BaseConfig();
-            config.server_shards = 3;
-            config.server_threads = 4;
-            config.shard_placement = placement;
-            config.batcher_linger_us = 300;
-            config.skip_abandoned_work = skip;
-            ServingWorld world(config);
-            std::vector<std::unique_ptr<PrivateEmbeddingService::Client>>
-                clients;
-            for (std::size_t c = 0; c < kClients; ++c) {
-                clients.push_back(world.service->MakeClient());
-            }
-            std::vector<std::thread> threads;
-            for (std::size_t c = 0; c < kClients; ++c) {
-                threads.emplace_back([&, c] {
-                    for (std::size_t l = 0; l < kLookups; ++l) {
-                        auto handle =
-                            world.service->front_end().SubmitRequestOrWait(
-                                {clients[c].get(), wanted[c][l]});
-                        ASSERT_TRUE(handle.ok());
-                        if (is_victim(c, l)) {
-                            TablePartial partial;
-                            handle.WaitPartial(&partial);
-                            const bool won = handle.Cancel();
-                            handle.Wait();
-                            if (won) {
-                                EXPECT_EQ(handle.status(),
-                                          RequestStatus::kCancelled);
-                            } else {
-                                EXPECT_EQ(handle.status(),
-                                          RequestStatus::kComplete);
-                            }
-                        } else {
-                            ExpectSameResult(handle.Result(), ref[c][l], c, l);
-                        }
-                    }
-                });
-            }
-            for (auto& t : threads) t.join();
-            world.service->front_end().Shutdown();
-            EXPECT_EQ(world.service->front_end().inflight(), 0u);
+        SCOPED_TRACE(skip ? "skip" : "no-skip");
+        ServiceConfig config = BaseConfig();
+        config.server_shards = 3;
+        config.server_threads = 4;
+        config.batcher_linger_us = 300;
+        config.skip_abandoned_work = skip;
+        ServingWorld world(config);
+        std::vector<std::unique_ptr<PrivateEmbeddingService::Client>> clients;
+        for (std::size_t c = 0; c < kClients; ++c) {
+            clients.push_back(world.service->MakeClient());
         }
+        std::vector<std::thread> threads;
+        for (std::size_t c = 0; c < kClients; ++c) {
+            threads.emplace_back([&, c] {
+                for (std::size_t l = 0; l < kLookups; ++l) {
+                    auto handle =
+                        world.service->front_end().SubmitRequestOrWait(
+                            {clients[c].get(), wanted[c][l]});
+                    ASSERT_TRUE(handle.ok());
+                    if (is_victim(c, l)) {
+                        TablePartial partial;
+                        handle.WaitPartial(&partial);
+                        const bool won = handle.Cancel();
+                        handle.Wait();
+                        if (won) {
+                            EXPECT_EQ(handle.status(),
+                                      RequestStatus::kCancelled);
+                        } else {
+                            EXPECT_EQ(handle.status(),
+                                      RequestStatus::kComplete);
+                        }
+                    } else {
+                        ExpectSameResult(handle.Result(), ref[c][l], c, l);
+                    }
+                }
+            });
+        }
+        for (auto& t : threads) t.join();
+        world.service->front_end().Shutdown();
+        EXPECT_EQ(world.service->front_end().inflight(), 0u);
     }
 }
 

@@ -161,57 +161,51 @@ TEST(BatchAnswerTest, BatchedReconstructionRetrievesEntries) {
     }
 }
 
-TEST(TiledLayoutTest, BitIdenticalToRowMajorAcrossShardsAndBatches) {
-    // Acceptance matrix: the tiled layout must be bit-identical to
-    // row-major for shards {1,3,8} x batch {1,4,32}, under both placement
-    // policies. Both tables are filled from the same seed, so their
-    // logical rows are identical; responses must match word for word.
-    // Two shapes: 700 x 208 B spans a few tiles; 2^14 x 256 B (4 MiB) is
-    // large enough for the 2 MiB-aligned, MADV_HUGEPAGE allocation.
+TEST(TiledLayoutTest, BitIdenticalToReferenceAcrossShardsAndBatches) {
+    // Acceptance matrix: the sharded engine over tiled storage must be
+    // bit-identical to the sequential reference for shards {1,3,8} x batch
+    // {1,4,32}. Two shapes: 700 x 208 B spans a few tiles; 2^14 x 256 B
+    // (4 MiB) is large enough for the 2 MiB-aligned, MADV_HUGEPAGE
+    // allocation and splits into 3 and 8 shards.
     struct Shape {
         int log_domain;
         std::uint64_t n;
         std::size_t entry_bytes;
     };
+    constexpr std::size_t kMaxBatch = 32;
     for (const Shape shape : {Shape{10, 700, 208}, Shape{14, 1 << 14, 256}}) {
         const std::uint64_t n = shape.n;
-        Rng rng_a(48);
-        Rng rng_b(48);
-        PirTable row_major(n, shape.entry_bytes, TableLayout::kRowMajor);
-        PirTable tiled(n, shape.entry_bytes, TableLayout::kTiled);
-        row_major.FillRandom(rng_a);
-        tiled.FillRandom(rng_b);
+        Rng rng(48);
+        PirTable tiled(n, shape.entry_bytes);
+        tiled.FillRandom(rng);
         if (tiled.size_bytes() >= (std::size_t{2} << 20)) {
             EXPECT_EQ(reinterpret_cast<std::uintptr_t>(tiled.Entry(0)) %
                           (std::uintptr_t{2} << 20),
                       0u);
         }
         PirClient client(shape.log_domain, PrfKind::kChacha20, /*seed=*/15);
+        std::vector<std::vector<std::uint8_t>> keys;
+        std::vector<PirResponse> expected;
+        for (std::size_t i = 0; i < kMaxBatch; ++i) {
+            PirQuery q = client.Query((i * 131) % n);
+            expected.push_back(ReferenceAnswer(
+                tiled, DpfKey::Deserialize(q.key_for_server0.data(),
+                                           q.key_for_server0.size())));
+            keys.push_back(std::move(q.key_for_server0));
+        }
         ThreadPool pool(4);
 
         for (const std::size_t shards : kShardCounts) {
+            PirServer server(&tiled, ShardingOptions{shards, &pool});
             for (const std::size_t batch : kBatchSizes) {
-                std::vector<std::vector<std::uint8_t>> keys;
+                const std::vector<std::vector<std::uint8_t>> subset(
+                    keys.begin(), keys.begin() + batch);
+                const auto responses = server.BatchAnswer(subset);
+                ASSERT_EQ(responses.size(), batch);
                 for (std::size_t i = 0; i < batch; ++i) {
-                    keys.push_back(
-                        client.Query((i * 131) % n).key_for_server0);
-                }
-                PirServer reference(&row_major,
-                                    ShardingOptions{shards, &pool});
-                const auto expected = reference.BatchAnswer(keys);
-                for (const ShardPlacement placement :
-                     {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-                    PirServer server(
-                        &tiled, ShardingOptions{shards, &pool, placement});
-                    const auto responses = server.BatchAnswer(keys);
-                    ASSERT_EQ(responses.size(), batch);
-                    for (std::size_t i = 0; i < batch; ++i) {
-                        EXPECT_EQ(responses[i], expected[i])
-                            << "n=" << n << " shards=" << shards
-                            << " batch=" << batch << " placement="
-                            << ShardPlacementName(placement)
-                            << " query=" << i;
-                    }
+                    EXPECT_EQ(responses[i], expected[i])
+                        << "n=" << n << " shards=" << shards
+                        << " batch=" << batch << " query=" << i;
                 }
             }
         }
@@ -235,27 +229,26 @@ TEST(CpuKernelMatrixTest, ScanPathFollowsCpuFeatures) {
     EXPECT_STREQ(ScanPathName(), features.avx512f ? "avx512" : "sse2");
 }
 
-TEST(CpuKernelMatrixTest, BitIdenticalAcrossLayoutsShardsPlacements) {
+TEST(CpuKernelMatrixTest, BitIdenticalAcrossWidthsShardsAndQueryCounts) {
     // The full acceptance matrix of the CPU kernel: it must be
     // bit-identical to the sequential reference under row widths {64,
-    // 192, 1,072 B} x PRFs {AES, ChaCha20} x layouts {row-major, tiled} x
-    // shards {1,3,8} x placements {dynamic, pinned} x query counts {1,
-    // T - 1, T, 32}, where T is the AVX-512 scan's table threshold for the
-    // width, so both of its regimes and the switch between them run. The
-    // SSE2 scan runs the same matrix under GPUDPF_FORCE_SCALAR=1. Rows
+    // 192, 1,072 B} x PRFs {AES, ChaCha20} x shards {1,3,8} x query counts
+    // {1, T - 1, T, 32}, where T is the AVX-512 scan's table threshold for
+    // the width, so both of its regimes and the switch between them run.
+    // The SSE2 scan runs the same matrix under GPUDPF_FORCE_SCALAR=1. Rows
     // are one, three, and 16 whole 64-byte columns plus a 16-byte
     // remainder of three words. Two tables have the movielens bin sizes
-    // (1,125 rows, 2^11 domain; 45 rows, a 0-level tree), which dynamic
-    // placement answers as one shard per group (AnswerEngine::ShardsFor);
-    // the third (4,539 rows, 2^13 domain) is over four kMinShardRows, so
-    // dynamic placement splits it into 3 and 4 shards as well. All three
-    // end mid-32-row run and mid-4-row group (1,125 = 35 x 32 + 5, 45 = 32
-    // + 13, 4,539 = 141 x 32 + 27), and so do the row-major shard edges
-    // (pinned at multiples of 375 and 141 rows, and of 15 and 6; dynamic
-    // on 4,539 rows at multiples of 1,513 and 1,135). 1,072-byte rows give
-    // 64-row tiles, so bin, shard and tile edges fall inside a 128-row
-    // selection block. XOR commutes, so any segmentation must reproduce
-    // the exact same words.
+    // (1,125 rows, 2^11 domain; 45 rows, a 0-level tree), which the engine
+    // answers as one shard per group (AnswerEngine::ShardsFor); the third
+    // (4,539 rows, 2^13 domain) is over four kMinShardRows, so it splits
+    // into 3 and 4 shards as well. All three end mid-32-row run and
+    // mid-4-row group (1,125 = 35 x 32 + 5, 45 = 32 + 13, 4,539 = 141 x 32
+    // + 27). With 64-byte rows a tile (2,048 rows) is taller than a shard
+    // of 4,539 rows, so the shard edges stay unsnapped, at multiples of
+    // 1,513 and 1,135, mid-run; wider rows snap them to the tile grid.
+    // 1,072-byte rows give 64-row tiles, so bin, shard and tile edges fall
+    // inside a 128-row selection block. XOR commutes, so any segmentation
+    // must reproduce the exact same words.
     ThreadPool pool(4);
     constexpr std::size_t kMaxQueries = 32;
     ASSERT_EQ(AnswerEngine::ShardsFor(4'539, 8), 4u);
@@ -265,15 +258,15 @@ TEST(CpuKernelMatrixTest, BitIdenticalAcrossLayoutsShardsPlacements) {
         const std::size_t query_counts[] = {1, t - 1, t, kMaxQueries};
         for (const std::uint64_t n : {std::uint64_t{1'125}, std::uint64_t{45},
                                       std::uint64_t{4'539}}) {
-            Rng rng_a(53);
-            Rng rng_b(53);
-            PirTable row_major(n, row_bytes, TableLayout::kRowMajor);
-            PirTable tiled(n, row_bytes, TableLayout::kTiled);
+            Rng rng(53);
+            PirTable table(n, row_bytes);
             if (row_bytes == 1'072) {
-                ASSERT_EQ(tiled.rows_per_tile(), 64u);
+                ASSERT_EQ(table.rows_per_tile(), 64u);
             }
-            row_major.FillRandom(rng_a);
-            tiled.FillRandom(rng_b);
+            if (row_bytes == 64) {
+                ASSERT_EQ(table.rows_per_tile(), 2'048u);
+            }
+            table.FillRandom(rng);
             const int log_domain = n > 2'048 ? 13 : (n > 64 ? 11 : 6);
             for (const PrfKind prf : {PrfKind::kAes128, PrfKind::kChacha20}) {
                 PirClient client(log_domain, prf, /*seed=*/23);
@@ -282,84 +275,32 @@ TEST(CpuKernelMatrixTest, BitIdenticalAcrossLayoutsShardsPlacements) {
                 for (std::size_t i = 0; i < kMaxQueries; ++i) {
                     PirQuery q = client.Query((i * 131) % n);
                     expected.push_back(ReferenceAnswer(
-                        row_major,
+                        table,
                         DpfKey::Deserialize(q.key_for_server0.data(),
                                             q.key_for_server0.size())));
                     keys.push_back(std::move(q.key_for_server0));
                 }
-                for (const PirTable* table : {&row_major, &tiled}) {
-                    for (const std::size_t shards : kShardCounts) {
-                        for (const ShardPlacement placement :
-                             {ShardPlacement::kDynamic,
-                              ShardPlacement::kPinned}) {
-                            PirServer server(table, ShardingOptions{
-                                                        shards, &pool,
-                                                        placement});
-                            for (const std::size_t batch : query_counts) {
-                                const std::vector<std::vector<std::uint8_t>>
-                                    subset(keys.begin(),
-                                           keys.begin() + batch);
-                                const auto responses =
-                                    server.BatchAnswer(subset);
-                                ASSERT_EQ(responses.size(), batch);
-                                for (std::size_t i = 0; i < batch; ++i) {
-                                    ASSERT_EQ(responses[i], expected[i])
-                                        << "row_bytes=" << row_bytes
-                                        << " rows=" << n
-                                        << " prf=" << PrfKindName(prf)
-                                        << " prg=" << PrgPath()
-                                        << " scan=" << ScanPathName()
-                                        << " layout="
-                                        << (table == &tiled ? "tiled"
-                                                            : "row-major")
-                                        << " shards=" << shards
-                                        << " placement="
-                                        << ShardPlacementName(placement)
-                                        << " batch=" << batch
-                                        << " query=" << i;
-                                }
-                            }
+                for (const std::size_t shards : kShardCounts) {
+                    PirServer server(&table, ShardingOptions{shards, &pool});
+                    for (const std::size_t batch : query_counts) {
+                        const std::vector<std::vector<std::uint8_t>> subset(
+                            keys.begin(), keys.begin() + batch);
+                        const auto responses = server.BatchAnswer(subset);
+                        ASSERT_EQ(responses.size(), batch);
+                        for (std::size_t i = 0; i < batch; ++i) {
+                            ASSERT_EQ(responses[i], expected[i])
+                                << "row_bytes=" << row_bytes << " rows=" << n
+                                << " prf=" << PrfKindName(prf)
+                                << " prg=" << PrgPath()
+                                << " scan=" << ScanPathName()
+                                << " shards=" << shards << " batch=" << batch
+                                << " query=" << i;
                         }
                     }
                 }
             }
         }
     }
-}
-
-TEST(ShardedServiceTest, TiledLayoutLookupMatchesRowMajor) {
-    RecWorkloadSpec spec;
-    spec.name = "layout-service-test";
-    spec.vocab = 512;
-    spec.num_train = 1'000;
-    spec.num_test = 100;
-    spec.min_history = 4;
-    spec.max_history = 10;
-    spec.num_clusters = 8;
-    spec.seed = 14;
-    const RecDataset dataset = GenerateRecDataset(spec);
-    const AccessStats stats = ComputeRecStats(dataset, 4);
-    EmbeddingTable emb(spec.vocab, spec.dim);
-    Rng rng(50);
-    emb.InitRandom(rng, 0.2f);
-
-    const std::vector<std::uint64_t> wanted = {4, 18, 401, 510, 18};
-    std::vector<std::vector<std::vector<float>>> results;
-    for (const TableLayout layout :
-         {TableLayout::kRowMajor, TableLayout::kTiled}) {
-        ServiceConfig config;
-        config.codesign.q_full = 8;
-        config.server_shards = 4;
-        config.server_threads = 4;
-        config.table_layout = layout;
-        config.shard_placement = layout == TableLayout::kTiled
-                                     ? ShardPlacement::kPinned
-                                     : ShardPlacement::kDynamic;
-        PrivateEmbeddingService service(emb, stats, config);
-        auto result = service.MakeClient()->Lookup(wanted);
-        results.push_back(std::move(result.embeddings));
-    }
-    EXPECT_EQ(results[1], results[0]);
 }
 
 TEST(AnswerEngineTest, RejectsBadJobs) {
@@ -399,17 +340,13 @@ TEST(AnswerEngineTest, RejectsBadJobs) {
 TEST(AnswerEngineTest, JobContextSkipsDeadJobsAndKeepsLiveOnesBitIdentical) {
     // A batch mixing live, cancelled, and expired contexts: dead jobs must
     // complete with an empty response and deterministic skip counters
-    // (every shard of a dead job is reclaimed, whether its range is empty
-    // or not), while live jobs — with or without a context, interactive or
-    // batch class — stay bit-identical to the sequential reference, under
-    // every layout x shards x placement combination.
-    Rng rng_a(61);
-    Rng rng_b(61);
+    // (every shard of a dead job is reclaimed), while live jobs — with or
+    // without a context, interactive or batch class — stay bit-identical
+    // to the sequential reference, under every shard count.
+    Rng rng(61);
     const std::uint64_t n = 700;
-    PirTable row_major(n, 208, TableLayout::kRowMajor);
-    PirTable tiled(n, 208, TableLayout::kTiled);
-    row_major.FillRandom(rng_a);
-    tiled.FillRandom(rng_b);
+    PirTable table(n, 208);
+    table.FillRandom(rng);
     PirClient client(10, PrfKind::kChacha20, /*seed=*/19);
     ThreadPool pool(4);
 
@@ -422,7 +359,7 @@ TEST(AnswerEngineTest, JobContextSkipsDeadJobsAndKeepsLiveOnesBitIdentical) {
         key_bytes.push_back(std::move(q.key_for_server0));
         keys.push_back(DpfKey::Deserialize(key_bytes.back().data(),
                                            key_bytes.back().size()));
-        expected.push_back(ReferenceAnswer(row_major, keys.back()));
+        expected.push_back(ReferenceAnswer(table, keys.back()));
     }
 
     JobContext cancelled_ctx;
@@ -439,40 +376,28 @@ TEST(AnswerEngineTest, JobContextSkipsDeadJobsAndKeepsLiveOnesBitIdentical) {
     const bool dead[kJobs] = {false, true, false, true, true, false};
     constexpr std::size_t kDeadJobs = 3;
 
-    for (const PirTable* table : {&row_major, &tiled}) {
-        for (const std::size_t shards : kShardCounts) {
-            for (const ShardPlacement placement :
-                 {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-                AnswerEngine engine(ShardingOptions{shards, &pool, placement});
-                std::vector<AnswerEngine::TableJob> jobs;
-                for (std::size_t q = 0; q < kJobs; ++q) {
-                    jobs.push_back({table, {&keys[q], 0, n}, {q, contexts[q]}});
-                }
-                std::vector<PirResponse> out(kJobs);
-                const AnswerEngine::BatchStats stats = engine.AnswerBatchNotify(
-                    jobs, [&out](std::size_t q, PirResponse&& resp) {
-                        out[q] = std::move(resp);
-                    });
-                // Pinned placement runs num_shards shards per job, dynamic
-                // placement as many as the job's rows warrant.
-                const std::size_t job_shards =
-                    placement == ShardPlacement::kPinned
-                        ? shards
-                        : AnswerEngine::ShardsFor(n, shards);
-                EXPECT_EQ(stats.jobs_skipped, kDeadJobs) << "shards=" << shards;
-                EXPECT_EQ(stats.shards_skipped, kDeadJobs * job_shards)
-                    << "shards=" << shards << " placement="
-                    << ShardPlacementName(placement);
-                for (std::size_t q = 0; q < kJobs; ++q) {
-                    if (dead[q]) {
-                        EXPECT_TRUE(out[q].empty())
-                            << "shards=" << shards << " job=" << q;
-                    } else {
-                        EXPECT_EQ(out[q], expected[q])
-                            << "shards=" << shards << " placement="
-                            << ShardPlacementName(placement) << " job=" << q;
-                    }
-                }
+    for (const std::size_t shards : kShardCounts) {
+        AnswerEngine engine(ShardingOptions{shards, &pool});
+        std::vector<AnswerEngine::TableJob> jobs;
+        for (std::size_t q = 0; q < kJobs; ++q) {
+            jobs.push_back({&table, {&keys[q], 0, n}, {q, contexts[q]}});
+        }
+        std::vector<PirResponse> out(kJobs);
+        const AnswerEngine::BatchStats stats = engine.AnswerBatchNotify(
+            jobs, [&out](std::size_t q, PirResponse&& resp) {
+                out[q] = std::move(resp);
+            });
+        EXPECT_EQ(stats.jobs_skipped, kDeadJobs) << "shards=" << shards;
+        EXPECT_EQ(stats.shards_skipped,
+                  kDeadJobs * AnswerEngine::ShardsFor(n, shards))
+            << "shards=" << shards;
+        for (std::size_t q = 0; q < kJobs; ++q) {
+            if (dead[q]) {
+                EXPECT_TRUE(out[q].empty())
+                    << "shards=" << shards << " job=" << q;
+            } else {
+                EXPECT_EQ(out[q], expected[q])
+                    << "shards=" << shards << " job=" << q;
             }
         }
     }
@@ -500,114 +425,101 @@ TEST(AnswerEngineTest, ShardsForSizesShardsByRows) {
     EXPECT_EQ(shards_for(65'536, 0), 1u);
 }
 
-TEST(AnswerEngineTest, MixedBinsAndWindowsAreBitIdenticalUnderBothPlacements) {
+TEST(AnswerEngineTest, MixedBinsAndWindowsAreBitIdentical) {
     // One batch over three bins: a movielens hot bin (45 rows) and full bin
     // (1,125 rows), 192 B rows and ChaCha20, and a taobao bin (65,536 rows
     // x 64 B, AES). Each bin is queried unclipped, as both halves of a
     // fleet node's K = 2 split, through a window smaller than one shard and
-    // through one of 2.5 shards, so dynamic placement gives its groups 1, 2
-    // and 4 shards over partitions of their windows, while pinned placement
-    // gives every group num_shards shards over the full bin. Each group also
-    // holds a cancelled job, whose skipped shards count the shards its group
-    // ran. Every live job must match the sequential reference, on row-major
-    // tables (plain row shard edges) and tiled ones (tile-snapped edges).
+    // through one of 2.5 shards, so the engine gives its groups 1, 2 and 4
+    // shards over partitions of their windows. Each group also holds a
+    // cancelled job, whose skipped shards count the shards its group ran.
+    // Every live job must match the sequential reference, across windows
+    // whose shard edges stay off the tile grid (a tile taller than the
+    // shard) and windows whose edges snap to it.
     constexpr std::size_t kShards = 4;
     constexpr std::uint64_t kAll = ~std::uint64_t{0};
     constexpr std::uint64_t kMin = AnswerEngine::kMinShardRows;
-    for (const TableLayout layout :
-         {TableLayout::kRowMajor, TableLayout::kTiled}) {
-        Rng rng(97);
-        PirTable hot(45, 192, layout);
-        PirTable full(1'125, 192, layout);
-        PirTable big(std::uint64_t{1} << 16, 64, layout);
-        hot.FillRandom(rng);
-        full.FillRandom(rng);
-        big.FillRandom(rng);
-        struct Bin {
-            const PirTable* table;
-            int log_domain;
-            PrfKind prf;
-        };
-        const Bin bins[] = {{&hot, 6, PrfKind::kChacha20},
-                            {&full, 11, PrfKind::kChacha20},
-                            {&big, 16, PrfKind::kAes128}};
-        JobContext cancelled;
-        cancelled.Cancel();
+    Rng rng(97);
+    PirTable hot(45, 192);
+    PirTable full(1'125, 192);
+    PirTable big(std::uint64_t{1} << 16, 64);
+    hot.FillRandom(rng);
+    full.FillRandom(rng);
+    big.FillRandom(rng);
+    struct Bin {
+        const PirTable* table;
+        int log_domain;
+        PrfKind prf;
+    };
+    const Bin bins[] = {{&hot, 6, PrfKind::kChacha20},
+                        {&full, 11, PrfKind::kChacha20},
+                        {&big, 16, PrfKind::kAes128}};
+    JobContext cancelled;
+    cancelled.Cancel();
 
-        std::vector<DpfKey> keys;
-        // Jobs point into `keys`: bins x windows x parties.
-        keys.reserve(3 * 5 * 2);
-        std::vector<AnswerEngine::TableJob> jobs;
-        std::vector<PirResponse> expected;
-        std::size_t groups = 0;
-        std::size_t dynamic_shards = 0;
-        std::set<std::size_t> shard_counts;
-        for (const Bin& bin : bins) {
-            const std::uint64_t n = bin.table->num_entries();
-            PirClient client(bin.log_domain, bin.prf, /*seed=*/n);
-            const std::pair<std::uint64_t, std::uint64_t> windows[] = {
-                {0, kAll},
-                {0, n / 2},
-                {n / 2, kAll},
-                {n / 3, std::min(n, n / 3 + kMin / 2)},
-                {n / 4, std::min(n, n / 4 + kMin * 5 / 2)}};
-            for (const auto& [lo, hi] : windows) {
-                const std::uint64_t end = std::min(hi, n);
-                const PirQuery q = client.Query((lo + end) / 2);
-                const std::size_t first = keys.size();
-                for (const auto* bytes :
-                     {&q.key_for_server0, &q.key_for_server1}) {
-                    keys.push_back(
-                        DpfKey::Deserialize(bytes->data(), bytes->size()));
-                }
-                for (std::size_t k = first; k < keys.size(); ++k) {
-                    jobs.push_back({bin.table, {&keys[k], 0, n, lo, hi}, {}});
-                    expected.push_back(
-                        ReferenceWindow(*bin.table, keys[k], 0, lo, end));
-                }
-                jobs.push_back({bin.table,
-                                {&keys[first], 0, n, lo, hi},
-                                {0, &cancelled}});
-                expected.push_back({});
-                ++groups;
-                const std::size_t shards =
-                    AnswerEngine::ShardsFor(end - lo, kShards);
-                dynamic_shards += shards;
-                shard_counts.insert(shards);
+    std::vector<DpfKey> keys;
+    // Jobs point into `keys`: bins x windows x parties.
+    keys.reserve(3 * 5 * 2);
+    std::vector<AnswerEngine::TableJob> jobs;
+    std::vector<PirResponse> expected;
+    std::size_t groups = 0;
+    std::size_t group_shards = 0;
+    std::set<std::size_t> shard_counts;
+    for (const Bin& bin : bins) {
+        const std::uint64_t n = bin.table->num_entries();
+        PirClient client(bin.log_domain, bin.prf, /*seed=*/n);
+        const std::pair<std::uint64_t, std::uint64_t> windows[] = {
+            {0, kAll},
+            {0, n / 2},
+            {n / 2, kAll},
+            {n / 3, std::min(n, n / 3 + kMin / 2)},
+            {n / 4, std::min(n, n / 4 + kMin * 5 / 2)}};
+        for (const auto& [lo, hi] : windows) {
+            const std::uint64_t end = std::min(hi, n);
+            const PirQuery q = client.Query((lo + end) / 2);
+            const std::size_t first = keys.size();
+            for (const auto* bytes :
+                 {&q.key_for_server0, &q.key_for_server1}) {
+                keys.push_back(
+                    DpfKey::Deserialize(bytes->data(), bytes->size()));
             }
+            for (std::size_t k = first; k < keys.size(); ++k) {
+                jobs.push_back({bin.table, {&keys[k], 0, n, lo, hi}, {}});
+                expected.push_back(
+                    ReferenceWindow(*bin.table, keys[k], 0, lo, end));
+            }
+            jobs.push_back({bin.table,
+                            {&keys[first], 0, n, lo, hi},
+                            {0, &cancelled}});
+            expected.push_back({});
+            ++groups;
+            const std::size_t shards =
+                AnswerEngine::ShardsFor(end - lo, kShards);
+            group_shards += shards;
+            shard_counts.insert(shards);
         }
-        EXPECT_EQ(shard_counts, (std::set<std::size_t>{1, 2, 4}));
+    }
+    EXPECT_EQ(shard_counts, (std::set<std::size_t>{1, 2, 4}));
 
-        ThreadPool pool(4);
-        for (const ShardPlacement placement :
-             {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-            const AnswerEngine engine(
-                ShardingOptions{kShards, &pool, placement});
-            std::vector<PirResponse> out(jobs.size());
-            const AnswerEngine::BatchStats stats = engine.AnswerBatchNotify(
-                jobs, [&out](std::size_t q, PirResponse&& resp) {
-                    out[q] = std::move(resp);
-                });
-            const char* layout_name = TableLayoutName(layout);
-            EXPECT_EQ(stats.jobs_skipped, groups);
-            EXPECT_EQ(stats.shards_skipped,
-                      placement == ShardPlacement::kPinned ? groups * kShards
-                                                           : dynamic_shards)
-                << layout_name << " " << ShardPlacementName(placement);
-            for (std::size_t q = 0; q < jobs.size(); ++q) {
-                EXPECT_EQ(out[q], expected[q])
-                    << layout_name << " " << ShardPlacementName(placement)
-                    << " job=" << q << " rows=" << jobs[q].job.num_rows
-                    << " window=["
-                    << jobs[q].job.eval_begin << ", " << jobs[q].job.eval_end
-                    << ")";
-            }
-        }
+    ThreadPool pool(4);
+    const AnswerEngine engine(ShardingOptions{kShards, &pool});
+    std::vector<PirResponse> out(jobs.size());
+    const AnswerEngine::BatchStats stats = engine.AnswerBatchNotify(
+        jobs, [&out](std::size_t q, PirResponse&& resp) {
+            out[q] = std::move(resp);
+        });
+    EXPECT_EQ(stats.jobs_skipped, groups);
+    EXPECT_EQ(stats.shards_skipped, group_shards);
+    for (std::size_t q = 0; q < jobs.size(); ++q) {
+        EXPECT_EQ(out[q], expected[q])
+            << "job=" << q << " rows=" << jobs[q].job.num_rows
+            << " window=[" << jobs[q].job.eval_begin << ", "
+            << jobs[q].job.eval_end << ")";
     }
 }
 
 TEST(AnswerEngineTest, ClaimLoopDispatchIsBitIdenticalAndInteractiveFirst) {
-    // The dynamic path's claim loop under pool sizes 1, 2 and 4: one batch
+    // The engine's claim loop under pool sizes 1, 2 and 4: one batch
     // mixes interactive and batch jobs over two bins of two tables whose
     // rows are 3 and 12 words wide (the 3-word partials are padded to a
     // whole cache line), so groups differ in table, range and class, and
@@ -616,8 +528,8 @@ TEST(AnswerEngineTest, ClaimLoopDispatchIsBitIdenticalAndInteractiveFirst) {
     // worker (the loop on the caller) every interactive job completes
     // before any batch job.
     Rng rng(71);
-    PirTable narrow(300, 48, TableLayout::kTiled);
-    PirTable wide(300, 192, TableLayout::kRowMajor);
+    PirTable narrow(300, 48);
+    PirTable wide(300, 192);
     narrow.FillRandom(rng);
     wide.FillRandom(rng);
     PirClient client(9, PrfKind::kChacha20, /*seed=*/29);
@@ -654,8 +566,7 @@ TEST(AnswerEngineTest, ClaimLoopDispatchIsBitIdenticalAndInteractiveFirst) {
     for (const std::size_t threads : {1, 2, 4}) {
         ThreadPool pool(threads);
         for (const std::size_t shards : {1, 3, 4}) {
-            AnswerEngine engine(
-                ShardingOptions{shards, &pool, ShardPlacement::kDynamic});
+            AnswerEngine engine(ShardingOptions{shards, &pool});
             std::vector<PirResponse> out(kJobs);
             std::mutex mu;
             std::vector<std::size_t> completed;
@@ -720,81 +631,68 @@ EngineBatch MakeEngineBatch(const PirTable& table, std::size_t count,
 }
 
 TEST(AnswerEngineTest, BatchReturnsWhileUnrelatedPoolTaskRuns) {
-    // A batch ends when its own units are done: with worker 1 of a
+    // A batch ends when its own units are done: with one worker of a
     // 2-worker pool held by an unrelated task, AnswerBatch must return
     // (bit-identical) before that task is released. A batch that waited
     // for the whole pool would block until the 10 s timeout, which
     // releases the blocker and fails instead of hanging. The table is four
-    // kMinShardRows shards, so the dynamic leg runs four units and submits
-    // two runners; with worker 1 held, one of them starts only once the
-    // units are drained and must find its cursors spent. Pinned placement
-    // runs one shard, so its only task goes to worker 0.
+    // kMinShardRows shards, so the batch runs four units and submits two
+    // runners; with one worker held, one of them starts only once the
+    // units are drained and must find its cursors spent.
     Rng rng(81);
-    PirTable table(4 * AnswerEngine::kMinShardRows, 96, TableLayout::kTiled);
+    PirTable table(4 * AnswerEngine::kMinShardRows, 96);
     table.FillRandom(rng);
     ASSERT_EQ(AnswerEngine::ShardsFor(table.num_entries(), 4), 4u);
     const EngineBatch batch = MakeEngineBatch(table, 6, 31);
-    for (const auto& [placement, shards] :
-         {std::pair{ShardPlacement::kDynamic, std::size_t{4}},
-          std::pair{ShardPlacement::kPinned, std::size_t{1}}}) {
-        ThreadPool pool(2);
-        std::promise<void> release;
-        std::shared_future<void> released = release.get_future().share();
-        std::promise<void> blocking;
-        pool.SubmitTo(1, [&blocking, released] {
-            blocking.set_value();
-            released.wait();
-        });
-        blocking.get_future().wait();
-        const AnswerEngine engine(ShardingOptions{shards, &pool, placement});
-        auto answered = std::async(std::launch::async, [&] {
-            return engine.AnswerBatch(table, batch.jobs);
-        });
-        const bool returned = answered.wait_for(std::chrono::seconds(10)) ==
-                              std::future_status::ready;
-        release.set_value();
-        ASSERT_TRUE(returned) << "placement=" << ShardPlacementName(placement)
-                              << ": the batch waited for an unrelated task";
-        EXPECT_EQ(answered.get(), batch.expected)
-            << "placement=" << ShardPlacementName(placement);
-    }
+    ThreadPool pool(2);
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::promise<void> blocking;
+    pool.Submit([&blocking, released] {
+        blocking.set_value();
+        released.wait();
+    });
+    blocking.get_future().wait();
+    const AnswerEngine engine(ShardingOptions{4, &pool});
+    auto answered = std::async(std::launch::async, [&] {
+        return engine.AnswerBatch(table, batch.jobs);
+    });
+    const bool returned = answered.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    release.set_value();
+    ASSERT_TRUE(returned) << "the batch waited for an unrelated task";
+    EXPECT_EQ(answered.get(), batch.expected);
 }
 
 TEST(AnswerEngineTest, ConcurrentBatchesOnOnePoolAreBitIdentical) {
     // Two callers answer batches on one pool at the same time (two
     // front-ends sharing ThreadPool::Shared()): each batch's claim cursors
-    // and latch are its own, so every answer stays bit-identical under
-    // both placements. The table is four kMinShardRows shards, so both
-    // placements split the batch into four units and runners of the two
-    // batches share the pool's workers.
+    // and latch are its own, so every answer stays bit-identical. The
+    // table is four kMinShardRows shards, so each batch splits into four
+    // units and runners of the two batches share the pool's workers.
     Rng rng(82);
-    PirTable table(4 * AnswerEngine::kMinShardRows, 96, TableLayout::kTiled);
+    PirTable table(4 * AnswerEngine::kMinShardRows, 96);
     table.FillRandom(rng);
     ASSERT_EQ(AnswerEngine::ShardsFor(table.num_entries(), 4), 4u);
     const EngineBatch batches[2] = {MakeEngineBatch(table, 9, 41),
                                     MakeEngineBatch(table, 4, 43)};
     ThreadPool pool(3);
-    for (const ShardPlacement placement :
-         {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-        const AnswerEngine engine(ShardingOptions{4, &pool, placement});
-        int mismatches[2] = {0, 0};
-        std::vector<std::thread> callers;
-        for (std::size_t t = 0; t < 2; ++t) {
-            callers.emplace_back([&, t] {
-                for (int round = 0; round < 20; ++round) {
-                    if (engine.AnswerBatch(table, batches[t].jobs) !=
-                        batches[t].expected) {
-                        ++mismatches[t];
-                    }
+    const AnswerEngine engine(ShardingOptions{4, &pool});
+    int mismatches[2] = {0, 0};
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < 2; ++t) {
+        callers.emplace_back([&, t] {
+            for (int round = 0; round < 20; ++round) {
+                if (engine.AnswerBatch(table, batches[t].jobs) !=
+                    batches[t].expected) {
+                    ++mismatches[t];
                 }
-            });
-        }
-        for (std::thread& caller : callers) caller.join();
-        for (std::size_t t = 0; t < 2; ++t) {
-            EXPECT_EQ(mismatches[t], 0)
-                << "placement=" << ShardPlacementName(placement)
-                << " caller=" << t;
-        }
+            }
+        });
+    }
+    for (std::thread& caller : callers) caller.join();
+    for (std::size_t t = 0; t < 2; ++t) {
+        EXPECT_EQ(mismatches[t], 0) << "caller=" << t;
     }
 }
 
@@ -858,6 +756,22 @@ TEST(ShardedServiceTest, LookupMatchesSequentialConfig) {
         config.server_threads = shards > 1 ? 4 : 0;
         PrivateEmbeddingService service(emb, stats, config);
         auto result = service.MakeClient()->Lookup(wanted);
+        // Every retrieved slot holds the plaintext embedding's exact bytes,
+        // every dropped one zeros.
+        std::size_t retrieved = 0;
+        for (std::size_t i = 0; i < wanted.size(); ++i) {
+            std::vector<float> want(spec.dim, 0.0f);
+            if (result.retrieved[i]) {
+                ++retrieved;
+                std::memcpy(want.data(), emb.Row(wanted[i]),
+                            want.size() * sizeof(float));
+            }
+            EXPECT_EQ(std::memcmp(result.embeddings[i].data(), want.data(),
+                                  want.size() * sizeof(float)),
+                      0)
+                << "shards=" << shards << " wanted[" << i << "]";
+        }
+        EXPECT_GT(retrieved, 0u) << "shards=" << shards;
         results.push_back(std::move(result.embeddings));
     }
     for (std::size_t i = 1; i < results.size(); ++i) {
