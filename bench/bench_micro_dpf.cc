@@ -1,19 +1,25 @@
 // google-benchmark microbenchmarks: DPF Gen / point Eval / full-domain
 // Eval / the serving range walk and scan kernel, the answer engine's batch
-// on the shared pool, and the parallel kernel strategies on the host.
+// on the shared pool, the client half of a lookup, and the parallel kernel
+// strategies on the host.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/batchpir/pbr_session.h"
 #include "src/common/rng.h"
+#include "src/core/service.h"
 #include "src/dpf/dpf.h"
 #include "src/kernels/cpu_kernel.h"
 #include "src/kernels/strategy.h"
+#include "src/ml/embedding.h"
 #include "src/pir/answer_engine.h"
 #include "src/pir/table_layout.h"
+#include "src/workloads/dataset.h"
 
 namespace gpudpf {
 namespace {
@@ -92,18 +98,20 @@ BENCHMARK(BM_DpfEvalRangeBatched)
 
 // The serving kernel, one thread: MultiqueryTileAnswerRange over one
 // tiled bin of `rows` x `row_bytes` for state.range(0) XOR queries under
-// `prf` sharing each pass, the bin split into `shards` row shards as the
-// answer engine splits it. Items are (row, query) pairs. The walk_share
-// counter is the multi-key DPF walk's share of kernel time: best of 40
-// timed passes of EvalRangeBatched over the kernel's own segments (each
-// shard cut at the tile grid) against best of 40 kernel passes. The label
-// names the PRF, the scan path (ScanPathName) and the query count; Q = 1,
+// `prf` sharing each pass, the bin split into row shards as the answer
+// engine splits it: AnswerEngine::ShardsFor(rows, num_shards), with
+// num_shards = 4 as the serving benchmark configures it. Items are
+// (row, query) pairs. The walk_share counter is the multi-key DPF walk's
+// share of kernel time: best of 40 timed passes of EvalRangeBatched over
+// the kernel's own segments (each shard cut at the tile grid) against best
+// of 40 kernel passes. The label names the PRF, the scan path
+// (ScanPathName), the shard count and the query count; Q = 1,
 // 2, 8, 16, 32 spans the AVX-512 scan's table thresholds and the ~17 live
 // queries a serving taobao group holds.
 void KernelScanBin(benchmark::State& state, std::uint64_t rows,
-                   std::size_t row_bytes, int log_domain, PrfKind prf,
-                   std::size_t shards) {
+                   std::size_t row_bytes, int log_domain, PrfKind prf) {
     using Clock = std::chrono::steady_clock;
+    const std::size_t shards = AnswerEngine::ShardsFor(rows, 4);
     const auto queries = static_cast<std::size_t>(state.range(0));
     const Dpf dpf(DpfParams{log_domain, prf, 1, ShareKind::kXor});
     Rng rng(6);
@@ -169,12 +177,13 @@ void KernelScanBin(benchmark::State& state, std::uint64_t rows,
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(rows * queries));
     state.SetLabel(std::string(PrfKindName(prf)) + " scan=" + ScanPathName() +
+                   " shards=" + std::to_string(shards) +
                    " queries=" + std::to_string(queries));
 }
 
-// A taobao bin: 65,536 rows x 64 B, AES, answered as one range.
+// A taobao bin: 65,536 rows x 64 B, AES, in 4 row shards.
 void BM_KernelScanTaobaoBin(benchmark::State& state) {
-    KernelScanBin(state, 1u << 16, 64, 16, PrfKind::kAes128, 1);
+    KernelScanBin(state, 1u << 16, 64, 16, PrfKind::kAes128);
 }
 BENCHMARK(BM_KernelScanTaobaoBin)
     ->Arg(1)
@@ -185,11 +194,24 @@ BENCHMARK(BM_KernelScanTaobaoBin)
     ->Unit(benchmark::kMillisecond);
 
 // A movielens full-table bin: 1,125 rows x 192 B (2^11 domain),
-// ChaCha20, in 4 row shards — a 4-level tree over 2-3 blocks per shard.
+// ChaCha20, as one unit — a 4-level tree over 9 blocks.
 void BM_KernelScanMovielensBin(benchmark::State& state) {
-    KernelScanBin(state, 1'125, 192, 11, PrfKind::kChacha20, 4);
+    KernelScanBin(state, 1'125, 192, 11, PrfKind::kChacha20);
 }
 BENCHMARK(BM_KernelScanMovielensBin)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Unit(benchmark::kMicrosecond);
+
+// A movielens hot-table bin: 45 rows x 192 B (2^6 domain, below the tree
+// cut, so each key converts one leaf seed), ChaCha20, as one unit.
+void BM_KernelScanMovielensHotBin(benchmark::State& state) {
+    KernelScanBin(state, 45, 192, 6, PrfKind::kChacha20);
+}
+BENCHMARK(BM_KernelScanMovielensHotBin)
     ->Arg(1)
     ->Arg(2)
     ->Arg(8)
@@ -290,6 +312,125 @@ BENCHMARK(BM_EngineBatchMovielens)
     ->Arg(8)
     ->Arg(16)
     ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// The client half of a lookup on movielens geometry (27,000 x 16-float
+// embeddings, 2,700 hot rows in 60 bins, 24 full bins, two co-located
+// partners per row, ChaCha20), one step per row, cycling through the
+// workload's test histories. The label names the step:
+//   prepare       Client::Prepare: plan plus both tables' keys;
+//   plan          QueryPlanner::Plan alone;
+//   keygen        PbrSession::PrepareJobs of both tables' plans;
+//   assemble_hot  AssembleFromShares of the hot table's shares;
+//   assemble_full AssembleFromShares of the full table's shares;
+//   finalize      FinalizeLookupResult of both partials.
+// A planning-only service: no table is built, and the shares are random
+// words of the response shape. Items are lookups.
+struct ClientHalfWorld {
+    ClientHalfWorld() {
+        RecWorkloadSpec spec = MovieLensLikeSpec();
+        spec.seed = 1;
+        const RecDataset dataset = GenerateRecDataset(spec);
+        const AccessStats stats = ComputeRecStats(dataset, 2);
+        EmbeddingTable emb(dataset.vocab, dataset.dim);
+        Rng rng(9);
+        emb.InitRandom(rng, 0.1f);
+        ServiceConfig config;
+        config.prf = PrfKind::kChacha20;
+        config.codesign.hot_size = 2'700;
+        config.codesign.colocate_c = 2;
+        config.codesign.q_hot = 60;
+        config.codesign.q_full = 24;
+        config.codesign.full_replicas = 1;
+        config.codesign.per_query = false;
+        config.planning_only = true;
+        service = std::make_unique<PrivateEmbeddingService>(emb, stats, config);
+        client = service->MakeClient();
+        for (std::size_t i = 0; i < 64 && i < dataset.test.size(); ++i) {
+            wanted.push_back(dataset.test[i].history);
+        }
+        const std::size_t words =
+            (service->layout().RowBytes(dataset.dim * sizeof(float)) + 15) / 16;
+        auto shares = [&](const Pbr& pbr) {
+            std::vector<PirResponse> r(pbr.num_bins(), PirResponse(words));
+            for (PirResponse& resp : r) {
+                for (u128& w : resp) w = rng.Next128();
+            }
+            return r;
+        };
+        full0 = shares(service->full_pbr());
+        full1 = shares(service->full_pbr());
+        hot0 = shares(*service->hot_pbr());
+        hot1 = shares(*service->hot_pbr());
+    }
+
+    std::unique_ptr<PrivateEmbeddingService> service;
+    std::unique_ptr<PrivateEmbeddingService::Client> client;
+    std::vector<std::vector<std::uint64_t>> wanted;
+    std::vector<PirResponse> full0, full1, hot0, hot1;
+};
+
+void BM_ClientHalfMovielens(benchmark::State& state) {
+    enum Step { kPrepare, kPlan, kKeygen, kAssembleHot, kAssembleFull,
+                kFinalize };
+    static const char* const kNames[] = {"prepare",      "plan",
+                                         "keygen",       "assemble_hot",
+                                         "assemble_full", "finalize"};
+    static ClientHalfWorld world;
+    const PrivateEmbeddingService& service = *world.service;
+    const auto step = static_cast<Step>(state.range(0));
+    const std::size_t n = world.wanted.size();
+    std::vector<PrivateEmbeddingService::PreparedLookup> preps;
+    for (const auto& wanted : world.wanted) {
+        preps.push_back(world.client->Prepare(wanted));
+    }
+    using TablePartial = PrivateEmbeddingService::TablePartial;
+    std::vector<TablePartial> hot(n), full(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        hot[i] = service.AssembleFromShares(preps[i], true, world.hot0,
+                                            world.hot1);
+        full[i] = service.AssembleFromShares(preps[i], false, world.full0,
+                                             world.full1);
+    }
+    Rng rng(10);
+    PbrSession full_session(&service.full_pbr(), PrfKind::kChacha20, 11);
+    PbrSession hot_session(service.hot_pbr(), PrfKind::kChacha20, 12);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        switch (step) {
+            case kPrepare:
+                benchmark::DoNotOptimize(world.client->Prepare(world.wanted[i]));
+                break;
+            case kPlan:
+                benchmark::DoNotOptimize(
+                    service.planner().Plan(world.wanted[i], rng));
+                break;
+            case kKeygen:
+                benchmark::DoNotOptimize(
+                    full_session.PrepareJobs(preps[i].plan.full_plan));
+                benchmark::DoNotOptimize(
+                    hot_session.PrepareJobs(preps[i].plan.hot_plan));
+                break;
+            case kAssembleHot:
+                benchmark::DoNotOptimize(service.AssembleFromShares(
+                    preps[i], true, world.hot0, world.hot1));
+                break;
+            case kAssembleFull:
+                benchmark::DoNotOptimize(service.AssembleFromShares(
+                    preps[i], false, world.full0, world.full1));
+                break;
+            case kFinalize:
+                benchmark::DoNotOptimize(
+                    service.FinalizeLookupResult(preps[i], full[i], &hot[i]));
+                break;
+        }
+        i = i + 1 == n ? 0 : i + 1;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    state.SetLabel(kNames[step]);
+}
+BENCHMARK(BM_ClientHalfMovielens)
+    ->DenseRange(0, 5)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_StrategyHostRun(benchmark::State& state) {

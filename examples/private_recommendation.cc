@@ -5,6 +5,7 @@
 // query planning).
 //
 //   build/examples/private_recommendation
+#include <algorithm>
 #include <cstdio>
 
 #include "src/core/service.h"
@@ -78,10 +79,20 @@ int main() {
         // Consume the per-table partials as they stream in (a device could
         // start ranking hot-served embeddings here), then take the final
         // assembled result — bit-identical to the one-shot Lookup.
+        // Each partial's `values` is one flat history.size() x dim buffer;
+        // keep every served entry as it streams in.
+        const std::size_t dim = static_cast<std::size_t>(spec.dim);
+        std::vector<float> streamed(s.history.size() * dim, 0.0f);
         PrivateEmbeddingService::TablePartial partial;
         while (handles[u].WaitPartial(&partial)) {
             std::size_t served = 0;
-            for (const bool b : partial.served) served += b ? 1 : 0;
+            for (std::size_t i = 0; i < partial.served.size(); ++i) {
+                if (!partial.served[i]) continue;
+                ++served;
+                std::copy(partial.values.begin() + i * dim,
+                          partial.values.begin() + (i + 1) * dim,
+                          streamed.begin() + i * dim);
+            }
             std::printf(
                 "  user %d: %s partial, %zu/%zu entries, %zu B down\n", u,
                 partial.table ==
@@ -94,6 +105,15 @@ int main() {
         std::vector<float> user(spec.dim, 0.0f);
         int got = 0;
         for (std::size_t i = 0; i < s.history.size(); ++i) {
+            if (!std::equal(lookup.embeddings[i].begin(),
+                            lookup.embeddings[i].end(),
+                            streamed.begin() + i * dim)) {
+                std::fprintf(stderr,
+                             "user %d: streamed partials differ from the "
+                             "result at entry %zu\n",
+                             u, i);
+                return 1;
+            }
             if (!lookup.retrieved[i]) continue;
             for (int d = 0; d < spec.dim; ++d) {
                 user[d] += lookup.embeddings[i][d];

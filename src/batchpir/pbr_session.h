@@ -85,7 +85,9 @@ class PbrSession {
         const std::vector<std::vector<std::uint8_t>>& keys) const;
 
     // Client: XORs both servers' per-bin shares into entry bytes
-    // (index-aligned with the plan's queries).
+    // (index-aligned with the plan's queries). The session's reference
+    // path; serving assembles straight from the shares instead
+    // (PrivateEmbeddingService::AssembleFromShares).
     std::vector<std::vector<std::uint8_t>> Reconstruct(
         const std::vector<PirResponse>& r0, const std::vector<PirResponse>& r1,
         std::size_t entry_bytes) const;

@@ -92,6 +92,17 @@ PrivateEmbeddingService::PrivateEmbeddingService(
                                 return owners;
                             }()))) {
     LogSelectedCpuPaths();
+    const std::size_t row_bytes = layout_.RowBytes(base_entry_bytes_);
+    modeled_gen_sec_ = KeyGenLatency(config_.client_device,
+                                     full_pbr_.num_bins(),
+                                     full_pbr_.bin_log_domain());
+    modeled_pir_sec_ = ServerPirLatency(full_pbr_, row_bytes, config_.prf);
+    if (hot_pbr_ != nullptr) {
+        modeled_gen_sec_ += KeyGenLatency(config_.client_device,
+                                          hot_pbr_->num_bins(),
+                                          hot_pbr_->bin_log_domain());
+        modeled_pir_sec_ += ServerPirLatency(*hot_pbr_, row_bytes, config_.prf);
+    }
     if (hot_pbr_ != nullptr && !config_.planning_only) {
         std::vector<std::uint64_t> owners(layout_.hot_size());
         for (std::uint64_t s = 0; s < layout_.hot_size(); ++s) {
@@ -161,6 +172,14 @@ PrivateEmbeddingService::Client::Prepare(
     PreparedLookup prep;
     prep.wanted = wanted;
     prep.plan = service_->planner_.Plan(wanted, rng_);
+    prep.retrieved_positions.reserve(wanted.size());
+    for (std::size_t i = 0; i < wanted.size(); ++i) {
+        if (prep.plan.retrieved[i]) {
+            prep.retrieved_positions.emplace_back(wanted[i], i);
+        }
+    }
+    std::sort(prep.retrieved_positions.begin(),
+              prep.retrieved_positions.end());
 
     // Keys go straight into the bin jobs; only a networked upload
     // (keep_wire_keys) serializes them. Every key of a table has the size
@@ -191,11 +210,7 @@ PrivateEmbeddingService::TablePartial
 PrivateEmbeddingService::Client::ReconstructTablePartial(
     const PreparedLookup& prep, bool hot, const std::vector<PirResponse>& r0,
     const std::vector<PirResponse>& r1) const {
-    const PbrSession& session = hot ? *hot_session_ : full_session_;
-    const std::size_t row_bytes =
-        service_->layout_.RowBytes(service_->base_entry_bytes_);
-    const auto rows = session.Reconstruct(r0, r1, row_bytes);
-    return service_->AssembleTablePartial(prep, hot, rows);
+    return service_->AssembleFromShares(prep, hot, r0, r1);
 }
 
 PrivateEmbeddingService::LookupResult
@@ -215,58 +230,65 @@ PrivateEmbeddingService::Client::Lookup(
 }
 
 PrivateEmbeddingService::TablePartial
-PrivateEmbeddingService::AssembleTablePartial(
-    const PreparedLookup& prep, bool hot,
-    const std::vector<std::vector<std::uint8_t>>& rows) const {
+PrivateEmbeddingService::AssembleFromShares(
+    const PreparedLookup& prep, bool hot, const std::vector<PirResponse>& r0,
+    const std::vector<PirResponse>& r1) const {
+    const Pbr::Plan& plan = hot ? prep.plan.hot_plan : prep.plan.full_plan;
+    if (r0.size() != plan.queries.size() || r1.size() != r0.size()) {
+        throw std::invalid_argument(
+            "PrivateEmbeddingService::AssembleFromShares: response count "
+            "mismatch");
+    }
     const std::size_t base = base_entry_bytes_;
-    const std::vector<std::uint64_t>& wanted = prep.wanted;
+    const std::size_t dim = static_cast<std::size_t>(dim_);
+    const std::size_t n = prep.wanted.size();
 
     TablePartial partial;
     partial.table =
         hot ? TablePartial::Table::kHot : TablePartial::Table::kFull;
-    partial.served.assign(wanted.size(), false);
-    partial.embeddings.assign(wanted.size(), std::vector<float>(dim_, 0.0f));
+    partial.served.assign(n, false);
+    partial.values.assign(n * dim, 0.0f);
 
-    // The retrieved positions of each wanted index, sorted by index, so a
-    // slot finds its positions by binary search instead of a scan of
-    // `wanted`. Dropped positions are absent and stay zero.
-    std::vector<std::pair<std::uint64_t, std::size_t>> positions;
-    positions.reserve(wanted.size());
-    for (std::size_t i = 0; i < wanted.size(); ++i) {
-        if (prep.plan.retrieved[i]) positions.emplace_back(wanted[i], i);
-    }
-    std::sort(positions.begin(), positions.end());
+    // One row buffer for every bin.
+    const std::size_t row_bytes = layout_.RowBytes(base);
+    std::vector<u128> row((row_bytes + 15) / 16);
+    const auto* row_data = reinterpret_cast<const std::uint8_t*>(row.data());
+    const auto& positions = prep.retrieved_positions;
 
-    // Positions served per owner index: a row's base slot holds its owner's
-    // embedding and the following slots the co-located partners'.
-    auto deliver_row = [&](std::uint64_t owner,
-                           const std::vector<std::uint8_t>& row) {
-        auto copy_slot = [&](std::uint64_t index, std::size_t slot) {
-            auto it = std::lower_bound(
-                positions.begin(), positions.end(),
-                std::pair<std::uint64_t, std::size_t>{index, 0});
-            for (; it != positions.end() && it->first == index; ++it) {
-                std::memcpy(partial.embeddings[it->second].data(),
-                            row.data() + slot * base, base);
-                partial.served[it->second] = true;
-            }
-        };
+    // A row's base slot holds its owner's embedding and the following slots
+    // the co-located partners'. Dropped positions are absent from
+    // `positions` and stay zero.
+    auto copy_slot = [&](std::uint64_t index, std::size_t slot) {
+        auto it = std::lower_bound(
+            positions.begin(), positions.end(),
+            std::pair<std::uint64_t, std::size_t>{index, 0});
+        for (; it != positions.end() && it->first == index; ++it) {
+            std::memcpy(partial.values.data() + it->second * dim,
+                        row_data + slot * base, base);
+            partial.served[it->second] = true;
+        }
+    };
+    for (std::size_t b = 0; b < plan.queries.size(); ++b) {
+        if (r0[b].size() != row.size() || r1[b].size() != row.size()) {
+            throw std::invalid_argument(
+                "PrivateEmbeddingService::AssembleFromShares: response word "
+                "count mismatch");
+        }
+        const auto& q = plan.queries[b];
+        if (!q.real) continue;
+        for (std::size_t k = 0; k < row.size(); ++k) {
+            row[k] = r0[b][k] ^ r1[b][k];
+        }
+        const std::uint64_t owner =
+            hot ? layout_.HotContent(q.global_index) : q.global_index;
         copy_slot(owner, 0);
         const auto& partners = layout_.Partners(owner);
         for (std::size_t j = 0; j < partners.size(); ++j) {
             copy_slot(partners[j], j + 1);
         }
-    };
-
-    const Pbr::Plan& plan = hot ? prep.plan.hot_plan : prep.plan.full_plan;
-    for (std::size_t b = 0; b < plan.queries.size(); ++b) {
-        const auto& q = plan.queries[b];
-        if (!q.real) continue;
-        deliver_row(hot ? layout_.HotContent(q.global_index) : q.global_index,
-                    rows[b]);
     }
-    partial.download_bytes = (hot ? *hot_pbr_ : full_pbr_)
-                                 .DownloadBytes(layout_.RowBytes(base));
+    partial.download_bytes =
+        (hot ? *hot_pbr_ : full_pbr_).DownloadBytes(row_bytes);
     return partial;
 }
 
@@ -274,38 +296,44 @@ PrivateEmbeddingService::LookupResult
 PrivateEmbeddingService::FinalizeLookupResult(const PreparedLookup& prep,
                                               const TablePartial& full,
                                               const TablePartial* hot) const {
+    const std::size_t dim = static_cast<std::size_t>(dim_);
+    const std::size_t n = prep.wanted.size();
+    auto aligned = [&](const TablePartial& part) {
+        return part.served.size() == n && part.values.size() == n * dim;
+    };
+    if (!aligned(full) || (hot != nullptr && !aligned(*hot))) {
+        throw std::invalid_argument(
+            "PrivateEmbeddingService::FinalizeLookupResult: partial not "
+            "aligned with the wanted list");
+    }
     LookupResult result;
     result.retrieved = prep.plan.retrieved;
-    result.embeddings.assign(prep.wanted.size(),
-                             std::vector<float>(dim_, 0.0f));
     result.upload_bytes = prep.upload_bytes;
+    result.download_bytes =
+        full.download_bytes + (hot != nullptr ? hot->download_bytes : 0);
 
     // An index served by both tables gets the same bytes from either (each
-    // served slot is the exact embedding row of its owner), so the merge
-    // order cannot change the result.
-    auto merge = [&](const TablePartial& part) {
-        for (std::size_t i = 0; i < part.served.size(); ++i) {
-            if (part.served[i]) result.embeddings[i] = part.embeddings[i];
+    // served slot is the exact embedding row of its owner); the hot table's
+    // are taken.
+    result.embeddings.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const TablePartial* src = nullptr;
+        if (hot != nullptr && hot->served[i]) {
+            src = hot;
+        } else if (full.served[i]) {
+            src = &full;
         }
-        result.download_bytes += part.download_bytes;
-    };
-    merge(full);
-    if (hot != nullptr) merge(*hot);
+        if (src == nullptr) {
+            result.embeddings[i].assign(dim, 0.0f);
+        } else {
+            const float* v = src->values.data() + i * dim;
+            result.embeddings[i].assign(v, v + dim);
+        }
+    }
 
     // Latency breakdown (Figure 12 composition).
-    std::uint64_t keys = full_pbr_.num_bins();
-    double gen = KeyGenLatency(config_.client_device, keys,
-                               full_pbr_.bin_log_domain());
-    double pir = ServerPirLatency(full_pbr_, layout_.RowBytes(base_entry_bytes_),
-                                  config_.prf);
-    if (hot_pbr_ != nullptr) {
-        gen += KeyGenLatency(config_.client_device, hot_pbr_->num_bins(),
-                             hot_pbr_->bin_log_domain());
-        pir += ServerPirLatency(*hot_pbr_, layout_.RowBytes(base_entry_bytes_),
-                                config_.prf);
-    }
-    result.latency.gen_sec = gen;
-    result.latency.pir_sec = pir;
+    result.latency.gen_sec = modeled_gen_sec_;
+    result.latency.pir_sec = modeled_pir_sec_;
     result.latency.network_sec = NetworkLatency(
         config_.network, result.upload_bytes, result.download_bytes);
     result.latency.dnn_sec = DnnLatency(config_.client_device,

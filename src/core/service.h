@@ -43,6 +43,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/batchpir/pbr.h"
@@ -106,9 +107,9 @@ struct ServiceConfig {
     // kBatch-priority requests only get the bottom 3/4 of the slots, so a
     // background flood can never squeeze out interactive traffic.
     std::size_t max_inflight_requests = 64;
-    // After the first pending request arrives, the batcher lingers this
-    // long so concurrent submitters can join the same pooled answer batch
-    // (the classic dynamic-batching latency/throughput knob). With
+    // A request waits at most this long for company, counted from its
+    // arrival, so concurrent submitters can join the same pooled answer
+    // batch (the classic dynamic-batching latency/throughput knob). With
     // adaptive_linger set this is the window's upper bound.
     std::uint64_t batcher_linger_us = 50;
     // Sizes the batching window from the observed traffic instead of the
@@ -173,9 +174,11 @@ class PrivateEmbeddingService {
         enum class Table { kFull, kHot };
         Table table = Table::kFull;
         // Aligned with the wanted vector: served[i] marks the entries this
-        // table delivered; embeddings[i] is zero-filled otherwise.
+        // table delivered. `values` is one flat wanted.size() x dim buffer:
+        // entry i is values[i * dim, (i + 1) * dim), zero-filled unless
+        // served[i].
         std::vector<bool> served;
-        std::vector<std::vector<float>> embeddings;
+        std::vector<float> values;
         // This table's download share, one server.
         std::size_t download_bytes = 0;
     };
@@ -191,6 +194,10 @@ class PrivateEmbeddingService {
         PbrSession::BinJobs full_server1;
         PbrSession::BinJobs hot_server0;
         PbrSession::BinJobs hot_server1;
+        // (wanted index, position) of every retrieved position, sorted, so
+        // assembly finds a row slot's positions by binary search. Shared by
+        // both tables' assembly.
+        std::vector<std::pair<std::uint64_t, std::size_t>> retrieved_positions;
         // The serialized bytes of the BinJobs' keys, filled only when
         // prepared with keep_wire_keys: the networked client
         // (src/net/remote_client.h) uploads these to a server node; the
@@ -224,13 +231,12 @@ class PrivateEmbeddingService {
         PreparedLookup Prepare(const std::vector<std::uint64_t>& wanted,
                                bool keep_wire_keys = false);
 
-        // Client-side half of answering from raw shares: reconstructs one
-        // table's rows from the two servers' per-bin responses (the
+        // Client-side half of answering from raw shares: assembles one
+        // table's TablePartial from the two servers' per-bin responses (the
         // RawTablePartial a remote node streamed back, or a local
-        // engine's) and decodes them into that table's TablePartial.
-        // Byte-identical to what the in-process front-end streams for the
-        // same PreparedLookup, because it runs the same session
-        // Reconstruct and service decode.
+        // engine's). Byte-identical to what the in-process front-end
+        // streams for the same PreparedLookup, because both run
+        // AssembleFromShares.
         TablePartial ReconstructTablePartial(
             const PreparedLookup& prep, bool hot,
             const std::vector<PirResponse>& r0,
@@ -238,7 +244,6 @@ class PrivateEmbeddingService {
 
       private:
         friend class PrivateEmbeddingService;
-        friend class ServingFrontEnd;
 
         Client(PrivateEmbeddingService* service, std::uint64_t seed);
 
@@ -271,22 +276,27 @@ class PrivateEmbeddingService {
     // front-end rejects every submission). See ServiceConfig::planning_only.
     bool planning_only() const { return config_.planning_only; }
 
-    // Per-table half of result assembly: decodes one table's reconstructed
-    // rows into the embeddings that table serves, independently of the
-    // other table, so the front-end can stream it the moment the table's
-    // jobs finish. `hot` selects the hot-table decode (row owners mapped
-    // through the layout's hot contents). Public because the networked
-    // client assembles on its side of the wire from raw shares (usually
+    // Per-table half of result assembly, independent of the other table so
+    // the front-end can stream it the moment the table's jobs finish: for
+    // each real bin, XORs the two servers' responses (r0[b] ^ r1[b]) into
+    // one reused row and copies the owner's and partners' slots into the
+    // positions that want them. `hot` selects the hot-table decode (row
+    // owners mapped through the layout's hot contents). Throws
+    // std::invalid_argument unless r0 and r1 hold one response per bin of
+    // the table's plan, each exactly one row of words. Public because
+    // the networked client assembles on its side of the wire (usually
     // through Client::ReconstructTablePartial).
-    TablePartial AssembleTablePartial(
-        const PreparedLookup& prep, bool hot,
-        const std::vector<std::vector<std::uint8_t>>& rows) const;
+    TablePartial AssembleFromShares(const PreparedLookup& prep, bool hot,
+                                    const std::vector<PirResponse>& r0,
+                                    const std::vector<PirResponse>& r1) const;
 
     // Merges the per-table partials into the caller-facing result
     // (embedding delivery, communication accounting, modeled latency).
-    // `hot` is null when there is no hot table. Bit-identical to decoding
-    // both tables in one pass: every slot a row delivers holds the exact
-    // embedding bytes of its owner, so merge order cannot change bytes.
+    // `hot` is null when there is no hot table; an entry both tables serve
+    // takes the hot table's bytes. Bit-identical to decoding both tables
+    // in one pass: every slot a row delivers holds the exact embedding
+    // bytes of its owner, so merge order cannot change bytes. Throws
+    // std::invalid_argument on a partial not aligned with prep.wanted.
     LookupResult FinalizeLookupResult(const PreparedLookup& prep,
                                       const TablePartial& full,
                                       const TablePartial* hot) const;
@@ -307,6 +317,10 @@ class PrivateEmbeddingService {
     Pbr full_pbr_;
     std::unique_ptr<Pbr> hot_pbr_;
     QueryPlanner planner_;
+    // Modeled key-generation and server PIR latency (LookupResult::latency):
+    // they depend only on the geometry, so they are computed once.
+    double modeled_gen_sec_ = 0.0;
+    double modeled_pir_sec_ = 0.0;
     // Dedicated answer pool when config.server_threads > 0; the engines
     // fall back to ThreadPool::Shared() otherwise.
     std::unique_ptr<ThreadPool> server_pool_;

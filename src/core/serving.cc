@@ -225,10 +225,11 @@ ServingFrontEnd::RequestHandle ServingFrontEnd::Enqueue(
         queue_cv_.NotifyAll();
         throw;
     }
+    req->queued_at = std::chrono::steady_clock::now();
     {
         MutexLock lock(mu_);
         queue_.push_back(req);
-        NoteArrival(std::chrono::steady_clock::now());
+        NoteArrival(req->queued_at);
         --preparing_;
     }
     queue_cv_.NotifyOne();
@@ -298,6 +299,7 @@ ServingFrontEnd::RequestHandle ServingFrontEnd::SubmitRaw(
         req->has_deadline = true;
         req->deadline = admitted_at + std::chrono::microseconds(deadline_us);
     }
+    req->queued_at = admitted_at;
     req->on_raw_partial = std::move(options.on_raw_partial);
     req->on_complete = std::move(options.on_complete);
     req->context = std::make_shared<JobContext>(
@@ -414,8 +416,15 @@ void ServingFrontEnd::BatcherLoop() {
                 // recomputed after every wake-up, so a near-deadline
                 // request arriving mid-window still dispatches (or
                 // expires) on time instead of sleeping out the full
-                // window.
-                const auto window_start = std::chrono::steady_clock::now();
+                // window. The window counts from the oldest queued
+                // request's arrival: a request that queued while the
+                // previous batch ran has already waited that long.
+                auto window_start = std::chrono::steady_clock::now();
+                for (const auto& req : queue_) {
+                    if (req->stage == Request::Stage::kQueued) {
+                        window_start = std::min(window_start, req->queued_at);
+                    }
+                }
                 const std::uint64_t linger = ComputeLingerUs();
                 counters_.last_linger_us = linger;
                 const auto window_end =
@@ -650,7 +659,7 @@ void ServingFrontEnd::ProcessBatch(
         // one-shot latency.
         for (const auto& req : batch) {
             req->has_hot = req->raw ? req->raw_prep.has_hot
-                                    : req->client->hot_session_ != nullptr;
+                                    : service_->hot_pbr() != nullptr;
             req->groups_remaining.store(req->has_hot ? 2 : 1,
                                         std::memory_order_relaxed);
             req->full_partial.reset();
@@ -672,16 +681,12 @@ void ServingFrontEnd::ProcessBatch(
             lo = hi;
         }
 
-        const std::size_t row_bytes =
-            service_->layout_.RowBytes(service_->base_entry_bytes_);
         std::vector<PirResponse> responses(jobs.size());
 
         // Runs on the pool worker that finished a group's last job:
-        // reconstruct that table's rows with the owning client's session,
-        // decode them into a partial, stream it, and — on the request's
-        // last group — finalize the full result. The two groups of one
-        // request touch different sessions, so no session is ever used
-        // from two threads at once.
+        // assemble that table's partial from the two servers' shares,
+        // stream it, and — on the request's last group — finalize the full
+        // result.
         auto group_done = [&](Group& g) {
             Request* req = g.req;
             // A dead request's partials are never assembled: its jobs may
@@ -702,8 +707,8 @@ void ServingFrontEnd::ProcessBatch(
                     auto r1 = slice(g.s1_begin, g.s1_count);
                     if (req->raw) {
                         // Networked request: this table's shares leave the
-                        // node verbatim — reconstruction happens on the
-                        // remote client, with the same PbrSession code the
+                        // node verbatim — assembly happens on the remote
+                        // client, with the same AssembleFromShares the
                         // in-process path runs, so the final bytes match.
                         if (!req->context->cancelled() &&
                             req->on_raw_partial) {
@@ -714,14 +719,9 @@ void ServingFrontEnd::ProcessBatch(
                             req->on_raw_partial(std::move(part));
                         }
                     } else {
-                        PbrSession& session =
-                            g.hot ? *req->client->hot_session_
-                                  : req->client->full_session_;
-                        const auto rows =
-                            session.Reconstruct(r0, r1, row_bytes);
                         auto kept = std::make_shared<const TablePartial>(
-                            service_->AssembleTablePartial(req->prep, g.hot,
-                                                           rows));
+                            service_->AssembleFromShares(req->prep, g.hot, r0,
+                                                         r1));
                         (g.hot ? req->hot_partial : req->full_partial) = kept;
                         if (!req->context->cancelled()) {
                             {

@@ -32,7 +32,10 @@
 //     background flood can never squeeze interactive traffic out.
 //   - The batching window is either the fixed `batcher_linger_us` or,
 //     with `adaptive_linger`, sized from an EWMA of request inter-arrival
-//     time and drained queue depth (capped at `batcher_linger_us`).
+//     time and drained queue depth (capped at `batcher_linger_us`). It
+//     counts from the oldest queued request's arrival, so a request that
+//     queued while the previous batch ran waits at most the window in
+//     total, not the window again after that batch.
 //
 // Within a batch, jobs are ordered hot-table-first (per priority class):
 // the engine pool drains its queue in submission order, so every
@@ -108,7 +111,8 @@ struct RawLookup {
 // before any client-side reconstruction. `server0[b]`/`server1[b]` are the
 // two logical servers' shares for bin b, index-aligned with the submitted
 // bin jobs; sending them back verbatim keeps the remote client's
-// Reconstruct() bit-identical to the in-process path.
+// assembly (Client::ReconstructTablePartial) bit-identical to the
+// in-process path.
 struct RawTablePartial {
     bool hot = false;
     std::vector<PirResponse> server0;
@@ -178,8 +182,8 @@ class ServingFrontEnd {
         // Options::skip_abandoned_work is on.
         std::uint64_t jobs_skipped = 0;
         std::uint64_t shards_skipped = 0;
-        // Window the most recent batch waited (us); tracks the adaptive
-        // policy's decisions.
+        // Batching window of the most recent batch (us), counted from its
+        // oldest request's arrival; tracks the adaptive policy's decisions.
         std::uint64_t last_linger_us = 0;
     };
 
@@ -277,6 +281,9 @@ class ServingFrontEnd {
         RequestPriority priority = RequestPriority::kInteractive;
         bool has_deadline = false;
         std::chrono::steady_clock::time_point deadline{};
+        // When the request entered the queue; the batching window counts
+        // from the oldest queued request's queued_at.
+        std::chrono::steady_clock::time_point queued_at{};
         std::function<void(const TablePartial&)> on_partial;
         std::function<void(RequestStatus)> on_complete;
 

@@ -324,8 +324,8 @@ ShardedRouter::LookupOutcome ShardedRouter::Lookup(
         [](const NodeConnection::ShardReply& r)
             -> const std::vector<PirResponse>& { return r.full.server1; });
 
-    // Local reconstruction: same session code, same decode, same merge as
-    // the in-process path — the bytes match it exactly.
+    // Local assembly: the same AssembleFromShares and merge as the
+    // in-process path — the bytes match it exactly.
     auto full = client->ReconstructTablePartial(prep, /*hot=*/false, full0,
                                                 full1);
     PrivateEmbeddingService::TablePartial hot;

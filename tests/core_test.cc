@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "src/core/service.h"
@@ -145,16 +146,21 @@ TEST(ServiceTest, DroppedLookupsAreZeroFilled) {
     EXPECT_TRUE(any_dropped);
 }
 
-// The per-slot decode AssembleTablePartial replaced, kept as its
-// reference: every slot of every real bin row scans all of `wanted` and
-// copies into each retrieved position holding the slot's index.
-PrivateEmbeddingService::TablePartial ScanAssembleReference(
+// The per-slot decode AssembleFromShares replaced, kept as its reference:
+// every slot of every real bin row scans all of `wanted` and copies into
+// each retrieved position holding the slot's index.
+struct ReferencePartial {
+    std::vector<bool> served;
+    std::vector<std::vector<float>> embeddings;
+};
+
+ReferencePartial ScanAssembleReference(
     const PrivateEmbeddingService& service,
     const PrivateEmbeddingService::PreparedLookup& prep, bool hot,
     const std::vector<std::vector<std::uint8_t>>& rows) {
     const std::size_t base = service.dim() * sizeof(float);
     const EmbeddingLayout& layout = service.layout();
-    PrivateEmbeddingService::TablePartial partial;
+    ReferencePartial partial;
     partial.served.assign(prep.wanted.size(), false);
     partial.embeddings.assign(prep.wanted.size(),
                               std::vector<float>(service.dim(), 0.0f));
@@ -181,18 +187,41 @@ PrivateEmbeddingService::TablePartial ScanAssembleReference(
     return partial;
 }
 
-TEST(ServiceTest, AssembleTablePartialMatchesPerSlotScan) {
-    // Rows whose every byte names its (bin, byte) pair, so a slot copied to
-    // the wrong position or from the wrong row shows. The wanted list holds
-    // duplicate indices, an owner together with its co-located partners,
-    // and more full-table indices than the 8 full bins can serve, so some
-    // positions are dropped.
+// Two random XOR shares of `rows`, one response per row: r0[b] is random
+// and r0[b] ^ r1[b] holds rows[b] zero-padded to whole 16-byte words.
+void ShareRows(const std::vector<std::vector<std::uint8_t>>& rows, Rng& rng,
+               std::vector<PirResponse>* r0, std::vector<PirResponse>* r1) {
+    r0->assign(rows.size(), PirResponse());
+    r1->assign(rows.size(), PirResponse());
+    for (std::size_t b = 0; b < rows.size(); ++b) {
+        PirResponse plain((rows[b].size() + 15) / 16, 0);
+        std::memcpy(plain.data(), rows[b].data(), rows[b].size());
+        for (const u128 word : plain) {
+            const u128 mask = rng.Next128();
+            (*r0)[b].push_back(mask);
+            (*r1)[b].push_back(mask ^ word);
+        }
+    }
+}
+
+// Co-design on with co-located partners: the geometry AssembleFromShares
+// decodes.
+CodesignConfig ColocatedCodesign() {
     CodesignConfig codesign;
     codesign.hot_size = 64;
     codesign.colocate_c = 2;
     codesign.q_hot = 16;
     codesign.q_full = 8;
-    TestWorld world(codesign);
+    return codesign;
+}
+
+TEST(ServiceTest, AssembleFromSharesMatchesPerSlotScan) {
+    // Rows whose every byte names its (bin, byte) pair, so a slot copied to
+    // the wrong position or from the wrong row shows. The wanted list holds
+    // duplicate indices, an owner together with its co-located partners,
+    // and more full-table indices than the 8 full bins can serve, so some
+    // positions are dropped.
+    TestWorld world(ColocatedCodesign());
     const PrivateEmbeddingService& service = *world.service;
     const EmbeddingLayout& layout = service.layout();
     std::uint64_t owner = 300;
@@ -205,8 +234,9 @@ TEST(ServiceTest, AssembleTablePartialMatchesPerSlotScan) {
         world.client->Prepare(wanted);
     ASSERT_GT(prep.plan.num_dropped, 0u);
 
-    const std::size_t row_bytes =
-        layout.RowBytes(service.dim() * sizeof(float));
+    const std::size_t dim = static_cast<std::size_t>(service.dim());
+    const std::size_t row_bytes = layout.RowBytes(dim * sizeof(float));
+    Rng share_rng(29);
     for (const bool hot : {false, true}) {
         const Pbr::Plan& plan = hot ? prep.plan.hot_plan : prep.plan.full_plan;
         std::vector<std::vector<std::uint8_t>> rows(plan.queries.size());
@@ -216,25 +246,117 @@ TEST(ServiceTest, AssembleTablePartialMatchesPerSlotScan) {
                 rows[b][k] = static_cast<std::uint8_t>(b * 131 + k * 7 + 1);
             }
         }
-        const auto got = service.AssembleTablePartial(prep, hot, rows);
+        std::vector<PirResponse> r0, r1;
+        ShareRows(rows, share_rng, &r0, &r1);
+        const auto got = service.AssembleFromShares(prep, hot, r0, r1);
         const auto want = ScanAssembleReference(service, prep, hot, rows);
+        using Table = PrivateEmbeddingService::TablePartial::Table;
+        EXPECT_EQ(got.table, hot ? Table::kHot : Table::kFull);
         EXPECT_EQ(got.served, want.served) << "hot=" << hot;
-        ASSERT_EQ(got.embeddings.size(), want.embeddings.size());
+        ASSERT_EQ(got.values.size(), wanted.size() * dim);
         std::size_t served = 0;
         for (std::size_t i = 0; i < wanted.size(); ++i) {
-            EXPECT_EQ(std::memcmp(got.embeddings[i].data(),
+            EXPECT_EQ(std::memcmp(got.values.data() + i * dim,
                                   want.embeddings[i].data(),
-                                  service.dim() * sizeof(float)),
+                                  dim * sizeof(float)),
                       0)
                 << "hot=" << hot << " position " << i;
             if (!prep.plan.retrieved[i]) {
                 EXPECT_FALSE(got.served[i]) << "hot=" << hot << " " << i;
-                for (const float v : got.embeddings[i]) EXPECT_EQ(v, 0.0f);
+                for (std::size_t d = 0; d < dim; ++d) {
+                    EXPECT_EQ(got.values[i * dim + d], 0.0f);
+                }
             }
             served += got.served[i] ? 1 : 0;
         }
         EXPECT_GT(served, 0u) << "hot=" << hot;
     }
+}
+
+TEST(ServiceTest, AssembleFromSharesRejectsMismatchedShares) {
+    // The two servers' responses must hold one response per bin, each
+    // exactly one row of words; anything else is refused before a partial
+    // is returned, on both tables.
+    TestWorld world(ColocatedCodesign());
+    const PrivateEmbeddingService& service = *world.service;
+    const auto prep = world.client->Prepare({0, 1, 2, 300});
+    const std::size_t row_bytes =
+        service.layout().RowBytes(service.dim() * sizeof(float));
+    Rng share_rng(31);
+    for (const bool hot : {false, true}) {
+        const Pbr::Plan& plan = hot ? prep.plan.hot_plan : prep.plan.full_plan;
+        const std::vector<std::vector<std::uint8_t>> rows(
+            plan.queries.size(), std::vector<std::uint8_t>(row_bytes, 5));
+        std::vector<PirResponse> r0, r1;
+        ShareRows(rows, share_rng, &r0, &r1);
+        EXPECT_NO_THROW(service.AssembleFromShares(prep, hot, r0, r1));
+
+        auto short_r1 = r1;
+        short_r1.pop_back();
+        EXPECT_THROW(service.AssembleFromShares(prep, hot, r0, short_r1),
+                     std::invalid_argument)
+            << "hot=" << hot;
+        auto short_both0 = r0;
+        auto short_both1 = r1;
+        short_both0.pop_back();
+        short_both1.pop_back();
+        EXPECT_THROW(
+            service.AssembleFromShares(prep, hot, short_both0, short_both1),
+            std::invalid_argument)
+            << "hot=" << hot;
+        // One word short in one bin, a real bin and a dummy bin alike: in
+        // one server's response, or in both (the two agree, but are not a
+        // row).
+        for (std::size_t b = 0; b < plan.queries.size(); ++b) {
+            auto ragged0 = r0;
+            auto ragged1 = r1;
+            ragged1[b].pop_back();
+            EXPECT_THROW(service.AssembleFromShares(prep, hot, r0, ragged1),
+                         std::invalid_argument)
+                << "hot=" << hot << " bin " << b;
+            ragged0[b].pop_back();
+            EXPECT_THROW(
+                service.AssembleFromShares(prep, hot, ragged0, ragged1),
+                std::invalid_argument)
+                << "hot=" << hot << " bin " << b;
+        }
+    }
+}
+
+TEST(ServiceTest, FinalizeRejectsPartialsNotAlignedWithWanted) {
+    // FinalizeLookupResult reads each partial by wanted position, so a
+    // partial whose `served` or `values` does not span the wanted list is
+    // refused instead of read out of bounds.
+    TestWorld world(ColocatedCodesign());
+    const PrivateEmbeddingService& service = *world.service;
+    const auto prep = world.client->Prepare({0, 1, 2, 300});
+    const std::size_t row_bytes =
+        service.layout().RowBytes(service.dim() * sizeof(float));
+    Rng share_rng(37);
+    PrivateEmbeddingService::TablePartial partials[2];
+    for (const bool hot : {false, true}) {
+        const Pbr::Plan& plan = hot ? prep.plan.hot_plan : prep.plan.full_plan;
+        const std::vector<std::vector<std::uint8_t>> rows(
+            plan.queries.size(), std::vector<std::uint8_t>(row_bytes, 5));
+        std::vector<PirResponse> r0, r1;
+        ShareRows(rows, share_rng, &r0, &r1);
+        partials[hot] = service.AssembleFromShares(prep, hot, r0, r1);
+    }
+    const auto& full = partials[0];
+    const auto& hot = partials[1];
+    EXPECT_NO_THROW(service.FinalizeLookupResult(prep, full, &hot));
+    EXPECT_NO_THROW(service.FinalizeLookupResult(prep, full, nullptr));
+
+    auto short_values = hot;
+    short_values.values.pop_back();
+    EXPECT_THROW(service.FinalizeLookupResult(prep, full, &short_values),
+                 std::invalid_argument);
+    auto short_served = full;
+    short_served.served.pop_back();
+    EXPECT_THROW(service.FinalizeLookupResult(prep, short_served, &hot),
+                 std::invalid_argument);
+    EXPECT_THROW(service.FinalizeLookupResult(prep, short_served, nullptr),
+                 std::invalid_argument);
 }
 
 TEST(ServiceTest, PreparedKeysAreTheWireKeysAndKeepTheRngStream) {

@@ -290,14 +290,17 @@ using TablePartial = PrivateEmbeddingService::TablePartial;
 void ExpectPartialsReassemble(const std::vector<TablePartial>& partials,
                               const LookupResult& expected) {
     ASSERT_FALSE(expected.retrieved.empty());
-    std::vector<std::vector<float>> merged(
-        expected.retrieved.size(),
-        std::vector<float>(expected.embeddings[0].size(), 0.0f));
+    const std::size_t dim = expected.embeddings[0].size();
+    std::vector<std::vector<float>> merged(expected.retrieved.size(),
+                                           std::vector<float>(dim, 0.0f));
     std::size_t download = 0;
     for (const TablePartial& p : partials) {
         ASSERT_EQ(p.served.size(), expected.retrieved.size());
+        ASSERT_EQ(p.values.size(), p.served.size() * dim);
         for (std::size_t i = 0; i < p.served.size(); ++i) {
-            if (p.served[i]) merged[i] = p.embeddings[i];
+            if (!p.served[i]) continue;
+            merged[i].assign(p.values.begin() + i * dim,
+                             p.values.begin() + (i + 1) * dim);
         }
         download += p.download_bytes;
     }
@@ -860,6 +863,60 @@ TEST(RequestHandleTest, AdaptiveLingerStaysBitIdenticalUnderLoad) {
     }
     // The adaptive window honors its cap.
     EXPECT_LE(world.service->front_end().counters().last_linger_us, 300u);
+}
+
+// The batching window counts from the oldest queued request's arrival, not
+// from when the batcher looks. B queues while A's batch is held open by A's
+// blocking partial callback, so by the time that batch ends B has waited
+// longer than the window: it must dispatch at once instead of lingering a
+// whole window again.
+TEST(ServingFrontEndTest, LingerCountsFromTheOldestArrival) {
+    using Clock = std::chrono::steady_clock;
+    ServiceConfig config = BaseConfig();
+    config.server_threads = 1;
+    config.batcher_linger_us = 200'000;
+    ServingWorld world(config);
+    auto a = world.service->MakeClient();
+    auto b = world.service->MakeClient();
+    ServingFrontEnd& fe = world.service->front_end();
+
+    std::promise<void> a_partial;
+    std::promise<Clock::time_point> a_done;
+    std::promise<Clock::time_point> b_done;
+    std::atomic<bool> first{true};
+    ServingFrontEnd::SubmitOptions a_options;
+    a_options.on_partial = [&](const TablePartial&) {
+        if (first.exchange(false)) {
+            a_partial.set_value();
+            std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        }
+    };
+    a_options.on_complete = [&](RequestStatus) {
+        a_done.set_value(Clock::now());
+    };
+    auto a_handle =
+        fe.SubmitRequest({a.get(), {3, 65, 200, 511}}, std::move(a_options));
+    ASSERT_TRUE(a_handle.ok());
+    a_partial.get_future().wait();
+
+    ServingFrontEnd::SubmitOptions b_options;
+    b_options.on_complete = [&](RequestStatus) {
+        b_done.set_value(Clock::now());
+    };
+    auto b_handle =
+        fe.SubmitRequest({b.get(), {7, 300}}, std::move(b_options));
+    ASSERT_TRUE(b_handle.ok());
+
+    const Clock::time_point a_at = a_done.get_future().get();
+    const Clock::time_point b_at = b_done.get_future().get();
+    EXPECT_EQ(a_handle.status(), RequestStatus::kComplete);
+    EXPECT_EQ(b_handle.status(), RequestStatus::kComplete);
+    EXPECT_LT(b_at - a_at, std::chrono::milliseconds(100))
+        << "B completed "
+        << std::chrono::duration_cast<std::chrono::milliseconds>(b_at - a_at)
+               .count()
+        << " ms after A";
+    EXPECT_EQ(fe.counters().last_linger_us, 200'000u);
 }
 
 // Stop() ordering regression: submissions racing Stop() must each either
